@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _bitslice
 from .network import Network
-from .verify import DEFAULT_CAP
+from .verify import _check_cap
 
 AND = "AND"
 OR = "OR"
@@ -80,9 +80,9 @@ def network_to_circuit(net: Network) -> MonotoneCircuit:
     return MonotoneCircuit(net.width, tuple(gates), tuple(refs))
 
 
-def _lookup(ref: str, inputs, gate_vals, one):
+def _lookup(ref: str, inputs, gate_vals, zero, one):
     if ref == "0":
-        return 0
+        return zero
     if ref == "1":
         return one
     idx = int(ref[1:])
@@ -95,28 +95,31 @@ def evaluate(circuit: MonotoneCircuit, bits: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(f"expected {circuit.n_inputs} bits, got {len(bits)}")
     vals: list[int] = []
     for g in circuit.gates:
-        a = _lookup(g.a, bits, vals, 1)
-        b = _lookup(g.b, bits, vals, 1)
+        a = _lookup(g.a, bits, vals, 0, 1)
+        b = _lookup(g.b, bits, vals, 0, 1)
         vals.append(a & b if g.kind == AND else a | b)
-    return tuple(_lookup(r, bits, vals, 1) for r in circuit.outputs)
+    return tuple(_lookup(r, bits, vals, 0, 1) for r in circuit.outputs)
 
 
 def evaluate_slices(
-    circuit: MonotoneCircuit, input_slices: Sequence[int], nbits: int
-) -> list[int]:
-    """Evaluate bit-parallel over any family of inputs given as slices."""
-    full = (1 << nbits) - 1
-    vals: list[int] = []
+    circuit: MonotoneCircuit, input_slices: Sequence[np.ndarray], nbits: int
+) -> np.ndarray:
+    """Evaluate bit-parallel over any family of ``nbits`` inputs given as
+    uint64 word slices; returns one output slice per row."""
+    one = _bitslice.full_row(nbits)
+    zero = np.zeros_like(one)
+    vals: list[np.ndarray] = []
     for g in circuit.gates:
-        a = _lookup(g.a, input_slices, vals, full)
-        b = _lookup(g.b, input_slices, vals, full)
+        a = _lookup(g.a, input_slices, vals, zero, one)
+        b = _lookup(g.b, input_slices, vals, zero, one)
         vals.append(a & b if g.kind == AND else a | b)
-    return [_lookup(r, input_slices, vals, full) for r in circuit.outputs]
+    outputs = [_lookup(r, input_slices, vals, zero, one) for r in circuit.outputs]
+    return np.array(outputs, dtype=np.uint64).reshape(len(outputs), len(one))
 
 
-def evaluate_all(circuit: MonotoneCircuit) -> list[int]:
+def evaluate_all(circuit: MonotoneCircuit) -> np.ndarray:
     """Output slices over all 2**n_inputs binary inputs (see _bitslice for
-    the slice convention)."""
+    the slice layout)."""
     n = circuit.n_inputs
     return evaluate_slices(circuit, _bitslice.input_patterns(n), 1 << n)
 
@@ -213,19 +216,19 @@ def specialize(circuit: MonotoneCircuit, input_index: int, bit: int) -> Monotone
     )
 
 
-def threshold_slice(n: int, k: int) -> int:
+def threshold_slice(n: int, k: int) -> np.ndarray:
     """Slice of the k-of-n threshold function over all 2**n inputs."""
+    full = _bitslice.full_row(1 << n)
     if k <= 0:
-        return (1 << (1 << n)) - 1
+        return full
     if k > n:
-        return 0
-    v = np.arange(1 << n, dtype=np.uint32)
-    pop = v - ((v >> 1) & 0x55555555)
-    pop = (pop & 0x33333333) + ((pop >> 2) & 0x33333333)
-    pop = (pop + (pop >> 4)) & 0x0F0F0F0F
-    pop = (pop * 0x01010101) >> 24
-    bits = (pop >= k).astype(np.uint8)
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+        return np.zeros_like(full)
+    # at_least[j]: inputs with at least j ones among the wires seen so far.
+    at_least = [full] + [np.zeros_like(full)] * k
+    for seen, x in enumerate(_bitslice.input_patterns(n), start=1):
+        for j in range(min(k, seen), 0, -1):
+            at_least[j] = at_least[j] | (at_least[j - 1] & x)
+    return at_least[k]
 
 
 def is_threshold(
@@ -233,12 +236,10 @@ def is_threshold(
 ) -> bool:
     """Exhaustively compare one output against the k-of-n threshold."""
     n = circuit.n_inputs
-    limit = DEFAULT_CAP if cap is None else cap
-    if n > limit:
-        raise ValueError(f"input count {n} exceeds the exhaustive cap {limit}")
+    _check_cap(n, cap)
     if not 0 <= wire < len(circuit.outputs):
         raise ValueError(f"no output wire {wire}")
-    return evaluate_all(circuit)[wire] == threshold_slice(n, k)
+    return bool(np.array_equal(evaluate_all(circuit)[wire], threshold_slice(n, k)))
 
 
 def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):

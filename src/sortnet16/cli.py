@@ -2,7 +2,7 @@
 
 Exit codes follow a CI-friendly convention: 0 when the command succeeds
 and any checked claim holds, 1 when a claim fails or a counterexample is
-found, 2 for usage or I/O errors.
+found, 2 for usage or I/O errors and for inputs too large to evaluate.
 """
 
 from __future__ import annotations
@@ -256,6 +256,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

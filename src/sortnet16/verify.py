@@ -2,36 +2,27 @@
 
 By the zero-one principle a network sorts every input iff it sorts every
 binary input, so all checks here sweep the full 2**width binary input
-space.  The sweep runs on the compiled kernels from ``_kernels`` when the
-extension is importable, otherwise on the big-integer fallback in
-``_bitslice``; set ``SORTNET16_PURE=1`` to force the fallback.
+space.  The sweep runs on the numpy-word slice engine in ``_bitslice``,
+reached through the module attribute ``_backend``.  Widths above
+``DEFAULT_CAP`` need an explicit ``cap``; widths above the engine's
+``MAX_WIDTH`` are refused whatever the cap, before anything is allocated.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import _bitslice as _backend
 from .network import Network
-
-try:
-    if os.environ.get("SORTNET16_PURE"):
-        raise ImportError("pure-Python backend forced by SORTNET16_PURE")
-    from . import _kernels as _backend
-
-    _BACKEND_NAME = "compiled"
-except ImportError:
-    from . import _bitslice as _backend
-
-    _BACKEND_NAME = "python"
 
 DEFAULT_CAP = 24
 
 
 def backend_name() -> str:
-    """Which bit-slice backend is active: "compiled" or "python"."""
-    return _BACKEND_NAME
+    """Name of the slice engine: always "python" (numpy words, no compiled
+    extension)."""
+    return "python"
 
 
 class DegenerateOrderError(ValueError):
@@ -39,6 +30,7 @@ class DegenerateOrderError(ValueError):
 
 
 def _check_cap(width: int, cap: int | None) -> None:
+    _backend.check_width(width)
     limit = DEFAULT_CAP if cap is None else cap
     if width > limit:
         raise ValueError(

@@ -232,4 +232,24 @@ def test_no_command_prints_help(capsys):
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
-    assert out.startswith("sortnet16 ")
+    assert out == "sortnet16 0.1.0 (backend: python)\n"
+
+
+def test_width_beyond_engine_ceiling_exits_2(capsys, tmp_path):
+    path = tmp_path / "wide.txt"
+    path.write_text("width 40\n0 1\n")
+    for argv in (("verify", str(path), "--cap", "64"), ("poset", str(path), "--cap", "64")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "slice engine" in err
+
+
+def test_memory_error_exits_2(capsys, monkeypatch, tmp_path):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("sortnet16.cli.asap_schedule", exhausted)
+    code, _, err = run(capsys, "stats", write_net(tmp_path, sorter4()))
+    assert code == 2
+    assert err == "error: out of memory\n"

@@ -4,11 +4,14 @@ import pytest
 
 from sortnet16 import (
     DegenerateOrderError,
+    MonotoneCircuit,
     Network,
+    _bitslice,
     counterexample_permutation,
     green16,
     hypercube_phase,
     infer_poset,
+    is_threshold,
     verify_sorts_binary,
 )
 from sortnet16.verify import poset_from_rows
@@ -115,6 +118,19 @@ def test_width_cap():
     with pytest.raises(ValueError):
         verify_sorts_binary(Network(12), cap=10)
     assert verify_sorts_binary(Network(2, ((0, 1),)), cap=2).sorts
+
+
+def test_engine_ceiling_overrides_cap():
+    wide = _bitslice.MAX_WIDTH + 1
+    with pytest.raises(ValueError, match="slice engine"):
+        verify_sorts_binary(Network(wide), cap=64)
+    with pytest.raises(ValueError, match="slice engine"):
+        verify_sorts_binary(Network(wide), mode="naive", cap=64)
+    with pytest.raises(ValueError, match="slice engine"):
+        infer_poset(Network(wide), cap=64)
+    circuit = MonotoneCircuit(wide, (), tuple(f"x{i}" for i in range(wide)))
+    with pytest.raises(ValueError, match="slice engine"):
+        is_threshold(circuit, 0, 1, cap=64)
 
 
 def test_infer_poset_single_comparator():
