@@ -9,8 +9,9 @@ low 2**width bits of its single word; the bits above stay zero.  A
 comparator is then one AND plus one OR of two rows.
 
 This is the package's only slice engine: ``verify`` reduces its slices with
-``first_unsorted`` and ``leq_masks``, and ``circuits`` evaluates gates on
-the rows of ``input_patterns``.
+``first_unsorted`` and ``leq_masks``, ``circuits`` evaluates gates on the
+rows of ``input_patterns``, and ``analysis`` counts ones on the rows of
+``evaluate`` with ``at_least``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,25 @@ def input_patterns(width: int) -> np.ndarray:
     return pats
 
 
+def at_least(
+    rows: Sequence[np.ndarray], full: np.ndarray, k: int | None = None
+) -> list[np.ndarray]:
+    """Counting slices: entry j marks the inputs on which at least j of
+    ``rows`` are 1, for j = 0..k (default: all of them).
+
+    ``full`` is the all-ones slice and is returned as entry 0.
+    """
+    if k is None:
+        k = len(rows)
+    counts = [full] + [np.zeros_like(full) for _ in range(k)]
+    step = np.empty_like(full)
+    for seen, x in enumerate(rows, start=1):
+        for j in range(min(k, seen), 0, -1):
+            np.bitwise_and(counts[j - 1], x, out=step)
+            np.bitwise_or(counts[j], step, out=counts[j])
+    return counts
+
+
 def _evaluate_rows(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[np.ndarray]:
     rows = list(input_patterns(width))
     spare = np.empty_like(rows[0]) if rows else None
@@ -96,11 +116,16 @@ def first_unsorted(width: int, lows: Sequence[int], highs: Sequence[int]) -> int
         np.bitwise_not(hi, out=step)
         np.bitwise_and(lo, step, out=step)
         np.bitwise_or(bad, step, out=bad)
-    words = np.flatnonzero(bad)
+    return first_set(bad)
+
+
+def first_set(bits: np.ndarray) -> int:
+    """Least input index whose bit is set in the slice ``bits``, or -1."""
+    words = np.flatnonzero(bits)
     if len(words) == 0:
         return -1
     word = int(words[0])
-    value = int(bad[word])
+    value = int(bits[word])
     return 64 * word + (value & -value).bit_length() - 1
 
 

@@ -12,6 +12,22 @@ c) the six medial values fall inside the 8-wire candidate set M;
 d) the 4th/5th largest are the 3rd largest of layer III and the maximum of
    M (dually at the bottom).
 
+How claims a-d are checked.  Over binary inputs every claim compares order
+statistics (the r-th smallest of all outputs, of a layer, or of M), and on
+0/1 values an order statistic is a threshold: the r-th smallest (from 0) of
+s values is 1 exactly when at least s - r of them are 1.  So the exhaustive
+mode evaluates the prefix once on the bit-slice engine (one 2**16-bit slice
+per wire), builds the "at least j ones" slices over all outputs, layer I,
+layer III and M with ``_bitslice.at_least``, and states each claim as bitwise
+identities of those slices; a 6-of-8 multiset inclusion, for instance, is
+"at most as many ones and at most as many zeros".  This is the matrix check
+(sort every input's outputs, compare columns) with the sort replaced by its
+value on 0/1 inputs, so the verdict per input and hence the lexicographically
+least counterexample are the same; ``tests/test_analysis.py`` keeps the
+matrix check as its oracle.  The sampled mode runs random permutations of
+0..15 through the prefix on per-wire rows; there the r-th smallest of all
+outputs is r itself, and only layers I and III need sorting.
+
 Also here: the cube-order check itself, the partial orders established on
 M by each construction's preliminary comparisons, the strategy-completeness
 check (any 8-sorter on the M wires completes the network), and the depth
@@ -24,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _bitslice
 from .constructions import (
     CUBE_LAYER1,
     CUBE_LAYER3,
@@ -35,6 +52,7 @@ from .constructions import (
     green16,
     green16_naive_merge,
     hypercube_phase,
+    sorter4,
     strategy_sorter,
     van_voorhis16,
 )
@@ -47,6 +65,8 @@ DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 0xC0FFEE
 
 CLAIM_NAMES = ("a", "b", "c", "d")
+
+_SORTER4 = sorter4()  # sorts the four wires of layer I or III in sampled mode
 
 
 @dataclass(frozen=True)
@@ -92,20 +112,33 @@ def check_cube_poset(net: Network, n: int) -> bool:
     )
 
 
-def _apply_columns(mat: np.ndarray, net: Network) -> None:
-    for c in net.comparators:
-        a = mat[:, c.low].copy()
-        b = mat[:, c.high]
-        np.minimum(a, b, out=mat[:, c.low])
-        np.maximum(a, b, out=mat[:, c.high])
+def _exhaustive_masks(prefix: Network) -> dict[str, np.ndarray]:
+    """Claim slices over all 2**16 binary inputs (see the module docstring)."""
+    out = _bitslice.evaluate(
+        16, [c.low for c in prefix.comparators], [c.high for c in prefix.comparators]
+    )
+    full = _bitslice.full_row(1 << 16)
+    t = _bitslice.at_least(out, full)  # rank r is t[16 - r]
+    l1 = _bitslice.at_least([out[w] for w in CUBE_LAYER1], full)
+    l3 = _bitslice.at_least([out[w] for w in CUBE_LAYER3], full)
+    m = _bitslice.at_least([*(out[w] for w in MIDDLE_LAYER), l3[4], l1[1]], full)
 
+    def same(x, y):
+        return ~(x ^ y)
 
-def _all_binary_inputs(width: int) -> np.ndarray:
-    v = np.arange(1 << width, dtype=np.uint32)
-    out = np.empty((1 << width, width), dtype=np.uint8)
-    for i in range(width):
-        out[:, i] = (v >> (width - 1 - i)) & 1
-    return out
+    a = same(out[15], t[1]) & same(out[0], t[16])
+    b = same(l3[1], t[2]) & same(l3[2], t[3]) & same(l1[4], t[15]) & same(l1[3], t[14])
+    c = full.copy()
+    for j in range(1, 7):
+        # ranks 5..10 hold no more ones than M, and no more zeros
+        c &= (~t[5 + j] | m[j]) & (t[12 - j] | ~m[9 - j])
+    d = (
+        same(l3[3] & m[1], t[5])
+        & same(l3[3] | m[1], t[4])
+        & same(l1[2] & m[8], t[13])
+        & same(l1[2] | m[8], t[12])
+    )
+    return {"a": a, "b": b, "c": c, "d": d}
 
 
 def _permutation_inputs(width: int, samples: int, seed: int) -> np.ndarray:
@@ -114,55 +147,35 @@ def _permutation_inputs(width: int, samples: int, seed: int) -> np.ndarray:
     return rng.permuted(base, axis=1)
 
 
-def _sorted_multiset_contains(small: np.ndarray, big: np.ndarray) -> np.ndarray:
-    """Row-wise multiset inclusion of sorted ``small`` rows in sorted ``big``
-    rows, where big has exactly two extra columns.
-
-    An inclusion is an order-preserving embedding small[j] == big[j + d_j]
-    with offsets d_j non-decreasing in {0, 1, 2}; feasible offsets are
-    tracked column by column.
-    """
-    n, k = small.shape
-    if big.shape != (n, k + 2):
-        raise ValueError("big must have exactly two more columns than small")
-    feasible = [small[:, 0] == big[:, d] for d in range(3)]
-    for j in range(1, k):
-        reach = feasible[0]
-        nxt = []
-        for d in range(3):
-            if d > 0:
-                reach = reach | feasible[d]
-            nxt.append((small[:, j] == big[:, j + d]) & reach)
-        feasible = nxt
-    return feasible[0] | feasible[1] | feasible[2]
+def _apply_rows(rows: list[np.ndarray], net: Network) -> None:
+    """Apply ``net`` in place to per-wire rows of values."""
+    spare = np.empty_like(rows[0])
+    for c in net.comparators:
+        lo, hi = rows[c.low], rows[c.high]
+        np.minimum(lo, hi, out=spare)
+        np.maximum(lo, hi, out=hi)
+        rows[c.low], spare = spare, lo
 
 
-def _sorted_pair_equals(
-    s_lo: np.ndarray, s_hi: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    return (np.minimum(x, y) == s_lo) & (np.maximum(x, y) == s_hi)
+def _sampled_masks(prefix: Network, inputs: np.ndarray) -> dict[str, np.ndarray]:
+    """Claim masks over permutations of 0..15, on which rank r is r."""
+    out = list(np.ascontiguousarray(inputs.T, dtype=np.uint8))
+    _apply_rows(out, prefix)
+    l1 = [out[w].copy() for w in CUBE_LAYER1]
+    l3 = [out[w].copy() for w in CUBE_LAYER3]
+    _apply_rows(l1, _SORTER4)
+    _apply_rows(l3, _SORTER4)
+    m = np.array([*(out[w] for w in MIDDLE_LAYER), l3[0], l1[3]])
+    m_lo, m_hi = m.min(axis=0), m.max(axis=0)
 
+    def pair_is(lo, hi, x, y):
+        return (np.minimum(x, y) == lo) & (np.maximum(x, y) == hi)
 
-def _claim_masks(outputs: np.ndarray) -> dict[str, np.ndarray]:
-    ranks = np.sort(outputs, axis=1)
-    layer1 = np.sort(outputs[:, list(CUBE_LAYER1)], axis=1)
-    layer3 = np.sort(outputs[:, list(CUBE_LAYER3)], axis=1)
-    m_vals = np.concatenate(
-        [outputs[:, list(MIDDLE_LAYER)], layer3[:, :1], layer1[:, 3:]], axis=1
-    )
-    m_vals = np.sort(m_vals, axis=1)
-
-    a = (outputs[:, 15] == ranks[:, 15]) & (outputs[:, 0] == ranks[:, 0])
-    b = (
-        (layer3[:, 3] == ranks[:, 14])
-        & (layer3[:, 2] == ranks[:, 13])
-        & (layer1[:, 0] == ranks[:, 1])
-        & (layer1[:, 1] == ranks[:, 2])
-    )
-    c = _sorted_multiset_contains(ranks[:, 5:11], m_vals)
-    d = _sorted_pair_equals(
-        ranks[:, 11], ranks[:, 12], layer3[:, 1], m_vals[:, 7]
-    ) & _sorted_pair_equals(ranks[:, 3], ranks[:, 4], layer1[:, 2], m_vals[:, 0])
+    a = (out[15] == 15) & (out[0] == 0)
+    b = (l3[3] == 14) & (l3[2] == 13) & (l1[0] == 1) & (l1[1] == 2)
+    # M holds distinct values, so it contains ranks 5..10 iff six of them lie there.
+    c = np.count_nonzero((m >= 5) & (m <= 10), axis=0) == 6
+    d = pair_is(11, 12, l3[1], m_hi) & pair_is(3, 4, l1[2], m_lo)
     return {"a": a, "b": b, "c": c, "d": d}
 
 
@@ -175,33 +188,39 @@ def check_observations(
 ) -> ObservationReport:
     """Check claims a-d for a width-16 prefix network.
 
-    ``mode=EXHAUSTIVE`` sweeps all binary inputs (authoritative);
-    ``mode=SAMPLED`` spot-checks seeded random permutations.
+    ``mode=EXHAUSTIVE`` sweeps all 2**16 binary inputs (authoritative) as
+    threshold slices on the bit-slice engine; ``mode=SAMPLED`` spot-checks
+    ``samples`` permutations of 0..15 drawn from ``seed``.  A failing claim
+    carries its least counterexample: the lexicographically least binary
+    input vector, or the first failing permutation drawn.
     """
     if prefix is None:
         prefix = hypercube_phase(4)
     if prefix.width != 16:
         raise ValueError("observation checks are defined for width 16")
+    claims = {}
     if mode == EXHAUSTIVE:
-        inputs = _all_binary_inputs(16)
-        used_seed = None
+        inputs_checked, used_seed = 1 << 16, None
+        for name, ok in _exhaustive_masks(prefix).items():
+            first = _bitslice.first_set(~ok)
+            claims[name] = (
+                ClaimVerdict(True)
+                if first < 0
+                else ClaimVerdict(False, tuple((first >> (15 - i)) & 1 for i in range(16)))
+            )
     elif mode == SAMPLED:
         inputs = _permutation_inputs(16, samples, seed)
-        used_seed = seed
+        inputs_checked, used_seed = len(inputs), seed
+        for name, ok in _sampled_masks(prefix, inputs).items():
+            bad = np.flatnonzero(~ok)
+            claims[name] = (
+                ClaimVerdict(True)
+                if len(bad) == 0
+                else ClaimVerdict(False, tuple(int(x) for x in inputs[bad[0]]))
+            )
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    outputs = inputs.copy()
-    _apply_columns(outputs, prefix)
-    masks = _claim_masks(outputs)
-    claims = {}
-    for name in CLAIM_NAMES:
-        ok = masks[name]
-        if bool(ok.all()):
-            claims[name] = ClaimVerdict(True)
-        else:
-            first = int(np.flatnonzero(~ok)[0])
-            claims[name] = ClaimVerdict(False, tuple(int(x) for x in inputs[first]))
-    return ObservationReport(mode, len(inputs), used_seed, claims)
+    return ObservationReport(mode, inputs_checked, used_seed, claims)
 
 
 def _dominates(poset, upper: int) -> int:

@@ -221,14 +221,7 @@ def threshold_slice(n: int, k: int) -> np.ndarray:
     full = _bitslice.full_row(1 << n)
     if k <= 0:
         return full
-    if k > n:
-        return np.zeros_like(full)
-    # at_least[j]: inputs with at least j ones among the wires seen so far.
-    at_least = [full] + [np.zeros_like(full)] * k
-    for seen, x in enumerate(_bitslice.input_patterns(n), start=1):
-        for j in range(min(k, seen), 0, -1):
-            at_least[j] = at_least[j] | (at_least[j - 1] & x)
-    return at_least[k]
+    return _bitslice.at_least(_bitslice.input_patterns(n), full, k)[k]
 
 
 def is_threshold(

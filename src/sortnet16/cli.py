@@ -91,12 +91,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_stats(args) -> int:
     net = _read_network(args.network_file)
-    print(f"width: {net.width}")
-    print(f"comparators: {len(net)}")
-    print(f"depth: {asap_schedule(net).depth}")
-    for tag, count in net.phase_counts().items():
-        if tag is not None:
-            print(f"phase {tag.value}: {count}")
+    # Build the whole report first: an error exit leaves stdout empty.
+    lines = [
+        f"width: {net.width}",
+        f"comparators: {len(net)}",
+        f"depth: {asap_schedule(net).depth}",
+    ]
+    lines += [
+        f"phase {tag.value}: {count}"
+        for tag, count in net.phase_counts().items()
+        if tag is not None
+    ]
+    print("\n".join(lines))
     return 0
 
 

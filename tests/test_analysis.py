@@ -1,7 +1,10 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sortnet16 import (
     LOWER_TETRAD,
@@ -18,7 +21,8 @@ from sortnet16 import (
     hypercube_phase,
     infer_poset,
 )
-from sortnet16.analysis import EXHAUSTIVE, SAMPLED, _sorted_multiset_contains
+from sortnet16.analysis import EXHAUSTIVE, SAMPLED, ClaimVerdict, _permutation_inputs
+from sortnet16.constructions import CUBE_LAYER1, CUBE_LAYER3, MIDDLE_LAYER
 
 # Hasse diagrams of the partial order established on the M wires, as
 # recovered by exhaustive order inference (documented here: the pictures
@@ -127,27 +131,6 @@ def test_sampling_never_contradicts_exhaustive_mode():
                 assert sampled.claims[name].holds, name
 
 
-def test_sorted_multiset_contains_against_brute_force():
-    def contains(small, big):
-        big = list(big)
-        for x in small:
-            if x not in big:
-                return False
-            big.remove(x)
-        return True
-
-    rng = random.Random(0x6)
-    smalls, bigs, expected = [], [], []
-    for _ in range(600):
-        small = sorted(rng.choices(range(4), k=4))
-        big = sorted(rng.choices(range(4), k=6))
-        smalls.append(small)
-        bigs.append(big)
-        expected.append(contains(small, big))
-    got = _sorted_multiset_contains(np.array(smalls), np.array(bigs))
-    assert got.tolist() == expected
-
-
 def test_green_m_poset_holds(green):
     assert check_green_m_poset()
     assert check_green_m_poset(green.prefix_through(Phase.TETRAD_B))
@@ -194,3 +177,195 @@ def test_strategy_completeness():
 
 def test_depth_regression():
     assert check_depth_regression()
+
+
+# --------------------------------------------------------------------------
+# Oracle for claims a-d: evaluate the prefix on an input matrix, one row per
+# input, then sort values generically.  Independent of the bit-slice engine
+# and of the rank shortcuts that check_observations takes.
+
+
+def _all_binary_inputs(width):
+    v = np.arange(1 << width, dtype=np.uint32)
+    out = np.empty((1 << width, width), dtype=np.uint8)
+    for i in range(width):
+        out[:, i] = (v >> (width - 1 - i)) & 1
+    return out
+
+
+def _apply_columns(mat, net):
+    for c in net.comparators:
+        a = mat[:, c.low].copy()
+        b = mat[:, c.high]
+        np.minimum(a, b, out=mat[:, c.low])
+        np.maximum(a, b, out=mat[:, c.high])
+
+
+def _sorted_multiset_contains(small, big):
+    """Row-wise multiset inclusion of sorted ``small`` rows in sorted ``big``
+    rows, where big has exactly two extra columns.
+
+    An inclusion is an order-preserving embedding small[j] == big[j + d_j]
+    with offsets d_j non-decreasing in {0, 1, 2}; feasible offsets are
+    tracked column by column.
+    """
+    n, k = small.shape
+    if big.shape != (n, k + 2):
+        raise ValueError("big must have exactly two more columns than small")
+    feasible = [small[:, 0] == big[:, d] for d in range(3)]
+    for j in range(1, k):
+        reach = feasible[0]
+        nxt = []
+        for d in range(3):
+            if d > 0:
+                reach = reach | feasible[d]
+            nxt.append((small[:, j] == big[:, j + d]) & reach)
+        feasible = nxt
+    return feasible[0] | feasible[1] | feasible[2]
+
+
+def _sorted_pair_equals(s_lo, s_hi, x, y):
+    return (np.minimum(x, y) == s_lo) & (np.maximum(x, y) == s_hi)
+
+
+def _claim_masks(outputs):
+    ranks = np.sort(outputs, axis=1)
+    layer1 = np.sort(outputs[:, list(CUBE_LAYER1)], axis=1)
+    layer3 = np.sort(outputs[:, list(CUBE_LAYER3)], axis=1)
+    m_vals = np.concatenate(
+        [outputs[:, list(MIDDLE_LAYER)], layer3[:, :1], layer1[:, 3:]], axis=1
+    )
+    m_vals = np.sort(m_vals, axis=1)
+
+    a = (outputs[:, 15] == ranks[:, 15]) & (outputs[:, 0] == ranks[:, 0])
+    b = (
+        (layer3[:, 3] == ranks[:, 14])
+        & (layer3[:, 2] == ranks[:, 13])
+        & (layer1[:, 0] == ranks[:, 1])
+        & (layer1[:, 1] == ranks[:, 2])
+    )
+    c = _sorted_multiset_contains(ranks[:, 5:11], m_vals)
+    d = _sorted_pair_equals(
+        ranks[:, 11], ranks[:, 12], layer3[:, 1], m_vals[:, 7]
+    ) & _sorted_pair_equals(ranks[:, 3], ranks[:, 4], layer1[:, 2], m_vals[:, 0])
+    return {"a": a, "b": b, "c": c, "d": d}
+
+
+BINARY_INPUTS = _all_binary_inputs(16)
+
+
+def oracle_claims(prefix, inputs=BINARY_INPUTS):
+    """Claim verdicts with the first failing input row as counterexample."""
+    outputs = inputs.copy()
+    _apply_columns(outputs, prefix)
+    claims = {}
+    for name, ok in _claim_masks(outputs).items():
+        bad = np.flatnonzero(~ok)
+        claims[name] = (
+            ClaimVerdict(True)
+            if len(bad) == 0
+            else ClaimVerdict(False, tuple(int(x) for x in inputs[bad[0]]))
+        )
+    return claims
+
+
+def random_prefix(rng, size):
+    comps = []
+    for _ in range(size):
+        a, b = rng.sample(range(16), 2)
+        comps.append((min(a, b), max(a, b)))
+    return Network(16, tuple(comps))
+
+
+def differential_prefixes(count, seed):
+    """The identity network, every prefix of the cube phase, and ``count``
+    seeded random prefixes: unstructured ones, random matchings, and the
+    cube phase followed by a few random comparators."""
+    rng = random.Random(seed)
+    cube = hypercube_phase(4)
+    nets = [Network(16)] + [cube.prefix(k) for k in range(len(cube) + 1)]
+    for i in range(count):
+        kind = i % 3
+        if kind == 0:
+            nets.append(random_prefix(rng, rng.randrange(0, 64)))
+        elif kind == 1:
+            nets.append(random_depth4_prefix(rng))
+        else:
+            extra = random_prefix(rng, rng.randrange(1, 4))
+            nets.append(Network(16, cube.comparators + extra.comparators))
+    return nets
+
+
+def assert_every_verdict_seen(verdicts):
+    for name in ("a", "b", "c", "d"):
+        assert any(not v[name].holds for v in verdicts), f"claim {name} never fails"
+        assert any(v[name].holds for v in verdicts), f"claim {name} never holds"
+
+
+def test_exhaustive_observations_match_matrix_oracle():
+    verdicts = []
+    for prefix in differential_prefixes(210, seed=0xA11):
+        expected = oracle_claims(prefix)
+        assert check_observations(prefix).claims == expected, prefix.comparators
+        verdicts.append(expected)
+    assert_every_verdict_seen(verdicts)
+
+
+def test_sampled_observations_match_matrix_oracle():
+    verdicts = []
+    for i, prefix in enumerate(differential_prefixes(60, seed=0x5A)):
+        seed = 1000 + i
+        inputs = _permutation_inputs(16, 300, seed)
+        expected = oracle_claims(prefix, inputs)
+        report = check_observations(prefix, mode=SAMPLED, samples=300, seed=seed)
+        assert report.claims == expected, prefix.comparators
+        verdicts.append(expected)
+    assert_every_verdict_seen(verdicts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 15), st.integers(0, 15))
+        .filter(lambda p: p[0] != p[1])
+        .map(sorted),
+        max_size=80,
+    )
+)
+def test_exhaustive_observations_property(pairs):
+    prefix = Network(16, tuple(tuple(p) for p in pairs))
+    assert check_observations(prefix).claims == oracle_claims(prefix)
+
+
+def test_exhaustive_observations_stay_small():
+    prefix = hypercube_phase(4)
+    check_observations(prefix)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        check_observations(prefix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The 65536 x 16 input matrix alone would take 1 MB.
+    assert peak < 1 << 20, peak
+
+
+def test_sorted_multiset_contains_against_brute_force():
+    def contains(small, big):
+        big = list(big)
+        for x in small:
+            if x not in big:
+                return False
+            big.remove(x)
+        return True
+
+    rng = random.Random(0x6)
+    smalls, bigs, expected = [], [], []
+    for _ in range(600):
+        small = sorted(rng.choices(range(4), k=4))
+        big = sorted(rng.choices(range(4), k=6))
+        smalls.append(small)
+        bigs.append(big)
+        expected.append(contains(small, big))
+    got = _sorted_multiset_contains(np.array(smalls), np.array(bigs))
+    assert got.tolist() == expected

@@ -101,3 +101,18 @@ def test_width_ceiling():
     for fn in (_bitslice.first_unsorted, _bitslice.leq_masks, _bitslice.evaluate):
         with pytest.raises(ValueError):
             fn(_bitslice.MAX_WIDTH + 1, [], [])
+
+
+@pytest.mark.parametrize("k", [None, 0, 2, 9])
+def test_at_least_counts_ones_per_input(k):
+    rng = np.random.default_rng(7)
+    top = np.iinfo(np.uint64).max
+    rows = list(rng.integers(0, top, size=(6, 3), dtype=np.uint64, endpoint=True))
+    full = _bitslice.full_row(3 * 64)
+    counts = _bitslice.at_least(rows, full, k)
+    assert len(counts) == (len(rows) if k is None else k) + 1
+    for index in range(3 * 64):
+        ones = sum(slice_bit(row, index) for row in rows)
+        assert [slice_bit(c, index) for c in counts] == [
+            int(ones >= j) for j in range(len(counts))
+        ]

@@ -253,3 +253,17 @@ def test_memory_error_exits_2(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "stats", write_net(tmp_path, sorter4()))
     assert code == 2
     assert err == "error: out of memory\n"
+
+
+def test_stats_out_of_memory_prints_nothing_to_stdout(capsys, monkeypatch):
+    # A declared width the ASAP schedule cannot allocate a row for; the
+    # allocation failure is simulated so the test never asks for the memory.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("width 99999999999\n0 1\n"))
+    monkeypatch.setattr("sortnet16.cli.asap_schedule", exhausted)
+    code, out, err = run(capsys, "stats", "-")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
