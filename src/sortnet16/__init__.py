@@ -19,7 +19,6 @@ from .network import (
     embed,
 )
 from .verify import (
-    DEFAULT_CAP,
     DegenerateOrderError,
     Poset,
     SortVerdict,
@@ -83,7 +82,6 @@ __all__ = [
     "concat_all",
     "depth",
     "embed",
-    "DEFAULT_CAP",
     "DegenerateOrderError",
     "Poset",
     "SortVerdict",

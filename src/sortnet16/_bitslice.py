@@ -42,6 +42,11 @@ def check_width(width: int) -> None:
         raise ValueError(f"width {width} is outside the slice engine's range 0..{MAX_WIDTH}")
 
 
+def vector_of(index: int, width: int) -> tuple[int, ...]:
+    """Binary input vector number ``index``: wire 0 gets the most significant bit."""
+    return tuple((index >> (width - 1 - i)) & 1 for i in range(width))
+
+
 def full_row(nbits: int) -> np.ndarray:
     """All-ones slice over ``nbits`` inputs, its last word cut to ``nbits``."""
     row = np.full(max(1, -(-nbits // 64)), _ONES)

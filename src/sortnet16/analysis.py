@@ -206,7 +206,7 @@ def check_observations(
             claims[name] = (
                 ClaimVerdict(True)
                 if first < 0
-                else ClaimVerdict(False, tuple((first >> (15 - i)) & 1 for i in range(16)))
+                else ClaimVerdict(False, _bitslice.vector_of(first, 16))
             )
     elif mode == SAMPLED:
         inputs = _permutation_inputs(16, samples, seed)

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _bitslice
+from .constructions import van_voorhis16
 from .network import Network
-from .verify import _check_cap
 
 AND = "AND"
 OR = "OR"
@@ -87,18 +87,6 @@ def _lookup(ref: str, inputs, gate_vals, zero, one):
         return one
     idx = int(ref[1:])
     return inputs[idx] if ref[0] == "x" else gate_vals[idx]
-
-
-def evaluate(circuit: MonotoneCircuit, bits: Sequence[int]) -> tuple[int, ...]:
-    """Evaluate on one binary input vector."""
-    if len(bits) != circuit.n_inputs:
-        raise ValueError(f"expected {circuit.n_inputs} bits, got {len(bits)}")
-    vals: list[int] = []
-    for g in circuit.gates:
-        a = _lookup(g.a, bits, vals, 0, 1)
-        b = _lookup(g.b, bits, vals, 0, 1)
-        vals.append(a & b if g.kind == AND else a | b)
-    return tuple(_lookup(r, bits, vals, 0, 1) for r in circuit.outputs)
 
 
 def evaluate_slices(
@@ -224,12 +212,9 @@ def threshold_slice(n: int, k: int) -> np.ndarray:
     return _bitslice.at_least(_bitslice.input_patterns(n), full, k)[k]
 
 
-def is_threshold(
-    circuit: MonotoneCircuit, wire: int, k: int, *, cap: int | None = None
-) -> bool:
+def is_threshold(circuit: MonotoneCircuit, wire: int, k: int) -> bool:
     """Exhaustively compare one output against the k-of-n threshold."""
     n = circuit.n_inputs
-    _check_cap(n, cap)
     if not 0 <= wire < len(circuit.outputs):
         raise ValueError(f"no output wire {wire}")
     return bool(np.array_equal(evaluate_all(circuit)[wire], threshold_slice(n, k)))
@@ -244,8 +229,6 @@ def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):
     version pins the last input of the 16-input circuit to ``pin_bit`` and
     simplifies.
     """
-    from .constructions import van_voorhis16
-
     if n_vars not in (15, 16):
         raise ValueError("majority circuits are built for 15 or 16 variables")
     if k is None:

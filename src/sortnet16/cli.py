@@ -78,7 +78,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     net = _read_network(args.network_file)
-    verdict = verify_sorts_binary(net, mode=args.mode, cap=args.cap)
+    verdict = verify_sorts_binary(net)
     if verdict.sorts:
         print("sorts")
         return 0
@@ -121,7 +121,7 @@ def _cmd_poset(args) -> int:
     net = _read_network(args.network_file)
     if args.prefix is not None:
         net = net.prefix(args.prefix)
-    poset = infer_poset(net, cap=args.cap)
+    poset = infer_poset(net)
     restrict = _parse_restrict(args.restrict) if args.restrict else None
     sys.stdout.write(render_poset_dot(poset, restrict=restrict))
     return 0
@@ -129,12 +129,9 @@ def _cmd_poset(args) -> int:
 
 def _cmd_diagram(args) -> int:
     net = _read_network(args.network_file)
-    if args.format == "svg":
-        text = render_diagram(
-            net, "svg", flip=args.flip, color=args.color, labels=not args.no_labels
-        )
-    else:
-        text = render_diagram(net, "ascii", flip=args.flip)
+    text = render_diagram(
+        net, args.format, flip=args.flip, color=args.color, labels=not args.no_labels
+    )
     _write(text, args.output)
     return 0
 
@@ -199,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustively verify a network sorts")
     p.add_argument("network_file", help="network text file, or - for stdin")
-    p.add_argument("--mode", choices=("bitsliced", "naive"), default="bitsliced")
-    p.add_argument("--cap", type=int, default=None, help="width cap override")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("stats", help="width, size, depth, per-phase counts")
@@ -211,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network_file")
     p.add_argument("--prefix", type=int, default=None, help="use only the first K comparators")
     p.add_argument("--restrict", default=None, help="M, layer1, layer3, or wire list")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_poset)
 
     p = sub.add_parser("diagram", help="render a network diagram")

@@ -53,10 +53,11 @@ def hypercube_phase(n: int, dim_order=None) -> Network:
     Round k compares (i, i + 2**k) for every wire i whose bit k is clear:
     n rounds of 2**(n-1) disjoint comparators each, so depth n and size
     n * 2**(n-1).  ``dim_order`` permutes the rounds; any order yields the
-    same cube order.
+    same cube order.  ``n`` is at most 6: 64 wires, the widest network
+    ``render_diagram`` draws.
     """
-    if n < 1:
-        raise ValueError("hypercube phase needs n >= 1")
+    if not 1 <= n <= 6:
+        raise ValueError(f"hypercube phase needs 1 <= n <= 6, got {n}")
     width = 1 << n
     dims = list(range(n)) if dim_order is None else list(dim_order)
     if sorted(dims) != list(range(n)):

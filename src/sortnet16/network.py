@@ -9,6 +9,7 @@ maximum always travels toward the highest wire index.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -177,7 +178,8 @@ class LayeredSchedule:
 
 def asap_schedule(net: Network) -> LayeredSchedule:
     """Schedule each comparator at the earliest layer its wires allow."""
-    last = [0] * net.width
+    # Keyed by the wires comparators touch: the declared width costs nothing.
+    last: defaultdict[int, int] = defaultdict(int)
     layers = []
     for c in net.comparators:
         layer = 1 + max(last[c.low], last[c.high])

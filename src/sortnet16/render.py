@@ -198,23 +198,25 @@ def _separator_layer(net: Network, sched) -> int | None:
     return max(layers) if layers else None
 
 
-def render_diagram(net: Network, fmt: str = "ascii", **options) -> str:
+def render_diagram(
+    net: Network,
+    fmt: str = "ascii",
+    *,
+    flip: bool = False,
+    color: bool = False,
+    labels: bool = True,
+) -> str:
     """Knuth-style diagram; wire 0 at the bottom unless ``flip=True``.
 
-    ascii options: flip.  svg options: flip, color (per-phase bridge
-    colors), labels (block labels next to the tagged blocks).
+    svg only: ``color`` (per-phase bridge colors) and ``labels`` (block
+    labels next to the tagged blocks); ascii ignores both.
     """
     if net.width > _MAX_DIAGRAM_WIDTH:
         raise ValueError(f"diagram rendering caps at width {_MAX_DIAGRAM_WIDTH}")
     if fmt == "ascii":
-        return _render_ascii(net, flip=options.pop("flip", False))
+        return _render_ascii(net, flip=flip)
     if fmt == "svg":
-        return _render_svg(
-            net,
-            flip=options.pop("flip", False),
-            color=options.pop("color", False),
-            labels=options.pop("labels", True),
-        )
+        return _render_svg(net, flip=flip, color=color, labels=labels)
     raise ValueError(f"unknown diagram format {fmt!r}")
 
 

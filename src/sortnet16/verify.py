@@ -3,9 +3,9 @@
 By the zero-one principle a network sorts every input iff it sorts every
 binary input, so all checks here sweep the full 2**width binary input
 space.  The sweep runs on the numpy-word slice engine in ``_bitslice``,
-reached through the module attribute ``_backend``.  Widths above
-``DEFAULT_CAP`` need an explicit ``cap``; widths above the engine's
-``MAX_WIDTH`` are refused whatever the cap, before anything is allocated.
+reached through the module attribute ``_backend``; it is the only
+verifier.  The engine's ``MAX_WIDTH`` is the one width limit: wider
+networks are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from typing import Sequence
 
 from . import _bitslice as _backend
 from .network import Network
-
-DEFAULT_CAP = 24
 
 
 def backend_name() -> str:
@@ -29,21 +27,8 @@ class DegenerateOrderError(ValueError):
     """Two distinct wires carry equal values on every binary input."""
 
 
-def _check_cap(width: int, cap: int | None) -> None:
-    _backend.check_width(width)
-    limit = DEFAULT_CAP if cap is None else cap
-    if width > limit:
-        raise ValueError(
-            f"width {width} exceeds the exhaustive-verification cap {limit}"
-        )
-
-
 def _wire_lists(net: Network) -> tuple[list[int], list[int]]:
     return [c.low for c in net.comparators], [c.high for c in net.comparators]
-
-
-def _vector_of(index: int, width: int) -> tuple[int, ...]:
-    return tuple((index >> (width - 1 - i)) & 1 for i in range(width))
 
 
 @dataclass(frozen=True)
@@ -61,34 +46,13 @@ class SortVerdict:
         return self.sorts
 
 
-def verify_sorts_binary(
-    net: Network, *, mode: str = "bitsliced", cap: int | None = None
-) -> SortVerdict:
-    """Check all 2**width binary inputs; bit-parallel by default.
-
-    ``mode="naive"`` evaluates one vector at a time through
-    ``Network.apply`` and exists for differential testing of the
-    bit-parallel path.
-    """
-    _check_cap(net.width, cap)
-    if mode == "bitsliced":
-        lows, highs = _wire_lists(net)
-        bad = _backend.first_unsorted(net.width, lows, highs)
-    elif mode == "naive":
-        bad = _first_unsorted_naive(net)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+def verify_sorts_binary(net: Network) -> SortVerdict:
+    """Check all 2**width binary inputs at once on the slice engine."""
+    lows, highs = _wire_lists(net)
+    bad = _backend.first_unsorted(net.width, lows, highs)
     if bad < 0:
         return SortVerdict(True)
-    return SortVerdict(False, _vector_of(bad, net.width))
-
-
-def _first_unsorted_naive(net: Network) -> int:
-    for v in range(1 << net.width):
-        out = net.apply(_vector_of(v, net.width))
-        if any(a > b for a, b in zip(out, out[1:])):
-            return v
-    return -1
+    return SortVerdict(False, _backend.vector_of(bad, net.width))
 
 
 def counterexample_permutation(net: Network, bad: Sequence[int]) -> list[int]:
@@ -189,9 +153,8 @@ def poset_from_rows(width: int, rows: Sequence[int]) -> Poset:
     return Poset(width, tuple(rows))
 
 
-def infer_poset(net: Network, *, cap: int | None = None) -> Poset:
+def infer_poset(net: Network) -> Poset:
     """Infer the known-at-most relation over all binary inputs."""
-    _check_cap(net.width, cap)
     lows, highs = _wire_lists(net)
     rows = _backend.leq_masks(net.width, lows, highs)
     return poset_from_rows(net.width, rows)

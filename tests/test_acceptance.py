@@ -32,6 +32,7 @@ from sortnet16 import (
 )
 from sortnet16.analysis import SAMPLED
 
+from test_bitslice import bits_of, least_failing_index
 from test_network import random_network
 from test_render import random_tagged_network
 
@@ -119,11 +120,12 @@ def test_c10_property_suites():
     for _ in range(500):
         values = [rng.randint(0, 20) for _ in range(16)]
         assert sorted(net.apply(values)) == sorted(values)
-    # bit-parallel vs naive verifier agreement
+    # bit-parallel vs per-vector verifier agreement
     for _ in range(40):
         sample = random_network(rng, width=rng.randint(2, 10))
-        assert verify_sorts_binary(sample, mode="bitsliced") == verify_sorts_binary(
-            sample, mode="naive"
+        bad = least_failing_index(sample)
+        assert verify_sorts_binary(sample).counterexample == (
+            None if bad < 0 else tuple(bits_of(bad, sample.width))
         )
     # text round-trip
     for _ in range(40):
@@ -149,7 +151,7 @@ def test_c10_property_suites():
 def test_c11_bitsliced_verification_under_50ms():
     net = van_voorhis16()
     best = min(
-        _timed(lambda: verify_sorts_binary(net, mode="bitsliced")) for _ in range(5)
+        _timed(lambda: verify_sorts_binary(net)) for _ in range(5)
     )
     assert best < 0.050, f"bit-sliced width-16 verification took {best * 1e3:.1f} ms"
     report(11, f"bit-sliced width-16 verification in {best * 1e3:.2f} ms (< 50 ms)")

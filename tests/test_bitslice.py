@@ -9,7 +9,6 @@ from sortnet16 import Network, green16, van_voorhis16
 from sortnet16 import _bitslice
 
 from test_network import random_network
-from test_verify import brute_force_poset_pairs
 
 
 def wire_lists(net):
@@ -18,6 +17,19 @@ def wire_lists(net):
 
 def bits_of(index, width):
     return [(index >> (width - 1 - i)) & 1 for i in range(width)]
+
+
+def brute_force_poset_pairs(net):
+    """Independent oracle: per-vector evaluation over all binary inputs."""
+    width = net.width
+    leq = {(a, b) for a in range(width) for b in range(width)}
+    for v in range(1 << width):
+        out = net.apply(bits_of(v, width))
+        for a in range(width):
+            for b in range(width):
+                if out[a] == 1 and out[b] == 0:
+                    leq.discard((a, b))
+    return leq
 
 
 def least_failing_index(net):

@@ -22,7 +22,9 @@ from sortnet16 import (
     van_voorhis16,
 )
 from sortnet16 import _bitslice
-from sortnet16.circuits import evaluate, evaluate_all, evaluate_slices, threshold_slice
+from sortnet16.circuits import evaluate_all, evaluate_slices, threshold_slice
+
+from test_bitslice import bits_of, slice_bit
 
 
 def constructed_networks():
@@ -52,7 +54,8 @@ def test_single_comparator_circuit():
     circuit = network_to_circuit(Network(2, ((0, 1),)))
     assert circuit.gates == (Gate("AND", "x0", "x1"), Gate("OR", "x0", "x1"))
     assert circuit.outputs == ("g0", "g1")
-    table = [evaluate(circuit, bits) for bits in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    slices = evaluate_all(circuit)
+    table = [tuple(slice_bit(row, v) for row in slices) for v in range(4)]
     assert table == [(0, 0), (0, 1), (0, 1), (1, 1)]
 
 
@@ -63,11 +66,11 @@ def test_circuit_matches_network_exhaustively():
 
 
 def test_green16_circuit_matches_apply_on_random_vectors(green):
-    circuit = network_to_circuit(green)
+    slices = evaluate_all(network_to_circuit(green))
     rng = random.Random(0x1000)
     for _ in range(1000):
-        bits = [rng.randint(0, 1) for _ in range(16)]
-        assert list(evaluate(circuit, bits)) == green.apply(bits)
+        v = rng.randrange(1 << 16)
+        assert [slice_bit(row, v) for row in slices] == green.apply(bits_of(v, 16))
 
 
 def test_cone_depth_bounded_by_network_depth():
@@ -200,9 +203,10 @@ def test_majority_circuit_validation():
 
 
 def test_is_threshold_cap():
-    wide = MonotoneCircuit(25, (), tuple(f"x{i}" for i in range(25)))
-    with pytest.raises(ValueError):
-        is_threshold(wide, 0, 1)
+    wide = _bitslice.MAX_WIDTH + 1
+    circuit = MonotoneCircuit(wide, (), tuple(f"x{i}" for i in range(wide)))
+    with pytest.raises(ValueError, match="slice engine"):
+        is_threshold(circuit, 0, 1)
 
 
 def test_circuit_reference_validation():
@@ -222,8 +226,3 @@ def test_render_gate_list():
         "g0 = AND x0 x1\ng1 = OR x0 x1\nout0 = g0\nout1 = g1\n"
     )
 
-
-def test_evaluate_rejects_wrong_arity():
-    circuit = network_to_circuit(Network(2, ((0, 1),)))
-    with pytest.raises(ValueError):
-        evaluate(circuit, (0, 1, 1))

@@ -59,6 +59,13 @@ def test_build_rejects_bad_size(capsys):
     assert "error" in err
 
 
+def test_build_rejects_oversized_hypercube(capsys):
+    code, out, err = run(capsys, "build", "hypercube", "7")
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 def test_build_rejects_stray_size(capsys):
     code, _, err = run(capsys, "build", "green16", "5")
     assert code == 2
@@ -101,13 +108,6 @@ def test_verify_empty_width16_network(capsys, tmp_path):
 def test_verify_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(render_text(green16())))
     code, out, _ = run(capsys, "verify", "-")
-    assert code == 0
-    assert out.strip() == "sorts"
-
-
-def test_verify_naive_mode(capsys, tmp_path):
-    path = write_net(tmp_path, sorter4())
-    code, out, _ = run(capsys, "verify", path, "--mode", "naive")
     assert code == 0
     assert out.strip() == "sorts"
 
@@ -238,8 +238,8 @@ def test_version_flag(capsys):
 def test_width_beyond_engine_ceiling_exits_2(capsys, tmp_path):
     path = tmp_path / "wide.txt"
     path.write_text("width 40\n0 1\n")
-    for argv in (("verify", str(path), "--cap", "64"), ("poset", str(path), "--cap", "64")):
-        code, out, err = run(capsys, *argv)
+    for command in ("verify", "poset"):
+        code, out, err = run(capsys, command, str(path))
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "slice engine" in err
@@ -255,9 +255,17 @@ def test_memory_error_exits_2(capsys, monkeypatch, tmp_path):
     assert err == "error: out of memory\n"
 
 
+def test_stats_of_huge_declared_width(capsys, monkeypatch):
+    # Nothing is allocated per declared wire, so this runs in constant memory.
+    monkeypatch.setattr("sys.stdin", io.StringIO("width 99999999999\n0 1\n"))
+    code, out, _ = run(capsys, "stats", "-")
+    assert code == 0
+    assert out == "width: 99999999999\ncomparators: 1\ndepth: 1\n"
+
+
 def test_stats_out_of_memory_prints_nothing_to_stdout(capsys, monkeypatch):
-    # A declared width the ASAP schedule cannot allocate a row for; the
-    # allocation failure is simulated so the test never asks for the memory.
+    # Whatever runs out of memory while the report is built (simulated here),
+    # the exit leaves stdout empty.
     def exhausted(*args, **kwargs):
         raise MemoryError
 

@@ -35,6 +35,10 @@ def test_hypercube_base_case():
     assert hypercube_phase(1).pairs() == [(0, 1)]
     with pytest.raises(ValueError):
         hypercube_phase(0)
+    # 64 wires, the widest diagram, is the largest cube built.
+    assert len(hypercube_phase(6)) == 6 * 32
+    with pytest.raises(ValueError):
+        hypercube_phase(7)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -154,6 +154,11 @@ def test_diagram_width_cap():
         render_diagram(Network(4), "png")
 
 
+def test_diagram_rejects_misspelled_option(green):
+    with pytest.raises(TypeError):
+        render_diagram(green, "svg", colour=True)
+
+
 def test_svg_green16_structure(green):
     svg = render_diagram(green, "svg")
     assert svg.count('class="bridge"') == 60

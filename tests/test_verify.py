@@ -4,45 +4,29 @@ import pytest
 
 from sortnet16 import (
     DegenerateOrderError,
-    MonotoneCircuit,
     Network,
+    SortVerdict,
     _bitslice,
     counterexample_permutation,
     green16,
     hypercube_phase,
     infer_poset,
-    is_threshold,
     verify_sorts_binary,
 )
 from sortnet16.verify import poset_from_rows
 
+from test_bitslice import bits_of, brute_force_poset_pairs, least_failing_index
 from test_network import random_network
 
 
-def brute_force_poset_pairs(net):
-    """Independent oracle: per-vector evaluation over all binary inputs."""
-    width = net.width
-    leq = {(a, b) for a in range(width) for b in range(width)}
-    for v in range(1 << width):
-        bits = [(v >> (width - 1 - i)) & 1 for i in range(width)]
-        out = net.apply(bits)
-        for a in range(width):
-            for b in range(width):
-                if out[a] == 1 and out[b] == 0:
-                    leq.discard((a, b))
-    return leq
-
-
 def test_single_comparator_sorts():
-    for mode in ("bitsliced", "naive"):
-        assert verify_sorts_binary(Network(2, ((0, 1),)), mode=mode).sorts
+    assert verify_sorts_binary(Network(2, ((0, 1),))).sorts
 
 
 def test_identity_network_counterexample():
-    for mode in ("bitsliced", "naive"):
-        verdict = verify_sorts_binary(Network(2), mode=mode)
-        assert not verdict.sorts
-        assert verdict.counterexample == (1, 0)
+    verdict = verify_sorts_binary(Network(2))
+    assert not verdict.sorts
+    assert verdict.counterexample == (1, 0)
 
 
 def test_counterexample_is_lexicographically_least():
@@ -54,18 +38,13 @@ def test_green16_sorts_binary(green):
     assert verify_sorts_binary(green).sorts
 
 
-def test_unknown_mode_rejected(green):
-    with pytest.raises(ValueError):
-        verify_sorts_binary(green, mode="fancy")
-
-
 def test_bitsliced_and_naive_agree_on_random_networks():
     rng = random.Random(0x5EED)
     for _ in range(100):
         net = random_network(rng, width=rng.randint(2, 12))
-        fast = verify_sorts_binary(net, mode="bitsliced")
-        slow = verify_sorts_binary(net, mode="naive")
-        assert fast == slow
+        bad = least_failing_index(net)
+        expected = None if bad < 0 else tuple(bits_of(bad, net.width))
+        assert verify_sorts_binary(net) == SortVerdict(bad < 0, expected)
 
 
 def test_verified_sorter_sorts_random_permutations(green):
@@ -111,26 +90,17 @@ def test_counterexample_permutation_rejects_sorted_vector(green):
 
 
 def test_width_cap():
-    with pytest.raises(ValueError):
-        verify_sorts_binary(Network(25))
-    with pytest.raises(ValueError):
-        infer_poset(Network(25))
-    with pytest.raises(ValueError):
-        verify_sorts_binary(Network(12), cap=10)
-    assert verify_sorts_binary(Network(2, ((0, 1),)), cap=2).sorts
-
-
-def test_engine_ceiling_overrides_cap():
+    # The engine's ceiling is the one width limit of every exhaustive check.
     wide = _bitslice.MAX_WIDTH + 1
     with pytest.raises(ValueError, match="slice engine"):
-        verify_sorts_binary(Network(wide), cap=64)
+        verify_sorts_binary(Network(wide))
     with pytest.raises(ValueError, match="slice engine"):
-        verify_sorts_binary(Network(wide), mode="naive", cap=64)
-    with pytest.raises(ValueError, match="slice engine"):
-        infer_poset(Network(wide), cap=64)
-    circuit = MonotoneCircuit(wide, (), tuple(f"x{i}" for i in range(wide)))
-    with pytest.raises(ValueError, match="slice engine"):
-        is_threshold(circuit, 0, 1, cap=64)
+        infer_poset(Network(wide))
+
+
+def test_width_25_gets_a_verdict():
+    verdict = verify_sorts_binary(Network(25, ((23, 24),)))
+    assert verdict == SortVerdict(False, (0,) * 22 + (1, 0, 0))
 
 
 def test_infer_poset_single_comparator():
