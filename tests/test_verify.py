@@ -4,6 +4,7 @@ import pytest
 
 from sortnet16 import (
     DegenerateOrderError,
+    MonotoneCircuit,
     Network,
     SortVerdict,
     _bitslice,
@@ -11,6 +12,7 @@ from sortnet16 import (
     green16,
     hypercube_phase,
     infer_poset,
+    is_threshold,
     verify_sorts_binary,
 )
 from sortnet16.verify import poset_from_rows
@@ -96,6 +98,27 @@ def test_width_cap():
         verify_sorts_binary(Network(wide))
     with pytest.raises(ValueError, match="slice engine"):
         infer_poset(Network(wide))
+
+
+def test_engine_ceiling_overrides_cap():
+    # No argument lifts the ceiling: the cap and mode knobs no longer exist,
+    # and every exhaustive entry point refuses MAX_WIDTH + 1 on its own.
+    wide = _bitslice.MAX_WIDTH + 1
+    circuit = MonotoneCircuit(wide, (), tuple(f"x{i}" for i in range(wide)))
+    with pytest.raises(TypeError):
+        verify_sorts_binary(Network(wide), cap=64)
+    with pytest.raises(TypeError):
+        verify_sorts_binary(Network(wide), mode="naive")
+    with pytest.raises(TypeError):
+        infer_poset(Network(wide), cap=64)
+    with pytest.raises(TypeError):
+        is_threshold(circuit, 0, 1, cap=64)
+    with pytest.raises(ValueError, match="slice engine"):
+        verify_sorts_binary(Network(wide))
+    with pytest.raises(ValueError, match="slice engine"):
+        infer_poset(Network(wide))
+    with pytest.raises(ValueError, match="slice engine"):
+        is_threshold(circuit, 0, 1)
 
 
 def test_width_25_gets_a_verdict():
