@@ -12,6 +12,15 @@ This is the package's only slice engine: ``verify`` reduces its slices with
 ``first_unsorted`` and ``leq_masks``, ``circuits`` evaluates gates on the
 rows of ``input_patterns``, and ``analysis`` counts ones on the rows of
 ``evaluate`` with ``at_least``.
+
+The two reductions answer for all 2**width inputs without always sweeping
+them.  Both first run the network on inputs 0 .. 2**PROBE_BITS - 1 alone,
+one Python int per wire, numbered as above.  A failure found there is the
+least failing input, since the probed inputs come first, so
+``first_unsorted`` sweeps the rows only when the probe finds none and did
+not already cover every input.  ``leq_masks`` tests on the full rows only
+the wire pairs the probe did not refute, and skips a pair that two verified
+pairs imply by transitivity.
 """
 
 from __future__ import annotations
@@ -23,6 +32,17 @@ import numpy as np
 # Widest input space the engine evaluates: width * 2**width / 8 bytes of
 # slices, ~218 MB at 26 wires.
 MAX_WIDTH = 26
+
+# Inputs the reductions probe first: 2**PROBE_BITS of them, on Python ints,
+# because an AND of two 4096-bit ints takes ~0.1 us and even the shortest
+# numpy call ~1 us.
+PROBE_BITS = 12
+
+# Probe slice of input bit j: runs of 2**j zeros, then 2**j ones.
+_PROBE_PATTERNS = tuple(
+    ((1 << (1 << PROBE_BITS)) - 1) // ((1 << (1 << j)) + 1) << (1 << j)
+    for j in range(PROBE_BITS)
+)
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -110,11 +130,31 @@ def evaluate(width: int, lows: Sequence[int], highs: Sequence[int]) -> np.ndarra
     return np.array(rows, dtype=np.uint64).reshape(width, max(1, (1 << width) >> 6))
 
 
+def _probe(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[int]:
+    """Wire values on inputs 0 .. 2**min(width, PROBE_BITS) - 1, one Python
+    int per wire: bit v is the wire's value on input v, numbered as in
+    ``input_patterns``."""
+    bits = min(width, PROBE_BITS)
+    full = (1 << (1 << bits)) - 1
+    rows = [0] * (width - bits)
+    rows += [_PROBE_PATTERNS[j] & full for j in range(bits - 1, -1, -1)]
+    for a, b in zip(lows, highs):
+        rows[a], rows[b] = rows[a] & rows[b], rows[a] | rows[b]
+    return rows
+
+
 def first_unsorted(width: int, lows: Sequence[int], highs: Sequence[int]) -> int:
     """Least input index whose output is not non-decreasing, or -1."""
-    rows = _evaluate_rows(width, lows, highs)
-    if width < 2:
+    check_width(width)
+    probe = _probe(width, lows, highs)
+    bad = 0
+    for lo, hi in zip(probe, probe[1:]):
+        bad |= lo & ~hi
+    if bad:
+        return (bad & -bad).bit_length() - 1
+    if width <= PROBE_BITS:
         return -1
+    rows = _evaluate_rows(width, lows, highs)
     bad = np.zeros_like(rows[0])
     step = np.empty_like(bad)
     for lo, hi in zip(rows, rows[1:]):
@@ -139,17 +179,34 @@ def leq_masks(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[int
 
     Bit b of row a is set iff no binary input yields wire a = 1, wire b = 0.
     """
+    check_width(width)
+    probe = _probe(width, lows, highs)
+    # Candidates: the pairs the probed inputs do not refute, a superset of
+    # the answer.  Up to PROBE_BITS wires the probe covered every input.
+    cand = [
+        sum(1 << b for b in range(width) if b != a and not probe[a] & ~probe[b])
+        for a in range(width)
+    ]
+    if width <= PROBE_BITS or not any(cand):
+        return [cand[a] | 1 << a for a in range(width)]
+    inv = [sum(1 << a for a in range(width) if cand[a] >> b & 1) for b in range(width)]
+    # Test pairs with fewer candidate wires between them first (nearer wires
+    # first among equals), so that a pair two verified pairs already imply by
+    # transitivity is skipped.  The order affects only how many pairs are tested.
+    pairs = sorted(
+        ((a, b) for a in range(width) for b in range(width) if cand[a] >> b & 1),
+        key=lambda p: ((cand[p[0]] & inv[p[1]]).bit_count(), abs(p[1] - p[0])),
+    )
     rows = _evaluate_rows(width, lows, highs)
-    masks = [1 << a for a in range(width)]
-    if width < 2:
-        return masks
-    below = np.empty_like(rows[0])
-    step = np.empty_like(below)
-    for b in range(width):
-        np.bitwise_not(rows[b], out=below)
-        for a in range(width):
-            if a != b:
-                np.bitwise_and(rows[a], below, out=step)
-                if not step.any():
-                    masks[a] |= 1 << b
-    return masks
+    above = [0] * width  # verified strict relation, by row and by column
+    below = [0] * width
+    step = np.empty_like(rows[0])
+    for a, b in pairs:
+        if not above[a] & below[b]:
+            np.bitwise_not(rows[b], out=step)
+            np.bitwise_and(rows[a], step, out=step)
+            if step.any():
+                continue
+        above[a] |= 1 << b
+        below[b] |= 1 << a
+    return [above[a] | 1 << a for a in range(width)]

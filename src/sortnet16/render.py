@@ -97,9 +97,16 @@ def parse_text(text: str) -> Network:
         if fields[0] == "width":
             if width is not None:
                 fail(lineno, "duplicate width header")
-            if len(fields) != 2 or not fields[1].isdigit() or int(fields[1]) < 1:
-                fail(lineno, "width header must read 'width <positive int>'")
-            width = int(fields[1])
+            malformed = "width header must read 'width <positive int>'"
+            # isdecimal, not isdigit: int() rejects superscripts such as "²".
+            if len(fields) != 2 or not fields[1].isdecimal():
+                fail(lineno, malformed)
+            try:
+                width = int(fields[1])
+            except ValueError:  # more digits than int() converts
+                fail(lineno, malformed)
+            if width < 1:
+                fail(lineno, malformed)
             continue
         if width is None:
             fail(lineno, "comparator before width header")

@@ -1,11 +1,13 @@
 """Exhaustive binary verification and order inference for networks.
 
 By the zero-one principle a network sorts every input iff it sorts every
-binary input, so all checks here sweep the full 2**width binary input
-space.  The sweep runs on the numpy-word slice engine in ``_bitslice``,
-reached through the module attribute ``_backend``; it is the only
-verifier.  The engine's ``MAX_WIDTH`` is the one width limit: wider
-networks are refused before anything is allocated.
+binary input, so every verdict here covers the full 2**width binary input
+space.  The numpy-word slice engine in ``_bitslice``, reached through the
+module attribute ``_backend``, is the only verifier.  It first runs the
+first 2**12 inputs on Python ints: a failure found there ends the check
+without a sweep, and only the wire pairs those inputs do not refute are
+tested on the full rows.  The engine's ``MAX_WIDTH`` is the one width
+limit: wider networks are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -47,7 +49,11 @@ class SortVerdict:
 
 
 def verify_sorts_binary(net: Network) -> SortVerdict:
-    """Check all 2**width binary inputs at once on the slice engine."""
+    """Check all 2**width binary inputs on the slice engine.
+
+    A network that fails on one of the first 2**12 inputs is refuted by a
+    probe of those inputs alone; otherwise all inputs are swept at once.
+    """
     lows, highs = _wire_lists(net)
     bad = _backend.first_unsorted(net.width, lows, highs)
     if bad < 0:

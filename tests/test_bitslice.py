@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from sortnet16 import Network, green16, van_voorhis16
+from sortnet16 import Network, batcher_sorter, green16, van_voorhis16
 from sortnet16 import _bitslice
+from sortnet16._bitslice import PROBE_BITS
 
 from test_network import random_network
 
@@ -22,13 +23,10 @@ def bits_of(index, width):
 def brute_force_poset_pairs(net):
     """Independent oracle: per-vector evaluation over all binary inputs."""
     width = net.width
+    outputs = {tuple(net.apply(bits_of(v, width))) for v in range(1 << width)}
     leq = {(a, b) for a in range(width) for b in range(width)}
-    for v in range(1 << width):
-        out = net.apply(bits_of(v, width))
-        for a in range(width):
-            for b in range(width):
-                if out[a] == 1 and out[b] == 0:
-                    leq.discard((a, b))
+    for out in outputs:
+        leq -= {(a, b) for a in range(width) for b in range(width) if out[a] > out[b]}
     return leq
 
 
@@ -49,6 +47,11 @@ def brute_force_rows(net):
 
 def slice_bit(row, index):
     return (int(row[index // 64]) >> (index % 64)) & 1
+
+
+def row_bits(row):
+    """A slice row as one int: bit v is the wire's value on input v."""
+    return int.from_bytes(row.astype("<u8").tobytes(), "little")
 
 
 def assert_slices_match_apply(net, slices, inputs):
@@ -72,7 +75,7 @@ def test_empty_networks(width):
     # Bits past the last input are zero: below width 6 that is the word tail.
     nbits = 1 << width
     for row in slices:
-        assert int.from_bytes(row.astype("<u8").tobytes(), "little") >> nbits == 0
+        assert row_bits(row) >> nbits == 0
 
 
 def test_random_networks():
@@ -80,6 +83,56 @@ def test_random_networks():
     for _ in range(150):
         net = random_network(rng, width=rng.randint(2, 13))
         assert_engine_matches_apply(net)
+
+
+def sorter(width):
+    """Batcher's 16-input sorter cut to ``width`` wires: a comparator that
+    touches a dropped wire only ever meets a top value there, so it is a no-op."""
+    return [(c.low, c.high) for c in batcher_sorter(16).comparators if c.high < width]
+
+
+def test_probe_rows_are_the_first_columns_of_the_slices():
+    rng = random.Random(0x9B0)
+    for width in range(1, 17):
+        probed = 1 << min(width, PROBE_BITS)
+        patterns = [row_bits(row) % (1 << probed) for row in _bitslice.input_patterns(width)]
+        assert _bitslice._probe(width, [], []) == patterns
+        net = random_network(rng, width=width, size=3 * width if width > 1 else 0)
+        lows, highs = wire_lists(net)
+        first = [row_bits(row) % (1 << probed) for row in _bitslice.evaluate(width, lows, highs)]
+        assert _bitslice._probe(width, lows, highs) == first
+
+
+@pytest.mark.parametrize("width", [PROBE_BITS, PROBE_BITS + 1])
+def test_widths_at_the_probe_boundary(width):
+    rng = random.Random(width)
+    for size in (0, 1, width, 4 * width):
+        assert_engine_matches_apply(random_network(rng, width=width, size=size))
+    assert_engine_matches_apply(Network(width, sorter(width)))
+
+
+def test_first_failure_just_past_the_probe():
+    # Wire 0 is the top input bit, so inputs below 2**12 leave it 0 and the
+    # sorter on wires 1..12 sorts them all; input 4096 is 1 then twelve 0s.
+    width = PROBE_BITS + 1
+    net = Network(width, [(a + 1, b + 1) for a, b in sorter(PROBE_BITS)])
+    assert least_failing_index(net) == 1 << PROBE_BITS
+    assert_engine_matches_apply(net)
+
+
+@pytest.mark.parametrize("width", range(PROBE_BITS + 1, 17))
+def test_random_sorters_and_non_sorters_past_the_probe(width):
+    rng = random.Random(0x5EED + width)
+    prefix = random_network(rng, width=width, size=width).comparators
+    suffix = sorter(width)
+    assert_engine_matches_apply(Network(width, prefix + tuple(suffix)))
+    # Without its first comparator, (0, 1), the sorter fails only past the
+    # probe on these networks; without a random one it mostly fails inside.
+    late = Network(width, prefix + tuple(suffix[1:]))
+    assert _bitslice.first_unsorted(width, *wire_lists(late)) >= 1 << PROBE_BITS
+    assert_engine_matches_apply(late)
+    del suffix[rng.randrange(len(suffix))]
+    assert_engine_matches_apply(Network(width, prefix + tuple(suffix)))
 
 
 def test_evaluate_matches_apply_bit_for_bit():

@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sortnet16 import (
     Network,
@@ -74,6 +76,10 @@ def test_layered_render_groups_by_asap_layer(green):
         ("0 1\n", "before width"),
         ("width 2\nwidth 3\n0 1\n", "duplicate"),
         ("width two\n0 1\n", "width header"),
+        ("width ²\n", "line 1: width header"),
+        ("width 2\nwidth ³\n", "line 2: duplicate"),
+        ("# x\nwidth ³\n0 1\n", "line 2: width header"),
+        ("width " + "9" * 5000 + "\n", "line 1: width header"),
         ("width 2\n0 1 2\n", "expected"),
         ("width 2\n0 x\n", "non-integer"),
         ("width 2\n# phase:warmup\n0 1\n", "unknown phase"),
@@ -92,6 +98,30 @@ def test_parse_rejects_malformed_text(text, message):
 def test_parse_error_reports_line_number():
     with pytest.raises(TextFormatError, match="line 3"):
         parse_text("width 4\n0 1\n3 2\n")
+
+
+# Lines built from the format's own words, digits of other scripts and
+# noise, mostly after a header, so that fuzzing reaches past the header.
+_WORDS = st.one_of(
+    st.sampled_from([";", "#", "# phase:", "phase:merge", "-1", "+2", "²", "٣", "1_0"]),
+    st.integers(0, 40).map(str),
+    st.text(max_size=3),
+)
+_LINES = st.lists(st.lists(_WORDS, max_size=3).map(" ".join), max_size=6)
+_TEXTS = st.one_of(
+    st.text(),
+    st.tuples(_WORDS.map("width {}".format), _LINES).map(lambda t: "\n".join([t[0], *t[1]])),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_TEXTS)
+def test_parse_text_yields_network_or_format_error(text):
+    try:
+        net = parse_text(text)
+    except TextFormatError:
+        return
+    assert isinstance(net, Network)
 
 
 def test_ascii_single_bridge():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -124,6 +125,20 @@ def test_engine_ceiling_overrides_cap():
 def test_width_25_gets_a_verdict():
     verdict = verify_sorts_binary(Network(25, ((23, 24),)))
     assert verdict == SortVerdict(False, (0,) * 22 + (1, 0, 0))
+
+
+def test_early_failure_skips_the_sweep():
+    # Input 4 already fails, so the probe of the first 4096 inputs answers;
+    # the 25 rows of a full sweep would take ~100 MB.
+    net = Network(25, ((23, 24),))
+    tracemalloc.start()
+    try:
+        verdict = verify_sorts_binary(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == SortVerdict(False, (0,) * 22 + (1, 0, 0))
+    assert peak < 1 << 20, peak
 
 
 def test_infer_poset_single_comparator():
