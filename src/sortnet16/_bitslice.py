@@ -1,25 +1,25 @@
-"""Bit-sliced evaluation over the whole binary input space, on numpy words.
+"""Bit-sliced evaluation over the binary input space.
 
-Each wire carries a 2**width-bit slice, stored as one row of uint64 words:
-bit v % 64 of word v // 64 is the value of the wire when the network runs
-on input number v.  Input v maps to the vector whose wire-0 bit is the
+Each wire carries a slice: bit v is the value of the wire when the network
+runs on input number v.  Input v maps to the vector whose wire-0 bit is the
 *most* significant bit of v, so the numeric order of input indices is the
-lexicographic order of input vectors.  Below width 6 a slice fills only the
-low 2**width bits of its single word; the bits above stay zero.  A
-comparator is then one AND plus one OR of two rows.
+lexicographic order of input vectors.  A comparator is then one AND (the
+minimum) plus one OR (the maximum) of two slices.
 
-This is the package's only slice engine: ``verify`` reduces its slices with
-``first_unsorted`` and ``leq_masks``, ``circuits`` evaluates gates on the
-rows of ``input_patterns``, and ``analysis`` counts ones on the rows of
-``evaluate`` with ``at_least``.
+A slice is a Python int: ``evaluate`` returns one per wire, ``analysis``
+counts ones on them with ``at_least`` and ``circuits`` evaluates gates on
+them.  Only the full sweep inside ``first_unsorted`` and ``leq_masks``,
+which runs above PROBE_BITS wires, keeps each slice as a row of numpy
+uint64 words (bit v % 64 of word v // 64 is input v): from 2**18 inputs up
+in-place AND/OR on words beats int arithmetic, which allocates a new int
+per operation.
 
 The two reductions answer for all 2**width inputs without always sweeping
-them.  Both first run the network on inputs 0 .. 2**PROBE_BITS - 1 alone,
-one Python int per wire, numbered as above.  A failure found there is the
-least failing input, since the probed inputs come first, so
-``first_unsorted`` sweeps the rows only when the probe finds none and did
-not already cover every input.  ``leq_masks`` tests on the full rows only
-the wire pairs the probe did not refute, and skips a pair that two verified
+them.  Both first evaluate inputs 0 .. 2**PROBE_BITS - 1 alone.  A failure
+found there is the least failing input, since the probed inputs come first,
+so ``first_unsorted`` sweeps only when the probe finds none and did not
+already cover every input.  ``leq_masks`` tests on the full rows only the
+wire pairs the probe did not refute, and skips a pair that two verified
 pairs imply by transitivity.
 """
 
@@ -33,28 +33,12 @@ import numpy as np
 # slices, ~218 MB at 26 wires.
 MAX_WIDTH = 26
 
-# Inputs the reductions probe first: 2**PROBE_BITS of them, on Python ints,
+# Inputs the reductions probe first: 2**PROBE_BITS of them, as ints,
 # because an AND of two 4096-bit ints takes ~0.1 us and even the shortest
 # numpy call ~1 us.
 PROBE_BITS = 12
 
-# Probe slice of input bit j: runs of 2**j zeros, then 2**j ones.
-_PROBE_PATTERNS = tuple(
-    ((1 << (1 << PROBE_BITS)) - 1) // ((1 << (1 << j)) + 1) << (1 << j)
-    for j in range(PROBE_BITS)
-)
-
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-# Word pattern of the wire driven by input bit j < 6: bit b is bit j of b.
-_LOW_PATTERNS = (
-    0xAAAAAAAAAAAAAAAA,
-    0xCCCCCCCCCCCCCCCC,
-    0xF0F0F0F0F0F0F0F0,
-    0xFF00FF00FF00FF00,
-    0xFFFF0000FFFF0000,
-    0xFFFFFFFF00000000,
-)
 
 
 def check_width(width: int) -> None:
@@ -67,35 +51,40 @@ def vector_of(index: int, width: int) -> tuple[int, ...]:
     return tuple((index >> (width - 1 - i)) & 1 for i in range(width))
 
 
-def full_row(nbits: int) -> np.ndarray:
-    """All-ones slice over ``nbits`` inputs, its last word cut to ``nbits``."""
-    row = np.full(max(1, -(-nbits // 64)), _ONES)
-    if nbits % 64:
-        row[-1] = (1 << (nbits % 64)) - 1
-    return row
+def _pattern(j: int, bits: int) -> int:
+    """Slice of input bit j over inputs 0 .. 2**bits - 1: runs of 2**j
+    zeros, then 2**j ones."""
+    s = ((1 << (1 << j)) - 1) << (1 << j)
+    size = 2 << j
+    while size < 1 << bits:
+        # Doubling, not division: big-int division is quadratic.
+        s |= s << size
+        size <<= 1
+    return s
 
 
-def input_patterns(width: int) -> np.ndarray:
-    """Initial slices, one row per wire: bit v of row i is bit (width-1-i) of v."""
+def lowest(bits: int) -> int:
+    """Least input index whose bit is set in the slice ``bits``, or -1."""
+    return (bits & -bits).bit_length() - 1
+
+
+def evaluate(
+    width: int, lows: Sequence[int], highs: Sequence[int], bits: int | None = None
+) -> list[int]:
+    """Final slices, one int per wire, over inputs 0 .. 2**bits - 1 (all
+    2**width inputs by default)."""
     check_width(width)
-    full = full_row(1 << width)
-    pats = np.empty((width, len(full)), dtype=np.uint64)
-    for i in range(width):
-        j = width - 1 - i  # bit position of v driving wire i
-        if j >= 6:
-            # Words alternate in runs of 2**(j-6): all zeros, then all ones.
-            runs = pats[i].reshape(-1, 2, 1 << (j - 6))
-            runs[:, 0] = 0
-            runs[:, 1] = _ONES
-        else:
-            pats[i] = _LOW_PATTERNS[j]
-    pats &= full
-    return pats
+    if bits is None:
+        bits = width
+    # Wire i is driven by input bit width-1-i, constant 0 below 2**bits
+    # for the top width-bits wires.
+    rows = [0] * (width - bits) + [_pattern(j, bits) for j in range(bits - 1, -1, -1)]
+    for a, b in zip(lows, highs):
+        rows[a], rows[b] = rows[a] & rows[b], rows[a] | rows[b]
+    return rows
 
 
-def at_least(
-    rows: Sequence[np.ndarray], full: np.ndarray, k: int | None = None
-) -> list[np.ndarray]:
+def at_least(rows: Sequence[int], full: int, k: int | None = None) -> list[int]:
     """Counting slices: entry j marks the inputs on which at least j of
     ``rows`` are 1, for j = 0..k (default: all of them).
 
@@ -103,75 +92,56 @@ def at_least(
     """
     if k is None:
         k = len(rows)
-    counts = [full] + [np.zeros_like(full) for _ in range(k)]
-    step = np.empty_like(full)
+    counts = [full] + [0] * k
     for seen, x in enumerate(rows, start=1):
         for j in range(min(k, seen), 0, -1):
-            np.bitwise_and(counts[j - 1], x, out=step)
-            np.bitwise_or(counts[j], step, out=counts[j])
+            counts[j] |= counts[j - 1] & x
     return counts
 
 
-def _evaluate_rows(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[np.ndarray]:
-    rows = list(input_patterns(width))
-    spare = np.empty_like(rows[0]) if rows else None
+def _sweep_rows(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[np.ndarray]:
+    """Final slices over all inputs as rows of uint64 words, for width >= 6."""
+    # One allocation: a row per wire plus the spare each comparator swaps in.
+    words = np.empty((width + 1, 1 << (width - 6)), dtype=np.uint64)
+    for i in range(width):
+        j = width - 1 - i  # bit position of v driving wire i
+        if j >= 6:
+            # Words alternate in runs of 2**(j-6): all zeros, then all ones.
+            runs = words[i].reshape(-1, 2, 1 << (j - 6))
+            runs[:, 0] = 0
+            runs[:, 1] = _ONES
+        else:
+            words[i] = _pattern(j, 6)
+    *rows, spare = words
     for a, b in zip(lows, highs):
         lo, hi = rows[a], rows[b]
         np.bitwise_and(lo, hi, out=spare)
         np.bitwise_or(lo, hi, out=hi)
-        # The minimum now lives in the spare buffer; lo's storage is free.
+        # The minimum now lives in the spare row; lo's storage is free.
         rows[a], spare = spare, lo
-    return rows
-
-
-def evaluate(width: int, lows: Sequence[int], highs: Sequence[int]) -> np.ndarray:
-    """Final slices, one row per wire, after applying all comparators."""
-    rows = _evaluate_rows(width, lows, highs)
-    return np.array(rows, dtype=np.uint64).reshape(width, max(1, (1 << width) >> 6))
-
-
-def _probe(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[int]:
-    """Wire values on inputs 0 .. 2**min(width, PROBE_BITS) - 1, one Python
-    int per wire: bit v is the wire's value on input v, numbered as in
-    ``input_patterns``."""
-    bits = min(width, PROBE_BITS)
-    full = (1 << (1 << bits)) - 1
-    rows = [0] * (width - bits)
-    rows += [_PROBE_PATTERNS[j] & full for j in range(bits - 1, -1, -1)]
-    for a, b in zip(lows, highs):
-        rows[a], rows[b] = rows[a] & rows[b], rows[a] | rows[b]
     return rows
 
 
 def first_unsorted(width: int, lows: Sequence[int], highs: Sequence[int]) -> int:
     """Least input index whose output is not non-decreasing, or -1."""
-    check_width(width)
-    probe = _probe(width, lows, highs)
+    probe = evaluate(width, lows, highs, min(width, PROBE_BITS))
     bad = 0
     for lo, hi in zip(probe, probe[1:]):
-        bad |= lo & ~hi
-    if bad:
-        return (bad & -bad).bit_length() - 1
-    if width <= PROBE_BITS:
-        return -1
-    rows = _evaluate_rows(width, lows, highs)
+        bad |= lo ^ (lo & hi)
+    if bad or width <= PROBE_BITS:
+        return lowest(bad)
+    rows = _sweep_rows(width, lows, highs)
     bad = np.zeros_like(rows[0])
     step = np.empty_like(bad)
     for lo, hi in zip(rows, rows[1:]):
         np.bitwise_not(hi, out=step)
         np.bitwise_and(lo, step, out=step)
         np.bitwise_or(bad, step, out=bad)
-    return first_set(bad)
-
-
-def first_set(bits: np.ndarray) -> int:
-    """Least input index whose bit is set in the slice ``bits``, or -1."""
-    words = np.flatnonzero(bits)
+    words = np.flatnonzero(bad)
     if len(words) == 0:
         return -1
     word = int(words[0])
-    value = int(bits[word])
-    return 64 * word + (value & -value).bit_length() - 1
+    return 64 * word + lowest(int(bad[word]))
 
 
 def leq_masks(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[int]:
@@ -179,12 +149,11 @@ def leq_masks(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[int
 
     Bit b of row a is set iff no binary input yields wire a = 1, wire b = 0.
     """
-    check_width(width)
-    probe = _probe(width, lows, highs)
+    probe = evaluate(width, lows, highs, min(width, PROBE_BITS))
     # Candidates: the pairs the probed inputs do not refute, a superset of
     # the answer.  Up to PROBE_BITS wires the probe covered every input.
     cand = [
-        sum(1 << b for b in range(width) if b != a and not probe[a] & ~probe[b])
+        sum(1 << b for b in range(width) if b != a and probe[a] & probe[b] == probe[a])
         for a in range(width)
     ]
     if width <= PROBE_BITS or not any(cand):
@@ -197,7 +166,7 @@ def leq_masks(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[int
         ((a, b) for a in range(width) for b in range(width) if cand[a] >> b & 1),
         key=lambda p: ((cand[p[0]] & inv[p[1]]).bit_count(), abs(p[1] - p[0])),
     )
-    rows = _evaluate_rows(width, lows, highs)
+    rows = _sweep_rows(width, lows, highs)
     above = [0] * width  # verified strict relation, by row and by column
     below = [0] * width
     step = np.empty_like(rows[0])

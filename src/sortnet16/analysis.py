@@ -16,7 +16,7 @@ How claims a-d are checked.  Over binary inputs every claim compares order
 statistics (the r-th smallest of all outputs, of a layer, or of M), and on
 0/1 values an order statistic is a threshold: the r-th smallest (from 0) of
 s values is 1 exactly when at least s - r of them are 1.  So the exhaustive
-mode evaluates the prefix once on the bit-slice engine (one 2**16-bit slice
+mode evaluates the prefix once on the bit-slice engine (one 2**16-bit int
 per wire), builds the "at least j ones" slices over all outputs, layer I,
 layer III and M with ``_bitslice.at_least``, and states each claim as bitwise
 identities of those slices; a 6-of-8 multiset inclusion, for instance, is
@@ -67,6 +67,7 @@ DEFAULT_SEED = 0xC0FFEE
 CLAIM_NAMES = ("a", "b", "c", "d")
 
 _SORTER4 = sorter4()  # sorts the four wires of layer I or III in sampled mode
+_FULL16 = (1 << (1 << 16)) - 1  # all-ones slice over the 2**16 binary inputs
 
 
 @dataclass(frozen=True)
@@ -112,26 +113,26 @@ def check_cube_poset(net: Network, n: int) -> bool:
     )
 
 
-def _exhaustive_masks(prefix: Network) -> dict[str, np.ndarray]:
+def _exhaustive_masks(prefix: Network) -> dict[str, int]:
     """Claim slices over all 2**16 binary inputs (see the module docstring)."""
     out = _bitslice.evaluate(
         16, [c.low for c in prefix.comparators], [c.high for c in prefix.comparators]
     )
-    full = _bitslice.full_row(1 << 16)
+    full = _FULL16
     t = _bitslice.at_least(out, full)  # rank r is t[16 - r]
     l1 = _bitslice.at_least([out[w] for w in CUBE_LAYER1], full)
     l3 = _bitslice.at_least([out[w] for w in CUBE_LAYER3], full)
     m = _bitslice.at_least([*(out[w] for w in MIDDLE_LAYER), l3[4], l1[1]], full)
 
     def same(x, y):
-        return ~(x ^ y)
+        return full ^ x ^ y
 
     a = same(out[15], t[1]) & same(out[0], t[16])
     b = same(l3[1], t[2]) & same(l3[2], t[3]) & same(l1[4], t[15]) & same(l1[3], t[14])
-    c = full.copy()
+    c = full
     for j in range(1, 7):
         # ranks 5..10 hold no more ones than M, and no more zeros
-        c &= (~t[5 + j] | m[j]) & (t[12 - j] | ~m[9 - j])
+        c &= ((full ^ t[5 + j]) | m[j]) & (t[12 - j] | (full ^ m[9 - j]))
     d = (
         same(l3[3] & m[1], t[5])
         & same(l3[3] | m[1], t[4])
@@ -192,8 +193,11 @@ def check_observations(
     threshold slices on the bit-slice engine; ``mode=SAMPLED`` spot-checks
     ``samples`` permutations of 0..15 drawn from ``seed``.  A failing claim
     carries its least counterexample: the lexicographically least binary
-    input vector, or the first failing permutation drawn.
+    input vector, or the first failing permutation drawn.  ``samples`` must
+    be at least 1 in either mode.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if prefix is None:
         prefix = hypercube_phase(4)
     if prefix.width != 16:
@@ -202,7 +206,7 @@ def check_observations(
     if mode == EXHAUSTIVE:
         inputs_checked, used_seed = 1 << 16, None
         for name, ok in _exhaustive_masks(prefix).items():
-            first = _bitslice.first_set(~ok)
+            first = _bitslice.lowest(_FULL16 ^ ok)
             claims[name] = (
                 ClaimVerdict(True)
                 if first < 0

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import _bitslice
 from .constructions import van_voorhis16
 from .network import Network
@@ -90,26 +88,24 @@ def _lookup(ref: str, inputs, gate_vals, zero, one):
 
 
 def evaluate_slices(
-    circuit: MonotoneCircuit, input_slices: Sequence[np.ndarray], nbits: int
-) -> np.ndarray:
+    circuit: MonotoneCircuit, input_slices: Sequence[int], nbits: int
+) -> list[int]:
     """Evaluate bit-parallel over any family of ``nbits`` inputs given as
-    uint64 word slices; returns one output slice per row."""
-    one = _bitslice.full_row(nbits)
-    zero = np.zeros_like(one)
-    vals: list[np.ndarray] = []
+    int slices (bit v is input v); returns one slice per output."""
+    one = (1 << nbits) - 1
+    vals: list[int] = []
     for g in circuit.gates:
-        a = _lookup(g.a, input_slices, vals, zero, one)
-        b = _lookup(g.b, input_slices, vals, zero, one)
+        a = _lookup(g.a, input_slices, vals, 0, one)
+        b = _lookup(g.b, input_slices, vals, 0, one)
         vals.append(a & b if g.kind == AND else a | b)
-    outputs = [_lookup(r, input_slices, vals, zero, one) for r in circuit.outputs]
-    return np.array(outputs, dtype=np.uint64).reshape(len(outputs), len(one))
+    return [_lookup(r, input_slices, vals, 0, one) for r in circuit.outputs]
 
 
-def evaluate_all(circuit: MonotoneCircuit) -> np.ndarray:
+def evaluate_all(circuit: MonotoneCircuit) -> list[int]:
     """Output slices over all 2**n_inputs binary inputs (see _bitslice for
     the slice layout)."""
     n = circuit.n_inputs
-    return evaluate_slices(circuit, _bitslice.input_patterns(n), 1 << n)
+    return evaluate_slices(circuit, _bitslice.evaluate(n, [], []), 1 << n)
 
 
 def cone_depth(circuit: MonotoneCircuit, wire: int) -> int:
@@ -204,12 +200,13 @@ def specialize(circuit: MonotoneCircuit, input_index: int, bit: int) -> Monotone
     )
 
 
-def threshold_slice(n: int, k: int) -> np.ndarray:
+def threshold_slice(n: int, k: int) -> int:
     """Slice of the k-of-n threshold function over all 2**n inputs."""
-    full = _bitslice.full_row(1 << n)
+    inputs = _bitslice.evaluate(n, [], [])
+    full = (1 << (1 << n)) - 1
     if k <= 0:
         return full
-    return _bitslice.at_least(_bitslice.input_patterns(n), full, k)[k]
+    return _bitslice.at_least(inputs, full, k)[k]
 
 
 def is_threshold(circuit: MonotoneCircuit, wire: int, k: int) -> bool:
@@ -217,7 +214,7 @@ def is_threshold(circuit: MonotoneCircuit, wire: int, k: int) -> bool:
     n = circuit.n_inputs
     if not 0 <= wire < len(circuit.outputs):
         raise ValueError(f"no output wire {wire}")
-    return bool(np.array_equal(evaluate_all(circuit)[wire], threshold_slice(n, k)))
+    return evaluate_all(circuit)[wire] == threshold_slice(n, k)
 
 
 def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):

@@ -106,24 +106,30 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _parse_restrict(choice: str):
+def _parse_restrict(choice: str, width: int) -> tuple[int, ...]:
     if choice in _RESTRICT_SETS:
-        return _RESTRICT_SETS[choice]
-    try:
-        return tuple(int(w) for w in choice.split(","))
-    except ValueError:
-        raise TextFormatError(
-            f"--restrict wants M, layer1, layer3, or a comma list of wires, got {choice!r}"
-        )
+        wires = _RESTRICT_SETS[choice]
+    else:
+        try:
+            wires = tuple(int(w) for w in choice.split(","))
+        except ValueError:
+            raise TextFormatError(
+                f"--restrict wants M, layer1, layer3, or a comma list of wires, got {choice!r}"
+            )
+    for i, w in enumerate(wires):
+        if not 0 <= w < width:
+            raise TextFormatError(f"--restrict wire {w} is outside 0..{width - 1}")
+        if w in wires[:i]:
+            raise TextFormatError(f"--restrict names wire {w} twice")
+    return wires
 
 
 def _cmd_poset(args) -> int:
     net = _read_network(args.network_file)
     if args.prefix is not None:
         net = net.prefix(args.prefix)
-    poset = infer_poset(net)
-    restrict = _parse_restrict(args.restrict) if args.restrict else None
-    sys.stdout.write(render_poset_dot(poset, restrict=restrict))
+    restrict = _parse_restrict(args.restrict, net.width) if args.restrict else None
+    sys.stdout.write(render_poset_dot(infer_poset(net), restrict=restrict))
     return 0
 
 
@@ -137,15 +143,16 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_observations(args) -> int:
-    print(f"# prefix=hypercube(4) samples={args.samples} seed={hex(args.seed)}")
+    # Build the whole report first: an error exit leaves stdout empty.
+    lines = [f"# prefix=hypercube(4) samples={args.samples} seed={hex(args.seed)}"]
     ok = True
     for mode in (analysis.EXHAUSTIVE, analysis.SAMPLED):
         report = analysis.check_observations(
             mode=mode, samples=args.samples, seed=args.seed
         )
         ok = ok and report.all_hold
-        for line in report.to_lines():
-            print(line)
+        lines += report.to_lines()
+    print("\n".join(lines))
     return 0 if ok else 1
 
 

@@ -58,6 +58,13 @@ def render_text(net: Network, *, layered: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimal(field: str) -> int:
+    """ASCII decimal digits as an int: no sign, underscore or other script."""
+    if not (field.isascii() and field.isdecimal()):
+        raise ValueError(f"not a decimal number: {field!r}")
+    return int(field)  # a ValueError too past int()'s digit-count limit
+
+
 def parse_text(text: str) -> Network:
     """Parse the network text format; inverse of ``render_text``."""
     width: int | None = None
@@ -98,12 +105,11 @@ def parse_text(text: str) -> Network:
             if width is not None:
                 fail(lineno, "duplicate width header")
             malformed = "width header must read 'width <positive int>'"
-            # isdecimal, not isdigit: int() rejects superscripts such as "²".
-            if len(fields) != 2 or not fields[1].isdecimal():
+            if len(fields) != 2:
                 fail(lineno, malformed)
             try:
-                width = int(fields[1])
-            except ValueError:  # more digits than int() converts
+                width = _decimal(fields[1])
+            except ValueError:
                 fail(lineno, malformed)
             if width < 1:
                 fail(lineno, malformed)
@@ -113,7 +119,7 @@ def parse_text(text: str) -> Network:
         if len(fields) != 2:
             fail(lineno, f"expected '<low> <high>', got {line!r}")
         try:
-            low, high = int(fields[0]), int(fields[1])
+            low, high = _decimal(fields[0]), _decimal(fields[1])
         except ValueError:
             fail(lineno, f"non-integer wire in {line!r}")
         if not 0 <= low < high:

@@ -2,12 +2,13 @@
 
 By the zero-one principle a network sorts every input iff it sorts every
 binary input, so every verdict here covers the full 2**width binary input
-space.  The numpy-word slice engine in ``_bitslice``, reached through the
-module attribute ``_backend``, is the only verifier.  It first runs the
-first 2**12 inputs on Python ints: a failure found there ends the check
-without a sweep, and only the wire pairs those inputs do not refute are
-tested on the full rows.  The engine's ``MAX_WIDTH`` is the one width
-limit: wider networks are refused before anything is allocated.
+space.  The slice engine in ``_bitslice``, reached through the module
+attribute ``_backend``, is the only verifier.  It first runs the first
+2**12 inputs as one Python int per wire: a failure found there ends the
+check, up to 12 wires nothing else runs, and above that only the wire
+pairs those inputs do not refute are tested on a sweep of all inputs in
+numpy words.  The engine's ``MAX_WIDTH`` is the one width limit: wider
+networks are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .network import Network
 
 
 def backend_name() -> str:
-    """Name of the slice engine: always "python" (numpy words, no compiled
-    extension)."""
+    """Name of the slice engine: always "python" (ints and numpy words, no
+    compiled extension)."""
     return "python"
 
 

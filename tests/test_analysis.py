@@ -21,6 +21,7 @@ from sortnet16 import (
     hypercube_phase,
     infer_poset,
 )
+from sortnet16 import analysis
 from sortnet16.analysis import EXHAUSTIVE, SAMPLED, ClaimVerdict, _permutation_inputs
 from sortnet16.constructions import CUBE_LAYER1, CUBE_LAYER3, MIDDLE_LAYER
 
@@ -105,6 +106,18 @@ def test_observations_reject_bad_inputs():
         check_observations(Network(8))
     with pytest.raises(ValueError):
         check_observations(mode="guess")
+
+
+@pytest.mark.parametrize("mode", [EXHAUSTIVE, SAMPLED])
+@pytest.mark.parametrize("samples", [0, -1])
+def test_observations_refuse_bad_sample_counts(monkeypatch, mode, samples):
+    def evaluated(*args):
+        raise AssertionError("evaluated before the sample count was checked")
+
+    monkeypatch.setattr(analysis, "_exhaustive_masks", evaluated)
+    monkeypatch.setattr(analysis, "_permutation_inputs", evaluated)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        check_observations(mode=mode, samples=samples)
 
 
 def test_observation_report_lines():

@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from sortnet16 import Network, batcher_sorter, green16, van_voorhis16
@@ -46,11 +45,11 @@ def brute_force_rows(net):
 
 
 def slice_bit(row, index):
-    return (int(row[index // 64]) >> (index % 64)) & 1
+    return (row >> index) & 1
 
 
-def row_bits(row):
-    """A slice row as one int: bit v is the wire's value on input v."""
+def word_row_bits(row):
+    """A row of uint64 words as one int slice: bit v is the wire's value on input v."""
     return int.from_bytes(row.astype("<u8").tobytes(), "little")
 
 
@@ -70,12 +69,10 @@ def test_empty_networks(width):
     net = Network(width)
     assert_engine_matches_apply(net)
     slices = _bitslice.evaluate(width, [], [])
-    assert slices.shape == (width, max(1, (1 << width) // 64))
+    assert len(slices) == width
     assert_slices_match_apply(net, slices, range(1 << width))
-    # Bits past the last input are zero: below width 6 that is the word tail.
-    nbits = 1 << width
-    for row in slices:
-        assert row_bits(row) >> nbits == 0
+    # No bit is set past the last input.
+    assert all(row >> (1 << width) == 0 for row in slices)
 
 
 def test_random_networks():
@@ -94,13 +91,22 @@ def sorter(width):
 def test_probe_rows_are_the_first_columns_of_the_slices():
     rng = random.Random(0x9B0)
     for width in range(1, 17):
-        probed = 1 << min(width, PROBE_BITS)
-        patterns = [row_bits(row) % (1 << probed) for row in _bitslice.input_patterns(width)]
-        assert _bitslice._probe(width, [], []) == patterns
-        net = random_network(rng, width=width, size=3 * width if width > 1 else 0)
+        bits = min(width, PROBE_BITS)
+        for size in (0, 3 * width if width > 1 else 0):
+            lows, highs = wire_lists(random_network(rng, width=width, size=size))
+            first = [row % (1 << (1 << bits)) for row in _bitslice.evaluate(width, lows, highs)]
+            assert _bitslice.evaluate(width, lows, highs, bits) == first
+
+
+@pytest.mark.parametrize("width", range(PROBE_BITS + 1, 17))
+def test_sweep_rows_equal_the_int_slices(width):
+    rng = random.Random(0x5E1 + width)
+    nets = [Network(width)] if width == PROBE_BITS + 1 else []
+    nets += [random_network(rng, width=width, size=s) for s in (width, 6 * width)]
+    for net in nets:
         lows, highs = wire_lists(net)
-        first = [row_bits(row) % (1 << probed) for row in _bitslice.evaluate(width, lows, highs)]
-        assert _bitslice._probe(width, lows, highs) == first
+        words = _bitslice._sweep_rows(width, lows, highs)
+        assert [word_row_bits(row) for row in words] == _bitslice.evaluate(width, lows, highs)
 
 
 @pytest.mark.parametrize("width", [PROBE_BITS, PROBE_BITS + 1])
@@ -155,13 +161,6 @@ def test_the_classics(build):
     assert_slices_match_apply(net, slices, random.Random(0xC1A5).sample(range(1 << 16), 2000))
 
 
-def test_full_row_masks_the_tail():
-    assert list(_bitslice.full_row(1)) == [1]
-    assert list(_bitslice.full_row(16)) == [0xFFFF]
-    assert list(_bitslice.full_row(128)) == [2**64 - 1] * 2
-    assert _bitslice.full_row(1).dtype == np.uint64
-
-
 def test_width_ceiling():
     for fn in (_bitslice.first_unsorted, _bitslice.leq_masks, _bitslice.evaluate):
         with pytest.raises(ValueError):
@@ -170,13 +169,12 @@ def test_width_ceiling():
 
 @pytest.mark.parametrize("k", [None, 0, 2, 9])
 def test_at_least_counts_ones_per_input(k):
-    rng = np.random.default_rng(7)
-    top = np.iinfo(np.uint64).max
-    rows = list(rng.integers(0, top, size=(6, 3), dtype=np.uint64, endpoint=True))
-    full = _bitslice.full_row(3 * 64)
-    counts = _bitslice.at_least(rows, full, k)
+    rng = random.Random(7)
+    nbits = 3 * 64
+    rows = [rng.getrandbits(nbits) for _ in range(6)]
+    counts = _bitslice.at_least(rows, (1 << nbits) - 1, k)
     assert len(counts) == (len(rows) if k is None else k) + 1
-    for index in range(3 * 64):
+    for index in range(nbits):
         ones = sum(slice_bit(row, index) for row in rows)
         assert [slice_bit(c, index) for c in counts] == [
             int(ones >= j) for j in range(len(counts))

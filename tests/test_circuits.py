@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from sortnet16 import (
@@ -62,7 +61,7 @@ def test_single_comparator_circuit():
 def test_circuit_matches_network_exhaustively():
     for net in constructed_networks():
         circuit = network_to_circuit(net)
-        assert np.array_equal(evaluate_all(circuit), network_slices(net)), net
+        assert evaluate_all(circuit) == network_slices(net), net
 
 
 def test_green16_circuit_matches_apply_on_random_vectors(green):
@@ -111,9 +110,7 @@ def test_every_sorter_wire_is_a_threshold_function():
         circuit = network_to_circuit(net)
         slices = evaluate_all(circuit)
         for wire in range(net.width):
-            assert np.array_equal(
-                slices[wire], threshold_slice(net.width, net.width - wire)
-            ), (net, wire)
+            assert slices[wire] == threshold_slice(net.width, net.width - wire), (net, wire)
 
 
 def test_is_threshold_examples(vv):
@@ -133,8 +130,7 @@ def test_threshold_slice_against_popcount_loop():
             for v in range(1 << n):
                 if bin(v).count("1") >= k:
                     expected |= 1 << v
-            words = threshold_slice(n, k).astype("<u8").tobytes()
-            assert int.from_bytes(words, "little") == expected
+            assert threshold_slice(n, k) == expected
 
 
 def test_specialize_constant_folding():
@@ -148,17 +144,15 @@ def test_specialize_constant_folding():
 
 def test_specialize_preserves_function(vv):
     circuit = network_to_circuit(vv)
-    patterns15 = list(_bitslice.input_patterns(15))
+    patterns15 = _bitslice.evaluate(15, [], [])
     nbits = 1 << 15
     for index, bit in ((15, 0), (15, 1), (0, 1), (7, 0)):
         reduced = specialize(circuit, index, bit)
         assert reduced.n_inputs == 15
         # original circuit driven with the pinned input held constant
-        full = _bitslice.full_row(nbits)
-        pinned = full if bit else np.zeros_like(full)
+        pinned = (1 << nbits) - 1 if bit else 0
         driven = patterns15[:index] + [pinned] + patterns15[index:]
-        expected = evaluate_slices(circuit, driven, nbits)
-        assert np.array_equal(evaluate_all(reduced), expected)
+        assert evaluate_all(reduced) == evaluate_slices(circuit, driven, nbits)
 
 
 def test_specialize_never_deepens(vv):

@@ -143,6 +143,30 @@ def test_poset_bad_restrict(capsys, tmp_path):
     assert "restrict" in err
 
 
+@pytest.mark.parametrize(
+    "restrict,message",
+    [
+        ("0,99", "wire 99 is outside 0..15"),
+        ("-1,3", "wire -1 is outside 0..15"),
+        ("3,3", "names wire 3 twice"),
+        ("M", "wire 5 is outside 0..3"),
+    ],
+)
+def test_poset_restrict_names_the_bad_wire(capsys, tmp_path, restrict, message):
+    net = green16() if restrict != "M" else sorter4()
+    code, out, err = run(capsys, "poset", write_net(tmp_path, net), f"--restrict={restrict}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --restrict {message}\n"
+
+
+def test_poset_negative_prefix_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "poset", write_net(tmp_path, green16()), "--prefix", "-5")
+    assert code == 2
+    assert out == ""
+    assert "prefix length" in err
+
+
 def test_diagram_ascii_and_svg(capsys, tmp_path):
     path = write_net(tmp_path, van_voorhis16())
     code, out, _ = run(capsys, "diagram", path)
@@ -165,6 +189,14 @@ def test_observations_command(capsys):
     assert "mode=exhaustive-binary" in out
     assert "mode=sampled-permutations" in out
     assert out.count("holds") == 8
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_observations_bad_sample_count_prints_nothing(capsys, samples):
+    code, out, err = run(capsys, "observations", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: samples must be at least 1, got {samples}\n"
 
 
 @pytest.mark.parametrize(

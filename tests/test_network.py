@@ -159,6 +159,13 @@ def test_asap_depth_equals_longest_chain():
         assert depth(net) == max(best, default=0)
 
 
+def test_prefix_rejects_a_negative_count(green):
+    assert len(green.prefix(0)) == 0
+    assert green.prefix(len(green)) == green
+    with pytest.raises(ValueError, match="prefix length"):
+        green.prefix(-5)
+
+
 def test_prefix_through_missing_tag(green):
     with pytest.raises(ValueError):
         green.prefix_through(Phase.PAIRS2)

@@ -82,6 +82,13 @@ def test_layered_render_groups_by_asap_layer(green):
         ("width " + "9" * 5000 + "\n", "line 1: width header"),
         ("width 2\n0 1 2\n", "expected"),
         ("width 2\n0 x\n", "non-integer"),
+        ("width ١٦\n", "line 1: width header"),
+        ("width +16\n", "line 1: width header"),
+        ("width 1_6\n", "line 1: width header"),
+        ("width 16\n+1 1_0\n", "line 2: non-integer"),
+        ("width 16\n1 1_0\n", "line 2: non-integer"),
+        ("width 16\n٣ 4\n", "line 2: non-integer"),
+        ("width ١٦\n+1 1_0\n٣ 4\n", "line 1: width header"),
         ("width 2\n# phase:warmup\n0 1\n", "unknown phase"),
         ("width 4\n0 1\n0 2\n;\n1 2\n", "reuses wire"),
         ("width 2\n;\n0 1\n", "empty layer"),
