@@ -25,6 +25,7 @@ pairs imply by transitivity.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +38,11 @@ MAX_WIDTH = 26
 # because an AND of two 4096-bit ints takes ~0.1 us and even the shortest
 # numpy call ~1 us.
 PROBE_BITS = 12
+
+# Input slices over up to 2**CACHED_BITS inputs are cut from one table
+# built on first use (16 ints of 8 KB); wider ones are built per call, so no
+# table of more inputs stays in memory.
+CACHED_BITS = 16
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -63,6 +69,19 @@ def _pattern(j: int, bits: int) -> int:
     return s
 
 
+@cache
+def _cached_patterns() -> tuple[int, ...]:
+    return tuple(_pattern(j, CACHED_BITS) for j in range(CACHED_BITS))
+
+
+def _patterns(bits: int) -> list[int]:
+    """Slices of input bits 0 .. bits-1 over inputs 0 .. 2**bits - 1."""
+    if bits > CACHED_BITS:
+        return [_pattern(j, bits) for j in range(bits)]
+    mask = (1 << (1 << bits)) - 1
+    return [p & mask for p in _cached_patterns()[:bits]]
+
+
 def lowest(bits: int) -> int:
     """Least input index whose bit is set in the slice ``bits``, or -1."""
     return (bits & -bits).bit_length() - 1
@@ -78,7 +97,7 @@ def evaluate(
         bits = width
     # Wire i is driven by input bit width-1-i, constant 0 below 2**bits
     # for the top width-bits wires.
-    rows = [0] * (width - bits) + [_pattern(j, bits) for j in range(bits - 1, -1, -1)]
+    rows = [0] * (width - bits) + _patterns(bits)[::-1]
     for a, b in zip(lows, highs):
         rows[a], rows[b] = rows[a] & rows[b], rows[a] | rows[b]
     return rows

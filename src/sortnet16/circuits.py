@@ -7,12 +7,15 @@ monotone circuit whose output wire j computes the threshold function
 network's depth.  The depth-9 16-input sorter therefore yields depth-9
 majority circuits for 16 variables, and for 15 after pinning one input.
 
-Gate operands are textual references following the export format:
-``x<i>`` for inputs, ``g<id>`` for earlier gates, ``0``/``1`` constants.
+Gate operands and outputs are integer indices into the circuit's list of
+values: 0 and 1 are the constants, 2 .. n+1 the inputs x0 .. x(n-1) of an
+n-input circuit, and n+2+g the output of gate g.  Only ``render_gate_list``
+turns them into names (``0``, ``1``, ``x<i>``, ``g<id>``).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,21 +27,13 @@ AND = "AND"
 OR = "OR"
 
 
-def _ref_ok(ref: str, n_inputs: int, next_gate: int) -> bool:
-    if ref in ("0", "1"):
-        return True
-    if ref.startswith("x"):
-        return ref[1:].isdigit() and int(ref[1:]) < n_inputs
-    if ref.startswith("g"):
-        return ref[1:].isdigit() and int(ref[1:]) < next_gate
-    return False
-
-
 @dataclass(frozen=True)
 class Gate:
+    """AND or OR of the values at indices ``a`` and ``b``."""
+
     kind: str
-    a: str
-    b: str
+    a: int
+    b: int
 
     def __post_init__(self):
         if self.kind not in (AND, OR):
@@ -47,44 +42,36 @@ class Gate:
 
 @dataclass(frozen=True)
 class MonotoneCircuit:
-    """Acyclic gate list over ``n_inputs`` inputs with one named output ref
-    per wire.  Gates may only reference inputs, constants, and earlier
-    gates, so acyclicity holds by construction."""
+    """Acyclic gate list over ``n_inputs`` inputs with one value index per
+    output wire.  Gate g may only reference the constants, the inputs and
+    earlier gates (indices below n_inputs + 2 + g), so acyclicity holds by
+    construction."""
 
     n_inputs: int
     gates: tuple[Gate, ...]
-    outputs: tuple[str, ...]
+    outputs: tuple[int, ...]
 
     def __post_init__(self):
+        base = self.n_inputs + 2
         for gid, g in enumerate(self.gates):
             for ref in (g.a, g.b):
-                if not _ref_ok(ref, self.n_inputs, gid):
+                if not 0 <= operator.index(ref) < base + gid:
                     raise ValueError(f"gate g{gid} has bad operand {ref!r}")
         for ref in self.outputs:
-            if not _ref_ok(ref, self.n_inputs, len(self.gates)):
+            if not 0 <= operator.index(ref) < base + len(self.gates):
                 raise ValueError(f"bad output reference {ref!r}")
 
 
 def network_to_circuit(net: Network) -> MonotoneCircuit:
     """AND/OR circuit computing exactly what the network computes on bits."""
-    refs = [f"x{i}" for i in range(net.width)]
+    refs = list(range(2, net.width + 2))
     gates: list[Gate] = []
     for c in net.comparators:
-        gid = len(gates)
+        ref = net.width + 2 + len(gates)
         gates.append(Gate(AND, refs[c.low], refs[c.high]))
         gates.append(Gate(OR, refs[c.low], refs[c.high]))
-        refs[c.low] = f"g{gid}"
-        refs[c.high] = f"g{gid + 1}"
+        refs[c.low], refs[c.high] = ref, ref + 1
     return MonotoneCircuit(net.width, tuple(gates), tuple(refs))
-
-
-def _lookup(ref: str, inputs, gate_vals, zero, one):
-    if ref == "0":
-        return zero
-    if ref == "1":
-        return one
-    idx = int(ref[1:])
-    return inputs[idx] if ref[0] == "x" else gate_vals[idx]
 
 
 def evaluate_slices(
@@ -92,13 +79,12 @@ def evaluate_slices(
 ) -> list[int]:
     """Evaluate bit-parallel over any family of ``nbits`` inputs given as
     int slices (bit v is input v); returns one slice per output."""
-    one = (1 << nbits) - 1
-    vals: list[int] = []
+    if len(input_slices) != circuit.n_inputs:
+        raise ValueError(f"{len(input_slices)} input slices for {circuit.n_inputs} inputs")
+    vals = [0, (1 << nbits) - 1, *input_slices]
     for g in circuit.gates:
-        a = _lookup(g.a, input_slices, vals, 0, one)
-        b = _lookup(g.b, input_slices, vals, 0, one)
-        vals.append(a & b if g.kind == AND else a | b)
-    return [_lookup(r, input_slices, vals, 0, one) for r in circuit.outputs]
+        vals.append(vals[g.a] & vals[g.b] if g.kind == AND else vals[g.a] | vals[g.b])
+    return [vals[r] for r in circuit.outputs]
 
 
 def evaluate_all(circuit: MonotoneCircuit) -> list[int]:
@@ -112,14 +98,10 @@ def cone_depth(circuit: MonotoneCircuit, wire: int) -> int:
     """Longest gate path from any input or constant to the named output."""
     if not 0 <= wire < len(circuit.outputs):
         raise ValueError(f"no output wire {wire}")
-    depths: list[int] = []
-
-    def ref_depth(ref: str) -> int:
-        return depths[int(ref[1:])] if ref.startswith("g") else 0
-
+    depths = [0] * (circuit.n_inputs + 2)
     for g in circuit.gates:
-        depths.append(1 + max(ref_depth(g.a), ref_depth(g.b)))
-    return ref_depth(circuit.outputs[wire])
+        depths.append(1 + max(depths[g.a], depths[g.b]))
+    return depths[circuit.outputs[wire]]
 
 
 def specialize(circuit: MonotoneCircuit, input_index: int, bit: int) -> MonotoneCircuit:
@@ -129,75 +111,46 @@ def specialize(circuit: MonotoneCircuit, input_index: int, bit: int) -> Monotone
     x OR 1 = 1, x OR 0 = x), unreachable gates are dropped, and inputs
     above ``input_index`` shift down by one.
     """
-    if not 0 <= input_index < circuit.n_inputs:
+    n = circuit.n_inputs
+    if not 0 <= input_index < n:
         raise ValueError(f"no input {input_index}")
     if bit not in (0, 1):
         raise ValueError("pinned value must be 0 or 1")
 
-    replacement: list[str] = []
-
-    def rewrite(ref: str) -> str:
-        if ref.startswith("x"):
-            i = int(ref[1:])
-            if i == input_index:
-                return str(bit)
-            return f"x{i - 1}" if i > input_index else ref
-        if ref.startswith("g"):
-            return replacement[int(ref[1:])]
-        return ref
-
+    # table[r]: what old value r becomes in the folded circuit, whose gate
+    # f has index base + f.
+    base = n + 1
+    table = [0, 1, *range(2, input_index + 2), bit, *range(input_index + 2, base)]
     folded: list[Gate] = []
     for g in circuit.gates:
-        a, b = rewrite(g.a), rewrite(g.b)
-        if g.kind == AND:
-            if a == "0" or b == "0":
-                replacement.append("0")
-                continue
-            if a == "1":
-                replacement.append(b)
-                continue
-            if b == "1":
-                replacement.append(a)
-                continue
+        a, b = table[g.a], table[g.b]
+        absorbing, neutral = (0, 1) if g.kind == AND else (1, 0)
+        if absorbing in (a, b):
+            table.append(absorbing)
+        elif a == neutral:
+            table.append(b)
+        elif b == neutral:
+            table.append(a)
         else:
-            if a == "1" or b == "1":
-                replacement.append("1")
-                continue
-            if a == "0":
-                replacement.append(b)
-                continue
-            if b == "0":
-                replacement.append(a)
-                continue
-        replacement.append(f"g{len(folded)}")
-        folded.append(Gate(g.kind, a, b))
-
-    outputs = [rewrite(r) for r in circuit.outputs]
+            table.append(base + len(folded))
+            folded.append(Gate(g.kind, a, b))
+    outputs = [table[r] for r in circuit.outputs]
 
     # Drop gates not reachable from any output, keeping relative order.
-    live: set[int] = set()
-    stack = [int(r[1:]) for r in outputs if r.startswith("g")]
-    while stack:
-        gid = stack.pop()
-        if gid in live:
-            continue
-        live.add(gid)
-        for ref in (folded[gid].a, folded[gid].b):
-            if ref.startswith("g"):
-                stack.append(int(ref[1:]))
-    keep = sorted(live)
-    renumber = {old: new for new, old in enumerate(keep)}
-
-    def remap(ref: str) -> str:
-        return f"g{renumber[int(ref[1:])]}" if ref.startswith("g") else ref
-
-    gates = tuple(
-        Gate(folded[old].kind, remap(folded[old].a), remap(folded[old].b))
-        for old in keep
-    )
-    return MonotoneCircuit(
-        circuit.n_inputs - 1, gates, tuple(remap(r) for r in outputs)
-    )
+    # Operands come before their gate, so one backward pass finds them all.
+    live = set(outputs)
+    for f in range(len(folded) - 1, -1, -1):
+        if base + f in live:
+            live.update((folded[f].a, folded[f].b))
+    renumber = list(range(base))
+    gates: list[Gate] = []
+    for ref, g in enumerate(folded, start=base):
+        if ref in live:
+            renumber.append(base + len(gates))
+            gates.append(Gate(g.kind, renumber[g.a], renumber[g.b]))
+        else:
+            renumber.append(-1)  # unreferenced; the constructor would refuse it
+    return MonotoneCircuit(n - 1, tuple(gates), tuple(renumber[r] for r in outputs))
 
 
 def threshold_slice(n: int, k: int) -> int:
@@ -245,6 +198,8 @@ def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):
 
 def render_gate_list(circuit: MonotoneCircuit) -> str:
     """Line-oriented gate list: gates in order, then the named outputs."""
-    lines = [f"g{i} = {g.kind} {g.a} {g.b}" for i, g in enumerate(circuit.gates)]
-    lines.extend(f"out{w} = {ref}" for w, ref in enumerate(circuit.outputs))
+    names = ["0", "1", *(f"x{i}" for i in range(circuit.n_inputs))]
+    names.extend(f"g{i}" for i in range(len(circuit.gates)))
+    lines = [f"g{i} = {g.kind} {names[g.a]} {names[g.b]}" for i, g in enumerate(circuit.gates)]
+    lines.extend(f"out{w} = {names[r]}" for w, r in enumerate(circuit.outputs))
     return "\n".join(lines) + "\n"

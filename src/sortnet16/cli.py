@@ -22,7 +22,14 @@ from .constructions import (
     van_voorhis16,
 )
 from .network import Network, asap_schedule
-from .render import TextFormatError, parse_text, render_diagram, render_poset_dot, render_text
+from .render import (
+    TextFormatError,
+    _decimal,
+    parse_text,
+    render_diagram,
+    render_poset_dot,
+    render_text,
+)
 from .verify import (
     backend_name,
     counterexample_permutation,
@@ -111,7 +118,10 @@ def _parse_restrict(choice: str, width: int) -> tuple[int, ...]:
         wires = _RESTRICT_SETS[choice]
     else:
         try:
-            wires = tuple(int(w) for w in choice.split(","))
+            # A minus sign is read so that the range check names a negative wire.
+            wires = tuple(
+                -_decimal(w[1:]) if w.startswith("-") else _decimal(w) for w in choice.split(",")
+            )
         except ValueError:
             raise TextFormatError(
                 f"--restrict wants M, layer1, layer3, or a comma list of wires, got {choice!r}"

@@ -107,8 +107,8 @@ class Network:
 
     def prefix(self, count: int) -> Network:
         """The first ``count`` comparators as a network of the same width."""
-        if count < 0:
-            raise ValueError(f"prefix length must be at least 0, got {count}")
+        if not 0 <= count <= len(self):
+            raise ValueError(f"prefix length must be in 0..{len(self)}, got {count}")
         return Network(self.width, self.comparators[:count])
 
     def prefix_through(self, tag: Phase) -> Network:

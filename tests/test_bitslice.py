@@ -6,7 +6,7 @@ import pytest
 
 from sortnet16 import Network, batcher_sorter, green16, van_voorhis16
 from sortnet16 import _bitslice
-from sortnet16._bitslice import PROBE_BITS
+from sortnet16._bitslice import CACHED_BITS, PROBE_BITS
 
 from test_network import random_network
 
@@ -179,3 +179,15 @@ def test_at_least_counts_ones_per_input(k):
         assert [slice_bit(c, index) for c in counts] == [
             int(ones >= j) for j in range(len(counts))
         ]
+
+
+@pytest.mark.parametrize("width", range(CACHED_BITS - 3, CACHED_BITS + 3))
+def test_input_slices_across_the_cached_table(width):
+    # Up to CACHED_BITS input bits the slices are cut from one cached table,
+    # above it they are built per call: both follow vector_of.
+    slices = _bitslice.evaluate(width, [], [])
+    assert all(row >> (1 << width) == 0 for row in slices)
+    rng = random.Random(width)
+    last = (1 << width) - 1
+    for v in [0, 1, last - 1, last] + [rng.randrange(1 << width) for _ in range(200)]:
+        assert tuple(slice_bit(row, v) for row in slices) == _bitslice.vector_of(v, width)

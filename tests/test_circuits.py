@@ -24,6 +24,7 @@ from sortnet16 import _bitslice
 from sortnet16.circuits import evaluate_all, evaluate_slices, threshold_slice
 
 from test_bitslice import bits_of, slice_bit
+from test_network import random_network
 
 
 def constructed_networks():
@@ -51,8 +52,8 @@ def network_slices(net):
 
 def test_single_comparator_circuit():
     circuit = network_to_circuit(Network(2, ((0, 1),)))
-    assert circuit.gates == (Gate("AND", "x0", "x1"), Gate("OR", "x0", "x1"))
-    assert circuit.outputs == ("g0", "g1")
+    assert circuit.gates == (Gate("AND", 2, 3), Gate("OR", 2, 3))
+    assert circuit.outputs == (4, 5)
     slices = evaluate_all(circuit)
     table = [tuple(slice_bit(row, v) for row in slices) for v in range(4)]
     assert table == [(0, 0), (0, 1), (0, 1), (1, 1)]
@@ -89,9 +90,9 @@ def test_vv_circuit_cone_depths(vv):
 
 
 def test_cone_depth_base_cases():
-    single = MonotoneCircuit(2, (Gate("AND", "x0", "x1"),), ("g0",))
+    single = MonotoneCircuit(2, (Gate("AND", 2, 3),), (4,))
     assert cone_depth(single, 0) == 1
-    passthrough = MonotoneCircuit(1, (), ("x0",))
+    passthrough = MonotoneCircuit(1, (), (2,))
     assert cone_depth(passthrough, 0) == 0
     with pytest.raises(ValueError):
         cone_depth(single, 5)
@@ -137,30 +138,45 @@ def test_specialize_constant_folding():
     tiny = network_to_circuit(Network(2, ((0, 1),)))
     pinned_one = specialize(tiny, 1, 1)
     assert pinned_one.gates == ()
-    assert pinned_one.outputs == ("x0", "1")
+    assert pinned_one.outputs == (2, 1)
     pinned_zero = specialize(tiny, 1, 0)
-    assert pinned_zero.outputs == ("0", "x0")
+    assert pinned_zero.outputs == (0, 2)
 
 
-def test_specialize_preserves_function(vv):
-    circuit = network_to_circuit(vv)
-    patterns15 = _bitslice.evaluate(15, [], [])
-    nbits = 1 << 15
-    for index, bit in ((15, 0), (15, 1), (0, 1), (7, 0)):
-        reduced = specialize(circuit, index, bit)
-        assert reduced.n_inputs == 15
+def specializations():
+    """(circuit, index, bit, specialized circuit) for every input index and
+    both bits, on the constructed networks and seeded random networks of
+    widths 2-10."""
+    rng = random.Random(0x5EC)
+    nets = constructed_networks() + [
+        random_network(rng, width, rng.randint(0, 4 * width))
+        for width in range(2, 11)
+        for _ in range(3)
+    ]
+    for net in nets:
+        circuit = network_to_circuit(net)
+        for index in range(net.width):
+            for bit in (0, 1):
+                yield circuit, index, bit, specialize(circuit, index, bit)
+
+
+def test_specialize_preserves_function():
+    for circuit, index, bit, reduced in specializations():
+        n = circuit.n_inputs - 1
+        assert reduced.n_inputs == n
         # original circuit driven with the pinned input held constant
+        patterns = _bitslice.evaluate(n, [], [])
+        nbits = 1 << n
         pinned = (1 << nbits) - 1 if bit else 0
-        driven = patterns15[:index] + [pinned] + patterns15[index:]
-        assert evaluate_all(reduced) == evaluate_slices(circuit, driven, nbits)
+        driven = patterns[:index] + [pinned] + patterns[index:]
+        assert evaluate_all(reduced) == evaluate_slices(circuit, driven, nbits), (index, bit)
 
 
-def test_specialize_never_deepens(vv):
-    circuit = network_to_circuit(vv)
-    before = [cone_depth(circuit, w) for w in range(16)]
-    reduced = specialize(circuit, 15, 0)
-    after = [cone_depth(reduced, w) for w in range(16)]
-    assert all(a <= b for a, b in zip(after, before))
+def test_specialize_never_deepens():
+    for circuit, index, bit, reduced in specializations():
+        before = [cone_depth(circuit, w) for w in range(len(circuit.outputs))]
+        after = [cone_depth(reduced, w) for w in range(len(reduced.outputs))]
+        assert all(a <= b for a, b in zip(after, before)), (circuit, index, bit)
 
 
 def test_specialize_argument_validation(vv):
@@ -198,20 +214,38 @@ def test_majority_circuit_validation():
 
 def test_is_threshold_cap():
     wide = _bitslice.MAX_WIDTH + 1
-    circuit = MonotoneCircuit(wide, (), tuple(f"x{i}" for i in range(wide)))
+    circuit = MonotoneCircuit(wide, (), tuple(range(2, wide + 2)))
     with pytest.raises(ValueError, match="slice engine"):
         is_threshold(circuit, 0, 1)
 
 
 def test_circuit_reference_validation():
     with pytest.raises(ValueError):
-        MonotoneCircuit(2, (Gate("AND", "x0", "x5"),), ("g0",))
+        MonotoneCircuit(2, (Gate("AND", 2, 7),), (4,))
     with pytest.raises(ValueError):
-        MonotoneCircuit(2, (Gate("AND", "x0", "g0"),), ("g0",))
+        MonotoneCircuit(2, (Gate("AND", 2, 4),), (4,))
     with pytest.raises(ValueError):
-        MonotoneCircuit(2, (), ("g3",))
+        MonotoneCircuit(2, (), (7,))
     with pytest.raises(ValueError):
-        Gate("XOR", "x0", "x1")
+        Gate("XOR", 2, 3)
+    for gates, outputs in (
+        ((Gate("AND", -1, 2),), (4,)),  # would wrap to the last value
+        ((Gate("AND", 2, 3),), (-1,)),
+        ((Gate("AND", 2, 5), Gate("OR", 2, 3)), (5,)),  # g0 names the later g1
+        ((Gate("AND", 2, 3),), (5,)),  # output past the last gate
+    ):
+        with pytest.raises(ValueError):
+            MonotoneCircuit(2, gates, outputs)
+    # Operands are indices only; no names are read.
+    for gates, outputs in (((Gate("AND", "x0", "x1"),), (4,)), ((), ("x0",)), ((), (2.0,))):
+        with pytest.raises(TypeError):
+            MonotoneCircuit(2, gates, outputs)
+
+
+def test_evaluate_slices_wants_one_slice_per_input():
+    circuit = network_to_circuit(Network(2, ((0, 1),)))
+    with pytest.raises(ValueError, match="3 input slices for 2 inputs"):
+        evaluate_slices(circuit, [0b0011, 0b0101, 0], 4)
 
 
 def test_render_gate_list():
@@ -219,4 +253,10 @@ def test_render_gate_list():
     assert render_gate_list(circuit) == (
         "g0 = AND x0 x1\ng1 = OR x0 x1\nout0 = g0\nout1 = g1\n"
     )
+    assert render_gate_list(specialize(circuit, 1, 1)) == "out0 = x0\nout1 = 1\n"
+    consts = MonotoneCircuit(2, (Gate("AND", 0, 3), Gate("OR", 1, 4)), (5, 4, 2, 1))
+    assert render_gate_list(consts) == (
+        "g0 = AND 0 x1\ng1 = OR 1 g0\nout0 = g1\nout1 = g0\nout2 = x0\nout3 = 1\n"
+    )
+
 

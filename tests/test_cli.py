@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from sortnet16 import (
     van_voorhis16,
 )
 from sortnet16.cli import main
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 def run(capsys, *argv):
@@ -150,6 +153,10 @@ def test_poset_bad_restrict(capsys, tmp_path):
         ("-1,3", "wire -1 is outside 0..15"),
         ("3,3", "names wire 3 twice"),
         ("M", "wire 5 is outside 0..3"),
+        *(
+            (bad, f"wants M, layer1, layer3, or a comma list of wires, got {bad!r}")
+            for bad in ("+3,1", "1_0", "\u0663", "3,-0x1", "-")
+        ),
     ],
 )
 def test_poset_restrict_names_the_bad_wire(capsys, tmp_path, restrict, message):
@@ -158,6 +165,13 @@ def test_poset_restrict_names_the_bad_wire(capsys, tmp_path, restrict, message):
     assert code == 2
     assert out == ""
     assert err == f"error: --restrict {message}\n"
+
+
+def test_poset_prefix_past_the_end_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "poset", write_net(tmp_path, green16()), "--prefix", "999")
+    assert code == 2
+    assert out == ""
+    assert err == "error: prefix length must be in 0..60, got 999\n"
 
 
 def test_poset_negative_prefix_exits_2(capsys, tmp_path):
@@ -225,6 +239,14 @@ def test_majority_15(capsys):
         assert code == 0
         assert "threshold 8 of 15: verified" in out
         assert "cone depth: 9" in out
+
+
+@pytest.mark.parametrize("variables", ["16", "15"])
+def test_majority_prints_the_reference_gate_list(capsys, variables):
+    # The corollary's circuit text, byte for byte as the benchmark checks it.
+    code, out, _ = run(capsys, "majority", variables)
+    assert code == 0
+    assert out == (REFERENCE / f"majority{variables}.out").read_text()
 
 
 def test_majority_bad_threshold(capsys):

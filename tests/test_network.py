@@ -175,3 +175,8 @@ def test_tagged_and_phase_counts():
     net = Network(4, ((0, 1), (2, 3))).tagged(Phase.PAIRS)
     assert all(c.tag is Phase.PAIRS for c in net.comparators)
     assert net.phase_counts() == {Phase.PAIRS: 2}
+
+
+def test_prefix_rejects_a_count_past_the_end(green):
+    with pytest.raises(ValueError, match=f"prefix length must be in 0..{len(green)}"):
+        green.prefix(len(green) + 1)

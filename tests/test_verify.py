@@ -105,7 +105,7 @@ def test_engine_ceiling_overrides_cap():
     # No argument lifts the ceiling: the cap and mode knobs no longer exist,
     # and every exhaustive entry point refuses MAX_WIDTH + 1 on its own.
     wide = _bitslice.MAX_WIDTH + 1
-    circuit = MonotoneCircuit(wide, (), tuple(f"x{i}" for i in range(wide)))
+    circuit = MonotoneCircuit(wide, (), tuple(range(2, wide + 2)))
     with pytest.raises(TypeError):
         verify_sorts_binary(Network(wide), cap=64)
     with pytest.raises(TypeError):
