@@ -3,48 +3,51 @@
 Each wire carries a slice: bit v is the value of the wire when the network
 runs on input number v.  Input v maps to the vector whose wire-0 bit is the
 *most* significant bit of v, so the numeric order of input indices is the
-lexicographic order of input vectors.  A comparator is then one AND (the
-minimum) plus one OR (the maximum) of two slices.
+lexicographic order of input vectors.  A slice is a Python int, and a
+comparator is one AND (the minimum) plus one OR (the maximum) of two slices.
 
-A slice is a Python int: ``evaluate`` returns one per wire, ``analysis``
-counts ones on them with ``at_least`` and ``circuits`` evaluates gates on
-them.  Only the full sweep inside ``first_unsorted`` and ``leq_masks``,
-which runs above PROBE_BITS wires, keeps each slice as a row of numpy
-uint64 words (bit v % 64 of word v // 64 is input v): from 2**18 inputs up
-in-place AND/OR on words beats int arithmetic, which allocates a new int
-per operation.
+``evaluate`` runs a network on one block of inputs: the 2**bits inputs from
+a multiple of 2**bits.  The wires driven by the low ``bits`` input bits get
+a fixed pattern; the others are constant over the block, 0 or all ones, and
+a comparator that meets a constant only moves slices.  ``analysis`` counts
+ones on the slices with ``at_least``, and ``circuits`` evaluates gates on
+them.
 
-The two reductions answer for all 2**width inputs without always sweeping
-them.  Both first evaluate inputs 0 .. 2**PROBE_BITS - 1 alone.  A failure
-found there is the least failing input, since the probed inputs come first,
-so ``first_unsorted`` sweeps only when the probe finds none and did not
-already cover every input.  ``leq_masks`` tests on the full rows only the
-wire pairs the probe did not refute, and skips a pair that two verified
-pairs imply by transitivity.
+The two reductions walk all 2**width inputs in index order, one block at a
+time.  The first block is inputs 0 .. 2**PROBE_BITS - 1; each later one is
+as large as all the inputs before it, up to 2**BLOCK_BITS, so an evaluation
+holds at most width * 2**BLOCK_BITS bits.  ``first_unsorted`` stops at the
+first block with a failing input: its least failing input is the least of
+all.  ``leq_masks`` takes as candidates the wire pairs the first block does
+not refute.  Each later block refutes candidates, skipping a pair that two
+pairs verified on the same block imply by transitivity, and the walk stops
+once no candidate is left.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
-import numpy as np
-
-# Widest input space the engine evaluates: width * 2**width / 8 bytes of
-# slices, ~218 MB at 26 wires.
+# Widest input space the engine evaluates.  A budget of time, not memory:
+# the 26-wire odd-even transposition sorter takes 0.3-0.6 s to verify and
+# 0.4-0.8 s for its poset (2-vCPU VM, whose speed varies between runs), and
+# each wire more doubles that.
 MAX_WIDTH = 26
 
-# Inputs the reductions probe first: 2**PROBE_BITS of them, as ints,
-# because an AND of two 4096-bit ints takes ~0.1 us and even the shortest
-# numpy call ~1 us.
+# The first block: 2**PROBE_BITS inputs, small enough that a network failing
+# early is refuted in microseconds.
 PROBE_BITS = 12
 
-# Input slices over up to 2**CACHED_BITS inputs are cut from one table
-# built on first use (16 ints of 8 KB); wider ones are built per call, so no
-# table of more inputs stays in memory.
-CACHED_BITS = 16
-
-_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+# The largest block: 2**BLOCK_BITS inputs, chosen from timings of verify +
+# poset on sorters and random networks of 18 and 20 wires.  Smaller blocks
+# pay more interpreter overhead (2**15 took ~19% longer than 2**16).  At
+# 2**17 the C allocator handed the slices a call frees back to the system,
+# so each later call faulted ~100 fresh pages in and took 10-25% longer.
+# Input slices of every block are cut from one table of BLOCK_BITS patterns
+# built on first use; wider ones (only a whole-input ``evaluate`` asks for
+# them) are built per call.
+BLOCK_BITS = 16
 
 
 def check_width(width: int) -> None:
@@ -70,16 +73,13 @@ def _pattern(j: int, bits: int) -> int:
 
 
 @cache
-def _cached_patterns() -> tuple[int, ...]:
-    return tuple(_pattern(j, CACHED_BITS) for j in range(CACHED_BITS))
-
-
-def _patterns(bits: int) -> list[int]:
-    """Slices of input bits 0 .. bits-1 over inputs 0 .. 2**bits - 1."""
-    if bits > CACHED_BITS:
-        return [_pattern(j, bits) for j in range(bits)]
+def _patterns(bits: int) -> tuple[int, ...]:
+    """Slices of input bits bits-1 .. 0 (the wires they drive, in order)
+    over inputs 0 .. 2**bits - 1, for bits up to BLOCK_BITS."""
+    if bits == BLOCK_BITS:
+        return tuple(_pattern(j, bits) for j in reversed(range(bits)))
     mask = (1 << (1 << bits)) - 1
-    return [p & mask for p in _cached_patterns()[:bits]]
+    return tuple(p & mask for p in _patterns(BLOCK_BITS)[BLOCK_BITS - bits :])
 
 
 def lowest(bits: int) -> int:
@@ -88,18 +88,31 @@ def lowest(bits: int) -> int:
 
 
 def evaluate(
-    width: int, lows: Sequence[int], highs: Sequence[int], bits: int | None = None
+    width: int, lows: Sequence[int], highs: Sequence[int], bits: int | None = None, start: int = 0
 ) -> list[int]:
-    """Final slices, one int per wire, over inputs 0 .. 2**bits - 1 (all
-    2**width inputs by default)."""
+    """Final slices, one int per wire, over inputs start .. start + 2**bits - 1
+    (all 2**width inputs by default); ``start`` is a multiple of 2**bits."""
     check_width(width)
     if bits is None:
         bits = width
-    # Wire i is driven by input bit width-1-i, constant 0 below 2**bits
-    # for the top width-bits wires.
-    rows = [0] * (width - bits) + _patterns(bits)[::-1]
+    full = (1 << (1 << bits)) - 1
+    # Wire i is driven by input bit width-1-i, which is constant over the
+    # block for the top width-bits wires.
+    rows = [full if start >> j & 1 else 0 for j in range(width - 1, bits - 1, -1)]
+    if bits > BLOCK_BITS:
+        rows += [_pattern(j, bits) for j in reversed(range(bits))]
+    else:
+        rows += _patterns(bits)
     for a, b in zip(lows, highs):
-        rows[a], rows[b] = rows[a] & rows[b], rows[a] | rows[b]
+        x, y = rows[a], rows[b]
+        # Constants are tested by identity: a computed all-ones slice just
+        # takes the general path.
+        if not x or y is full:
+            continue
+        if x is full or not y:
+            rows[a], rows[b] = y, x
+        else:
+            rows[a], rows[b] = x & y, x | y
     return rows
 
 
@@ -118,49 +131,23 @@ def at_least(rows: Sequence[int], full: int, k: int | None = None) -> list[int]:
     return counts
 
 
-def _sweep_rows(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[np.ndarray]:
-    """Final slices over all inputs as rows of uint64 words, for width >= 6."""
-    # One allocation: a row per wire plus the spare each comparator swaps in.
-    words = np.empty((width + 1, 1 << (width - 6)), dtype=np.uint64)
-    for i in range(width):
-        j = width - 1 - i  # bit position of v driving wire i
-        if j >= 6:
-            # Words alternate in runs of 2**(j-6): all zeros, then all ones.
-            runs = words[i].reshape(-1, 2, 1 << (j - 6))
-            runs[:, 0] = 0
-            runs[:, 1] = _ONES
-        else:
-            words[i] = _pattern(j, 6)
-    *rows, spare = words
-    for a, b in zip(lows, highs):
-        lo, hi = rows[a], rows[b]
-        np.bitwise_and(lo, hi, out=spare)
-        np.bitwise_or(lo, hi, out=hi)
-        # The minimum now lives in the spare row; lo's storage is free.
-        rows[a], spare = spare, lo
-    return rows
+def _blocks(width: int) -> Iterator[tuple[int, int]]:
+    """(bits, start) of each block of inputs, in index order."""
+    bits, start = min(width, PROBE_BITS), 0
+    while start < 1 << width:
+        yield bits, start
+        start += 1 << bits
+        bits = min(BLOCK_BITS, start.bit_length() - 1)
 
 
 def first_unsorted(width: int, lows: Sequence[int], highs: Sequence[int]) -> int:
     """Least input index whose output is not non-decreasing, or -1."""
-    probe = evaluate(width, lows, highs, min(width, PROBE_BITS))
-    bad = 0
-    for lo, hi in zip(probe, probe[1:]):
-        bad |= lo ^ (lo & hi)
-    if bad or width <= PROBE_BITS:
-        return lowest(bad)
-    rows = _sweep_rows(width, lows, highs)
-    bad = np.zeros_like(rows[0])
-    step = np.empty_like(bad)
-    for lo, hi in zip(rows, rows[1:]):
-        np.bitwise_not(hi, out=step)
-        np.bitwise_and(lo, step, out=step)
-        np.bitwise_or(bad, step, out=bad)
-    words = np.flatnonzero(bad)
-    if len(words) == 0:
-        return -1
-    word = int(words[0])
-    return 64 * word + lowest(int(bad[word]))
+    for bits, start in _blocks(width):
+        rows = evaluate(width, lows, highs, bits, start)
+        bad = [lo ^ m for lo, hi in zip(rows, rows[1:]) if (m := lo & hi) != lo]
+        if bad:
+            return start + min(map(lowest, bad))
+    return -1
 
 
 def leq_masks(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[int]:
@@ -168,15 +155,14 @@ def leq_masks(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[int
 
     Bit b of row a is set iff no binary input yields wire a = 1, wire b = 0.
     """
-    probe = evaluate(width, lows, highs, min(width, PROBE_BITS))
-    # Candidates: the pairs the probed inputs do not refute, a superset of
-    # the answer.  Up to PROBE_BITS wires the probe covered every input.
+    blocks = _blocks(width)
+    first = evaluate(width, lows, highs, *next(blocks))
+    # Candidates: the pairs the first block does not refute, a superset of
+    # the answer.
     cand = [
-        sum(1 << b for b in range(width) if b != a and probe[a] & probe[b] == probe[a])
+        sum(1 << b for b in range(width) if b != a and first[a] & first[b] == first[a])
         for a in range(width)
     ]
-    if width <= PROBE_BITS or not any(cand):
-        return [cand[a] | 1 << a for a in range(width)]
     inv = [sum(1 << a for a in range(width) if cand[a] >> b & 1) for b in range(width)]
     # Test pairs with fewer candidate wires between them first (nearer wires
     # first among equals), so that a pair two verified pairs already imply by
@@ -185,16 +171,20 @@ def leq_masks(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[int
         ((a, b) for a in range(width) for b in range(width) if cand[a] >> b & 1),
         key=lambda p: ((cand[p[0]] & inv[p[1]]).bit_count(), abs(p[1] - p[0])),
     )
-    rows = _sweep_rows(width, lows, highs)
-    above = [0] * width  # verified strict relation, by row and by column
-    below = [0] * width
-    step = np.empty_like(rows[0])
+    for bits, start in blocks:
+        if not pairs:
+            break
+        rows = evaluate(width, lows, highs, bits, start)
+        above = [0] * width  # pairs verified on this block, by row and by column
+        below = [0] * width
+        kept = []
+        for a, b in pairs:
+            if above[a] & below[b] or rows[a] & rows[b] == rows[a]:
+                above[a] |= 1 << b
+                below[b] |= 1 << a
+                kept.append((a, b))
+        pairs = kept
+    masks = [1 << a for a in range(width)]
     for a, b in pairs:
-        if not above[a] & below[b]:
-            np.bitwise_not(rows[b], out=step)
-            np.bitwise_and(rows[a], step, out=step)
-            if step.any():
-                continue
-        above[a] |= 1 << b
-        below[b] |= 1 << a
-    return [above[a] | 1 << a for a in range(width)]
+        masks[a] |= 1 << b
+    return masks

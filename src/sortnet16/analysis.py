@@ -25,8 +25,9 @@ identities of those slices; a 6-of-8 multiset inclusion, for instance, is
 value on 0/1 inputs, so the verdict per input and hence the lexicographically
 least counterexample are the same; ``tests/test_analysis.py`` keeps the
 matrix check as its oracle.  The sampled mode runs random permutations of
-0..15 through the prefix on per-wire rows; there the r-th smallest of all
-outputs is r itself, and only layers I and III need sorting.
+0..15 through the prefix on per-wire numpy rows, the one use of numpy in
+the package (imported there); the r-th smallest of all outputs is then r
+itself, and only layers I and III need sorting.
 
 Also here: the cube-order check itself, the partial orders established on
 M by each construction's preliminary comparisons, the strategy-completeness
@@ -37,8 +38,7 @@ regression for the merge ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _bitslice
 from .constructions import (
@@ -58,6 +58,9 @@ from .constructions import (
 )
 from .network import Network, Phase, depth
 from .verify import infer_poset, verify_sorts_binary
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXHAUSTIVE = "exhaustive-binary"
 SAMPLED = "sampled-permutations"
@@ -143,29 +146,33 @@ def _exhaustive_masks(prefix: Network) -> dict[str, int]:
 
 
 def _permutation_inputs(width: int, samples: int, seed: int) -> np.ndarray:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     base = np.tile(np.arange(width, dtype=np.int64), (samples, 1))
     return rng.permuted(base, axis=1)
 
 
-def _apply_rows(rows: list[np.ndarray], net: Network) -> None:
-    """Apply ``net`` in place to per-wire rows of values."""
-    spare = np.empty_like(rows[0])
-    for c in net.comparators:
-        lo, hi = rows[c.low], rows[c.high]
-        np.minimum(lo, hi, out=spare)
-        np.maximum(lo, hi, out=hi)
-        rows[c.low], spare = spare, lo
+def _sampled_claims(prefix: Network, inputs: np.ndarray) -> dict[str, ClaimVerdict]:
+    """Claims a-d over permutations of 0..15, on which rank r is r; a
+    failing claim carries the first permutation it fails on."""
+    import numpy as np
 
+    def apply_rows(rows: list[np.ndarray], net: Network) -> None:
+        """Apply ``net`` in place to per-wire rows of values."""
+        spare = np.empty_like(rows[0])
+        for c in net.comparators:
+            lo, hi = rows[c.low], rows[c.high]
+            np.minimum(lo, hi, out=spare)
+            np.maximum(lo, hi, out=hi)
+            rows[c.low], spare = spare, lo
 
-def _sampled_masks(prefix: Network, inputs: np.ndarray) -> dict[str, np.ndarray]:
-    """Claim masks over permutations of 0..15, on which rank r is r."""
     out = list(np.ascontiguousarray(inputs.T, dtype=np.uint8))
-    _apply_rows(out, prefix)
+    apply_rows(out, prefix)
     l1 = [out[w].copy() for w in CUBE_LAYER1]
     l3 = [out[w].copy() for w in CUBE_LAYER3]
-    _apply_rows(l1, _SORTER4)
-    _apply_rows(l3, _SORTER4)
+    apply_rows(l1, _SORTER4)
+    apply_rows(l3, _SORTER4)
     m = np.array([*(out[w] for w in MIDDLE_LAYER), l3[0], l1[3]])
     m_lo, m_hi = m.min(axis=0), m.max(axis=0)
 
@@ -177,7 +184,15 @@ def _sampled_masks(prefix: Network, inputs: np.ndarray) -> dict[str, np.ndarray]
     # M holds distinct values, so it contains ranks 5..10 iff six of them lie there.
     c = np.count_nonzero((m >= 5) & (m <= 10), axis=0) == 6
     d = pair_is(11, 12, l3[1], m_hi) & pair_is(3, 4, l1[2], m_lo)
-    return {"a": a, "b": b, "c": c, "d": d}
+    claims = {}
+    for name, ok in {"a": a, "b": b, "c": c, "d": d}.items():
+        bad = np.flatnonzero(~ok)
+        claims[name] = (
+            ClaimVerdict(True)
+            if len(bad) == 0
+            else ClaimVerdict(False, tuple(int(x) for x in inputs[bad[0]]))
+        )
+    return claims
 
 
 def check_observations(
@@ -215,13 +230,7 @@ def check_observations(
     elif mode == SAMPLED:
         inputs = _permutation_inputs(16, samples, seed)
         inputs_checked, used_seed = len(inputs), seed
-        for name, ok in _sampled_masks(prefix, inputs).items():
-            bad = np.flatnonzero(~ok)
-            claims[name] = (
-                ClaimVerdict(True)
-                if len(bad) == 0
-                else ClaimVerdict(False, tuple(int(x) for x in inputs[bad[0]]))
-            )
+        claims = _sampled_claims(prefix, inputs)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ObservationReport(mode, inputs_checked, used_seed, claims)

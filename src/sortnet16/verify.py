@@ -3,11 +3,12 @@
 By the zero-one principle a network sorts every input iff it sorts every
 binary input, so every verdict here covers the full 2**width binary input
 space.  The slice engine in ``_bitslice``, reached through the module
-attribute ``_backend``, is the only verifier.  It first runs the first
-2**12 inputs as one Python int per wire: a failure found there ends the
-check, up to 12 wires nothing else runs, and above that only the wire
-pairs those inputs do not refute are tested on a sweep of all inputs in
-numpy words.  The engine's ``MAX_WIDTH`` is the one width limit: wider
+attribute ``_backend``, is the only verifier.  It walks the inputs in
+index order, in blocks of one Python int per wire: the first 2**12
+inputs, then blocks as large as all the inputs before them, up to
+2**BLOCK_BITS.  A failure ends the check at its block, and order
+inference tests in each block only the wire pairs no earlier block
+refuted.  The engine's ``MAX_WIDTH`` is the one width limit: wider
 networks are refused before anything is allocated.
 """
 
@@ -21,8 +22,8 @@ from .network import Network
 
 
 def backend_name() -> str:
-    """Name of the slice engine: always "python" (ints and numpy words, no
-    compiled extension)."""
+    """Name of the slice engine: always "python" (Python ints, no compiled
+    extension)."""
     return "python"
 
 
@@ -52,8 +53,8 @@ class SortVerdict:
 def verify_sorts_binary(net: Network) -> SortVerdict:
     """Check all 2**width binary inputs on the slice engine.
 
-    A network that fails on one of the first 2**12 inputs is refuted by a
-    probe of those inputs alone; otherwise all inputs are swept at once.
+    The inputs are swept in index order, block by block, and the first
+    block with a failing input ends the sweep.
     """
     lows, highs = _wire_lists(net)
     bad = _backend.first_unsorted(net.width, lows, highs)
@@ -95,12 +96,21 @@ class Poset:
 
     ``rows[a]`` is a bitmask with bit b set iff wire a's value is at most
     wire b's value on every binary input.  The relation is reflexive and
-    transitive by construction and antisymmetric by the degeneracy check
-    in ``infer_poset``.
+    transitive by construction; construction refuses a relation that is
+    not antisymmetric.
     """
 
     width: int
     rows: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        rows = self.rows
+        for a in range(self.width):
+            for b in range(a + 1, self.width):
+                if (rows[a] >> b) & 1 and (rows[b] >> a) & 1:
+                    raise DegenerateOrderError(
+                        f"wires {a} and {b} are forced equal on all binary inputs"
+                    )
 
     def leq(self, a: int, b: int) -> bool:
         return (self.rows[a] >> b) & 1 == 1
@@ -150,13 +160,8 @@ class Poset:
 
 
 def poset_from_rows(width: int, rows: Sequence[int]) -> Poset:
-    """Build a Poset, rejecting forced equality between distinct wires."""
-    for a in range(width):
-        for b in range(a + 1, width):
-            if (rows[a] >> b) & 1 and (rows[b] >> a) & 1:
-                raise DegenerateOrderError(
-                    f"wires {a} and {b} are forced equal on all binary inputs"
-                )
+    """Build a Poset from leq rows; raises DegenerateOrderError when two
+    distinct wires are forced equal."""
     return Poset(width, tuple(rows))
 
 

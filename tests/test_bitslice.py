@@ -2,11 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from sortnet16 import Network, batcher_sorter, green16, van_voorhis16
 from sortnet16 import _bitslice
-from sortnet16._bitslice import CACHED_BITS, PROBE_BITS
+from sortnet16._bitslice import BLOCK_BITS, PROBE_BITS
 
 from test_network import random_network
 
@@ -44,13 +45,27 @@ def brute_force_rows(net):
     ]
 
 
+def column_oracle(net):
+    """Least failing index and leq rows from one uint8 column per wire over
+    all inputs: independent of the slice engine, fast enough past 16 wires."""
+    width = net.width
+    v = np.arange(1 << width, dtype=np.uint32)
+    cols = [((v >> (width - 1 - i)) & 1).astype(np.uint8) for i in range(width)]
+    for c in net.comparators:
+        lo, hi = cols[c.low], cols[c.high]
+        cols[c.low], cols[c.high] = np.minimum(lo, hi), np.maximum(lo, hi)
+    bad = np.zeros(1 << width, dtype=bool)
+    for lo, hi in zip(cols, cols[1:]):
+        bad |= lo > hi
+    failing = np.flatnonzero(bad)
+    rows = [
+        sum(1 << b for b in range(width) if not np.any(cols[a] > cols[b])) for a in range(width)
+    ]
+    return (int(failing[0]) if len(failing) else -1), rows
+
+
 def slice_bit(row, index):
     return (row >> index) & 1
-
-
-def word_row_bits(row):
-    """A row of uint64 words as one int slice: bit v is the wire's value on input v."""
-    return int.from_bytes(row.astype("<u8").tobytes(), "little")
 
 
 def assert_slices_match_apply(net, slices, inputs):
@@ -83,9 +98,18 @@ def test_random_networks():
 
 
 def sorter(width):
-    """Batcher's 16-input sorter cut to ``width`` wires: a comparator that
-    touches a dropped wire only ever meets a top value there, so it is a no-op."""
-    return [(c.low, c.high) for c in batcher_sorter(16).comparators if c.high < width]
+    """Batcher's 16- or 32-input sorter cut to ``width`` wires: a comparator
+    that touches a dropped wire only ever meets a top value there, so it is a
+    no-op."""
+    full = batcher_sorter(16 if width <= 16 else 32)
+    return [(c.low, c.high) for c in full.comparators if c.high < width]
+
+
+def assert_engine_matches_columns(net):
+    lows, highs = wire_lists(net)
+    first, rows = column_oracle(net)
+    assert _bitslice.first_unsorted(net.width, lows, highs) == first
+    assert _bitslice.leq_masks(net.width, lows, highs) == rows
 
 
 def test_probe_rows_are_the_first_columns_of_the_slices():
@@ -100,13 +124,18 @@ def test_probe_rows_are_the_first_columns_of_the_slices():
 
 @pytest.mark.parametrize("width", range(PROBE_BITS + 1, 17))
 def test_sweep_rows_equal_the_int_slices(width):
+    # Each block the reductions sweep holds the bits of the whole-input
+    # slices from its start on.
     rng = random.Random(0x5E1 + width)
     nets = [Network(width)] if width == PROBE_BITS + 1 else []
     nets += [random_network(rng, width=width, size=s) for s in (width, 6 * width)]
     for net in nets:
         lows, highs = wire_lists(net)
-        words = _bitslice._sweep_rows(width, lows, highs)
-        assert [word_row_bits(row) for row in words] == _bitslice.evaluate(width, lows, highs)
+        whole = _bitslice.evaluate(width, lows, highs)
+        for bits, start in _bitslice._blocks(width):
+            mask = (1 << (1 << bits)) - 1
+            block = _bitslice.evaluate(width, lows, highs, bits, start)
+            assert block == [row >> start & mask for row in whole]
 
 
 @pytest.mark.parametrize("width", [PROBE_BITS, PROBE_BITS + 1])
@@ -117,13 +146,42 @@ def test_widths_at_the_probe_boundary(width):
     assert_engine_matches_apply(Network(width, sorter(width)))
 
 
-def test_first_failure_just_past_the_probe():
-    # Wire 0 is the top input bit, so inputs below 2**12 leave it 0 and the
-    # sorter on wires 1..12 sorts them all; input 4096 is 1 then twelve 0s.
-    width = PROBE_BITS + 1
-    net = Network(width, [(a + 1, b + 1) for a, b in sorter(PROBE_BITS)])
-    assert least_failing_index(net) == 1 << PROBE_BITS
-    assert_engine_matches_apply(net)
+@pytest.mark.parametrize("k", [PROBE_BITS, PROBE_BITS + 1, BLOCK_BITS])
+def test_first_failure_just_past_the_probe(k):
+    # Wire 0 is the top input bit, so inputs below 2**k leave it 0 and the
+    # sorter on wires 1..k sorts them all; input 2**k is 1 then k 0s.  It
+    # starts the second block for k = PROBE_BITS, the third for
+    # PROBE_BITS + 1, and the last for BLOCK_BITS.
+    net = Network(k + 1, [(a + 1, b + 1) for a, b in sorter(k)])
+    assert_engine_matches_columns(net)
+    assert _bitslice.first_unsorted(k + 1, *wire_lists(net)) == 1 << k
+    if k == PROBE_BITS:
+        assert least_failing_index(net) == 1 << k
+        assert_engine_matches_apply(net)
+
+
+def test_failure_only_in_the_last_block():
+    # Sort wires 0..w-2, then sink wire w-1 with (w-2, w-1) .. (1, 2) but
+    # not (0, 1): only input 1..10, the last but one, stays unsorted.
+    width = BLOCK_BITS + 2
+    sink = [(i, i + 1) for i in range(width - 2, 0, -1)]
+    net = Network(width, sorter(width - 1) + sink)
+    assert_engine_matches_columns(net)
+    assert _bitslice.first_unsorted(width, *wire_lists(net)) == (1 << width) - 2
+
+
+@pytest.mark.parametrize("width", [BLOCK_BITS - 1, BLOCK_BITS, BLOCK_BITS + 1])
+def test_widths_at_the_block_size(width):
+    rng = random.Random(0xB10C + width)
+    whole = sorter(width)
+    nets = [
+        Network(width, whole),
+        Network(width, whole[1:]),
+        Network(width, random_network(rng, width=width, size=width).comparators + tuple(whole[1:])),
+        random_network(rng, width=width, size=12 * width),
+    ]
+    for net in nets:
+        assert_engine_matches_columns(net)
 
 
 @pytest.mark.parametrize("width", range(PROBE_BITS + 1, 17))
@@ -181,9 +239,9 @@ def test_at_least_counts_ones_per_input(k):
         ]
 
 
-@pytest.mark.parametrize("width", range(CACHED_BITS - 3, CACHED_BITS + 3))
+@pytest.mark.parametrize("width", range(BLOCK_BITS - 3, BLOCK_BITS + 3))
 def test_input_slices_across_the_cached_table(width):
-    # Up to CACHED_BITS input bits the slices are cut from one cached table,
+    # Up to BLOCK_BITS input bits the slices are cut from one cached table,
     # above it they are built per call: both follow vector_of.
     slices = _bitslice.evaluate(width, [], [])
     assert all(row >> (1 << width) == 0 for row in slices)

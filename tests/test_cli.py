@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,8 @@ from sortnet16 import (
     sorter4,
     van_voorhis16,
 )
-from sortnet16.cli import main
+import sortnet16
+from sortnet16.cli import _CHECKS, main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
@@ -329,3 +333,39 @@ def test_stats_out_of_memory_prints_nothing_to_stdout(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: out of memory\n"
+
+
+# Runs each command in one fresh interpreter and reports, after each, whether
+# numpy has been loaded; sys.modules only grows, so a False after a command
+# clears every command before it too.
+_NUMPY_PROBE = """
+import contextlib, io, sys
+from sortnet16.cli import main
+for argv in map(str.split, sys.argv[1:]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    print(argv[0], "numpy" in sys.modules)
+"""
+
+
+def test_numpy_loads_only_for_the_sampled_observations(tmp_path):
+    path = write_net(tmp_path, green16())
+    commands = [
+        "build green16",
+        f"stats {path}",
+        f"diagram {path} --format svg",
+        f"verify {path}",
+        f"poset {path} --restrict M",
+        *(f"checks {name}" for name in sorted(_CHECKS)),
+        "majority 15",
+        "observations --samples 10",
+    ]
+    src = str(Path(sortnet16.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *commands],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line.split()[1] == "True" for line in proc.stdout.splitlines()]
+    assert loaded == [False] * (len(commands) - 1) + [True]

@@ -270,8 +270,9 @@ def test_dot_restriction(green):
 
 
 def test_dot_rejects_degenerate_relation():
-    bogus = Poset(2, (0b11, 0b11))
+    # A Poset refuses forced equality when it is built, so no DOT is drawn.
     with pytest.raises(DegenerateOrderError):
+        bogus = Poset(2, (0b11, 0b11))
         render_poset_dot(bogus)
 
 

@@ -128,8 +128,8 @@ def test_width_25_gets_a_verdict():
 
 
 def test_early_failure_skips_the_sweep():
-    # Input 4 already fails, so the probe of the first 4096 inputs answers;
-    # the 25 rows of a full sweep would take ~100 MB.
+    # Input 4 already fails, so the first block of 4096 inputs answers; the
+    # 2**25 inputs past it are never evaluated.
     net = Network(25, ((23, 24),))
     tracemalloc.start()
     try:
@@ -139,6 +139,24 @@ def test_early_failure_skips_the_sweep():
         tracemalloc.stop()
     assert verdict == SortVerdict(False, (0,) * 22 + (1, 0, 0))
     assert peak < 1 << 20, peak
+
+
+def test_sweep_memory_is_one_block():
+    # The 22-wire odd-even transposition sorter must be swept over all 2**22
+    # inputs, one block of 2**BLOCK_BITS inputs at a time: 22 slices of
+    # 8 KB, where slices over all inputs would take 11.5 MB.
+    width = 22
+    net = Network(width, [(i, i + 1) for r in range(width) for i in range(r % 2, width - 1, 2)])
+    tracemalloc.start()
+    try:
+        verdict = verify_sorts_binary(net)
+        poset = infer_poset(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == SortVerdict(True)
+    assert poset.is_total_chain()
+    assert peak < 4 << 20, peak
 
 
 def test_infer_poset_single_comparator():
