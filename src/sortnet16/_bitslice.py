@@ -6,33 +6,35 @@ runs on input number v.  Input v maps to the vector whose wire-0 bit is the
 lexicographic order of input vectors.  A slice is a Python int, and a
 comparator is one AND (the minimum) plus one OR (the maximum) of two slices.
 
-``evaluate`` runs a network on one block of inputs: the 2**bits inputs from
-a multiple of 2**bits.  The wires driven by the low ``bits`` input bits get
-a fixed pattern; the others are constant over the block, 0 or all ones, and
-a comparator that meets a constant only moves slices.  ``analysis`` counts
-ones on the slices with ``at_least``, and ``circuits`` evaluates gates on
-them.
+``evaluate`` runs a network on the first 2**bits inputs.  ``analysis``
+counts ones on the slices with ``at_least``, and ``circuits`` evaluates
+gates on them.
 
 The two reductions walk all 2**width inputs in index order, one block at a
 time.  The first block is inputs 0 .. 2**PROBE_BITS - 1; each later one is
 as large as all the inputs before it, up to 2**BLOCK_BITS, so an evaluation
-holds at most width * 2**BLOCK_BITS bits.  ``first_unsorted`` stops at the
-first block with a failing input: its least failing input is the least of
-all.  ``leq_masks`` takes as candidates the wire pairs the first block does
-not refute.  Each later block refutes candidates, skipping a pair that two
-pairs verified on the same block imply by transitivity, and the walk stops
-once no candidate is left.
+holds at most width * 2**BLOCK_BITS bits.  In a block of 2**bits inputs the
+wires driven by the low ``bits`` input bits get a fixed pattern; the others
+are constant over the block, 0 or all ones, and a comparator that meets a
+constant only moves slices.  The blocks of the largest size repeat, and a
+comparator no constant reaches computes the same slices in each of them, so
+it runs once per sweep.  ``first_unsorted`` stops at the first block with a
+failing input: its least failing input is the least of all.  ``leq_masks``
+takes as candidates the wire pairs the first block does not refute.  Each
+later block refutes candidates, skipping a pair that two pairs verified on
+the same block imply by transitivity, and the walk stops once no candidate
+is left.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # Widest input space the engine evaluates.  A budget of time, not memory:
-# the 26-wire odd-even transposition sorter takes 0.3-0.6 s to verify and
-# 0.4-0.8 s for its poset (2-vCPU VM, whose speed varies between runs), and
-# each wire more doubles that.
+# the 26-wire odd-even transposition sorter takes 0.25-0.27 s to verify and
+# 0.31-0.36 s for its poset (three runs each, 2-vCPU VM, which runs up
+# to ~1.6x slower in its slow spells), and each wire more doubles that.
 MAX_WIDTH = 26
 
 # The first block: 2**PROBE_BITS inputs, small enough that a network failing
@@ -43,7 +45,9 @@ PROBE_BITS = 12
 # poset on sorters and random networks of 18 and 20 wires.  Smaller blocks
 # pay more interpreter overhead (2**15 took ~19% longer than 2**16).  At
 # 2**17 the C allocator handed the slices a call frees back to the system,
-# so each later call faulted ~100 fresh pages in and took 10-25% longer.
+# so each later call faulted ~100 fresh pages in and took 10-25% longer;
+# with the once-per-sweep comparators, 2**17 and 2**18 blocks ran the kernel
+# 3% and 7% slower than 2**16 even without such faults.
 # Input slices of every block are cut from one table of BLOCK_BITS patterns
 # built on first use; wider ones (only a whole-input ``evaluate`` asks for
 # them) are built per call.
@@ -88,25 +92,32 @@ def lowest(bits: int) -> int:
 
 
 def evaluate(
-    width: int, lows: Sequence[int], highs: Sequence[int], bits: int | None = None, start: int = 0
+    width: int, lows: Sequence[int], highs: Sequence[int], bits: int | None = None
 ) -> list[int]:
-    """Final slices, one int per wire, over inputs start .. start + 2**bits - 1
-    (all 2**width inputs by default); ``start`` is a multiple of 2**bits."""
+    """Final slices, one int per wire, over inputs 0 .. 2**bits - 1 (all
+    2**width inputs by default)."""
     check_width(width)
     if bits is None:
         bits = width
-    full = (1 << (1 << bits)) - 1
-    # Wire i is driven by input bit width-1-i, which is constant over the
-    # block for the top width-bits wires.
-    rows = [full if start >> j & 1 else 0 for j in range(width - 1, bits - 1, -1)]
+    # Wire i is driven by input bit width-1-i, which is 0 over these inputs
+    # for the top width-bits wires.
+    rows = [0] * (width - bits)
     if bits > BLOCK_BITS:
         rows += [_pattern(j, bits) for j in reversed(range(bits))]
     else:
         rows += _patterns(bits)
-    for a, b in zip(lows, highs):
+    return _compare(rows, zip(lows, highs), (1 << (1 << bits)) - 1)
+
+
+def _compare(rows: list[int], pairs: Iterable[tuple[int, int]], full: int) -> list[int]:
+    """Apply comparators to the slices ``rows`` in place and return them.
+
+    A comparator that meets a constant slice, 0 or ``full``, only moves
+    slices.  ``full`` is tested by identity: a computed all-ones slice just
+    takes the general path.
+    """
+    for a, b in pairs:
         x, y = rows[a], rows[b]
-        # Constants are tested by identity: a computed all-ones slice just
-        # takes the general path.
         if not x or y is full:
             continue
         if x is full or not y:
@@ -140,10 +151,47 @@ def _blocks(width: int) -> Iterator[tuple[int, int]]:
         bits = min(BLOCK_BITS, start.bit_length() - 1)
 
 
+def _split(
+    width: int, lows: Sequence[int], highs: Sequence[int], bits: int
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Slices of wires width-bits .. width-1 after the comparators that no
+    constant wire reaches, over inputs 0 .. 2**bits - 1 (the same in every
+    block of that size), and the other comparators, in order."""
+    reached = [i < width - bits for i in range(width)]
+    once: tuple[list[int], list[int]] = ([], [])
+    rest = []
+    for a, b in zip(lows, highs):
+        if reached[a] or reached[b]:
+            reached[a] = reached[b] = True
+            rest.append((a, b))
+        else:
+            once[0].append(a)
+            once[1].append(b)
+    return evaluate(width, *once, bits)[width - bits :], rest
+
+
+def _sweep(width: int, lows: Sequence[int], highs: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
+    """(start, final slices) of each block of inputs, in index order."""
+    check_width(width)
+    split = None
+    for bits, start in _blocks(width):
+        if bits < BLOCK_BITS:
+            low, rest = _patterns(bits), zip(lows, highs)
+        else:
+            if split is None:
+                split = _split(width, lows, highs, bits)
+            low, rest = split
+        full = (1 << (1 << bits)) - 1
+        # Wire i is driven by input bit width-1-i, which is constant over
+        # the block for the top width-bits wires.
+        rows = [full if start >> j & 1 else 0 for j in range(width - 1, bits - 1, -1)]
+        rows += low
+        yield start, _compare(rows, rest, full)
+
+
 def first_unsorted(width: int, lows: Sequence[int], highs: Sequence[int]) -> int:
     """Least input index whose output is not non-decreasing, or -1."""
-    for bits, start in _blocks(width):
-        rows = evaluate(width, lows, highs, bits, start)
+    for start, rows in _sweep(width, lows, highs):
         bad = [lo ^ m for lo, hi in zip(rows, rows[1:]) if (m := lo & hi) != lo]
         if bad:
             return start + min(map(lowest, bad))
@@ -155,8 +203,8 @@ def leq_masks(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[int
 
     Bit b of row a is set iff no binary input yields wire a = 1, wire b = 0.
     """
-    blocks = _blocks(width)
-    first = evaluate(width, lows, highs, *next(blocks))
+    blocks = _sweep(width, lows, highs)
+    _, first = next(blocks)
     # Candidates: the pairs the first block does not refute, a superset of
     # the answer.
     cand = [
@@ -171,10 +219,7 @@ def leq_masks(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[int
         ((a, b) for a in range(width) for b in range(width) if cand[a] >> b & 1),
         key=lambda p: ((cand[p[0]] & inv[p[1]]).bit_count(), abs(p[1] - p[0])),
     )
-    for bits, start in blocks:
-        if not pairs:
-            break
-        rows = evaluate(width, lows, highs, bits, start)
+    for _, rows in blocks if pairs else ():
         above = [0] * width  # pairs verified on this block, by row and by column
         below = [0] * width
         kept = []
@@ -184,6 +229,8 @@ def leq_masks(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[int
                 below[b] |= 1 << a
                 kept.append((a, b))
         pairs = kept
+        if not pairs:
+            break
     masks = [1 << a for a in range(width)]
     for a, b in pairs:
         masks[a] |= 1 << b

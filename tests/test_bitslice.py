@@ -122,19 +122,23 @@ def test_probe_rows_are_the_first_columns_of_the_slices():
             assert _bitslice.evaluate(width, lows, highs, bits) == first
 
 
-@pytest.mark.parametrize("width", range(PROBE_BITS + 1, 17))
+@pytest.mark.parametrize("width", range(PROBE_BITS + 1, BLOCK_BITS + 3))
 def test_sweep_rows_equal_the_int_slices(width):
     # Each block the reductions sweep holds the bits of the whole-input
-    # slices from its start on.
+    # slices from its start on.  Past BLOCK_BITS the largest blocks repeat
+    # and share the comparators no constant wire reaches: a sorter has many.
     rng = random.Random(0x5E1 + width)
     nets = [Network(width)] if width == PROBE_BITS + 1 else []
     nets += [random_network(rng, width=width, size=s) for s in (width, 6 * width)]
+    nets.append(Network(width, sorter(width)))
     for net in nets:
         lows, highs = wire_lists(net)
         whole = _bitslice.evaluate(width, lows, highs)
-        for bits, start in _bitslice._blocks(width):
+        blocks = list(_bitslice._blocks(width))
+        swept = list(_bitslice._sweep(width, lows, highs))
+        assert [start for start, _ in swept] == [start for _, start in blocks]
+        for (bits, start), (_, block) in zip(blocks, swept):
             mask = (1 << (1 << bits)) - 1
-            block = _bitslice.evaluate(width, lows, highs, bits, start)
             assert block == [row >> start & mask for row in whole]
 
 
