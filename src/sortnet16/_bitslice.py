@@ -6,9 +6,13 @@ runs on input number v.  Input v maps to the vector whose wire-0 bit is the
 lexicographic order of input vectors.  A slice is a Python int, and a
 comparator is one AND (the minimum) plus one OR (the maximum) of two slices.
 
-``evaluate`` runs a network on the first 2**bits inputs.  ``analysis``
-counts ones on the slices with ``at_least``, and ``circuits`` evaluates
-gates on them.
+A network reaches the engine as its width and one sequence of
+``(low, high)`` wire pairs, ``Network.pairs()``: ``evaluate(width, pairs)``,
+``first_unsorted(width, pairs)``, ``leq_masks(width, pairs)``.  ``Network``
+has checked the pairs; the engine checks only the width.  ``evaluate`` runs
+a network on the first 2**bits inputs.  ``analysis`` counts ones on the
+slices with ``at_least``, and ``circuits.is_threshold`` evaluates gates on
+the input slices of each block (``blocks``, ``block_inputs``).
 
 The two reductions walk all 2**width inputs in index order, one block at a
 time.  The first block is inputs 0 .. 2**PROBE_BITS - 1; each later one is
@@ -91,9 +95,7 @@ def lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def evaluate(
-    width: int, lows: Sequence[int], highs: Sequence[int], bits: int | None = None
-) -> list[int]:
+def evaluate(width: int, pairs: Iterable[tuple[int, int]], bits: int | None = None) -> list[int]:
     """Final slices, one int per wire, over inputs 0 .. 2**bits - 1 (all
     2**width inputs by default)."""
     check_width(width)
@@ -106,7 +108,7 @@ def evaluate(
         rows += [_pattern(j, bits) for j in reversed(range(bits))]
     else:
         rows += _patterns(bits)
-    return _compare(rows, zip(lows, highs), (1 << (1 << bits)) - 1)
+    return _compare(rows, pairs, (1 << (1 << bits)) - 1)
 
 
 def _compare(rows: list[int], pairs: Iterable[tuple[int, int]], full: int) -> list[int]:
@@ -142,8 +144,9 @@ def at_least(rows: Sequence[int], full: int, k: int | None = None) -> list[int]:
     return counts
 
 
-def _blocks(width: int) -> Iterator[tuple[int, int]]:
+def blocks(width: int) -> Iterator[tuple[int, int]]:
     """(bits, start) of each block of inputs, in index order."""
+    check_width(width)
     bits, start = min(width, PROBE_BITS), 0
     while start < 1 << width:
         yield bits, start
@@ -151,62 +154,64 @@ def _blocks(width: int) -> Iterator[tuple[int, int]]:
         bits = min(BLOCK_BITS, start.bit_length() - 1)
 
 
+def block_inputs(width: int, bits: int, start: int, full: int) -> list[int]:
+    """Input slices of the 2**bits inputs from ``start``, one per wire;
+    ``full`` is their all-ones slice."""
+    # Wire i is driven by input bit width-1-i, which is constant over the
+    # block for the top width-bits wires.
+    rows = [full if start >> j & 1 else 0 for j in range(width - 1, bits - 1, -1)]
+    rows += _patterns(bits)
+    return rows
+
+
 def _split(
-    width: int, lows: Sequence[int], highs: Sequence[int], bits: int
+    width: int, pairs: Iterable[tuple[int, int]], bits: int
 ) -> tuple[list[int], list[tuple[int, int]]]:
     """Slices of wires width-bits .. width-1 after the comparators that no
     constant wire reaches, over inputs 0 .. 2**bits - 1 (the same in every
     block of that size), and the other comparators, in order."""
     reached = [i < width - bits for i in range(width)]
-    once: tuple[list[int], list[int]] = ([], [])
-    rest = []
-    for a, b in zip(lows, highs):
+    once, rest = [], []
+    for a, b in pairs:
         if reached[a] or reached[b]:
             reached[a] = reached[b] = True
             rest.append((a, b))
         else:
-            once[0].append(a)
-            once[1].append(b)
-    return evaluate(width, *once, bits)[width - bits :], rest
+            once.append((a, b))
+    return evaluate(width, once, bits)[width - bits :], rest
 
 
-def _sweep(width: int, lows: Sequence[int], highs: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
+def _sweep(width: int, pairs: Sequence[tuple[int, int]]) -> Iterator[tuple[int, list[int]]]:
     """(start, final slices) of each block of inputs, in index order."""
-    check_width(width)
     split = None
-    for bits, start in _blocks(width):
-        if bits < BLOCK_BITS:
-            low, rest = _patterns(bits), zip(lows, highs)
-        else:
-            if split is None:
-                split = _split(width, lows, highs, bits)
-            low, rest = split
+    for bits, start in blocks(width):
         full = (1 << (1 << bits)) - 1
-        # Wire i is driven by input bit width-1-i, which is constant over
-        # the block for the top width-bits wires.
-        rows = [full if start >> j & 1 else 0 for j in range(width - 1, bits - 1, -1)]
-        rows += low
+        rows, rest = block_inputs(width, bits, start, full), pairs
+        if bits == BLOCK_BITS:
+            if split is None:
+                split = _split(width, pairs, bits)
+            rows[width - bits :], rest = split
         yield start, _compare(rows, rest, full)
 
 
-def first_unsorted(width: int, lows: Sequence[int], highs: Sequence[int]) -> int:
+def first_unsorted(width: int, pairs: Sequence[tuple[int, int]]) -> int:
     """Least input index whose output is not non-decreasing, or -1."""
-    for start, rows in _sweep(width, lows, highs):
+    for start, rows in _sweep(width, pairs):
         bad = [lo ^ m for lo, hi in zip(rows, rows[1:]) if (m := lo & hi) != lo]
         if bad:
             return start + min(map(lowest, bad))
     return -1
 
 
-def leq_masks(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[int]:
+def leq_masks(width: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
     """Per-wire bitmask rows of the always-at-most relation.
 
     Bit b of row a is set iff no binary input yields wire a = 1, wire b = 0.
     """
-    blocks = _sweep(width, lows, highs)
-    _, first = next(blocks)
-    # Candidates: the pairs the first block does not refute, a superset of
-    # the answer.
+    swept = _sweep(width, pairs)
+    _, first = next(swept)
+    # Candidates: the wire pairs the first block does not refute, a superset
+    # of the answer.
     cand = [
         sum(1 << b for b in range(width) if b != a and first[a] & first[b] == first[a])
         for a in range(width)
@@ -215,23 +220,23 @@ def leq_masks(width: int, lows: Sequence[int], highs: Sequence[int]) -> list[int
     # Test pairs with fewer candidate wires between them first (nearer wires
     # first among equals), so that a pair two verified pairs already imply by
     # transitivity is skipped.  The order affects only how many pairs are tested.
-    pairs = sorted(
+    leq = sorted(
         ((a, b) for a in range(width) for b in range(width) if cand[a] >> b & 1),
         key=lambda p: ((cand[p[0]] & inv[p[1]]).bit_count(), abs(p[1] - p[0])),
     )
-    for _, rows in blocks if pairs else ():
+    for _, rows in swept if leq else ():
         above = [0] * width  # pairs verified on this block, by row and by column
         below = [0] * width
         kept = []
-        for a, b in pairs:
+        for a, b in leq:
             if above[a] & below[b] or rows[a] & rows[b] == rows[a]:
                 above[a] |= 1 << b
                 below[b] |= 1 << a
                 kept.append((a, b))
-        pairs = kept
-        if not pairs:
+        leq = kept
+        if not leq:
             break
     masks = [1 << a for a in range(width)]
-    for a, b in pairs:
+    for a, b in leq:
         masks[a] |= 1 << b
     return masks

@@ -118,9 +118,7 @@ def check_cube_poset(net: Network, n: int) -> bool:
 
 def _exhaustive_masks(prefix: Network) -> dict[str, int]:
     """Claim slices over all 2**16 binary inputs (see the module docstring)."""
-    out = _bitslice.evaluate(
-        16, [c.low for c in prefix.comparators], [c.high for c in prefix.comparators]
-    )
+    out = _bitslice.evaluate(16, prefix.pairs())
     full = _FULL16
     t = _bitslice.at_least(out, full)  # rank r is t[16 - r]
     l1 = _bitslice.at_least([out[w] for w in CUBE_LAYER1], full)

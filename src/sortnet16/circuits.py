@@ -10,14 +10,20 @@ majority circuits for 16 variables, and for 15 after pinning one input.
 Gate operands and outputs are integer indices into the circuit's list of
 values: 0 and 1 are the constants, 2 .. n+1 the inputs x0 .. x(n-1) of an
 n-input circuit, and n+2+g the output of gate g.  Only ``render_gate_list``
-turns them into names (``0``, ``1``, ``x<i>``, ``g<id>``).
+turns them into names (``0``, ``1``, ``x<i>``, ``g<id>``).  A ``Gate`` is a
+plain ``(kind, a, b)`` record; the ``MonotoneCircuit`` that holds it checks
+its kind and operands.
+
+Truth tables are slices as in ``_bitslice``.  ``is_threshold`` walks the
+inputs in the slice engine's blocks, so each value it holds has at most
+2**BLOCK_BITS bits, whatever the number of inputs.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _bitslice
 from .constructions import van_voorhis16
@@ -27,17 +33,12 @@ AND = "AND"
 OR = "OR"
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """AND or OR of the values at indices ``a`` and ``b``."""
 
     kind: str
     a: int
     b: int
-
-    def __post_init__(self):
-        if self.kind not in (AND, OR):
-            raise ValueError(f"gate kind must be AND or OR, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class MonotoneCircuit:
     """Acyclic gate list over ``n_inputs`` inputs with one value index per
     output wire.  Gate g may only reference the constants, the inputs and
     earlier gates (indices below n_inputs + 2 + g), so acyclicity holds by
-    construction."""
+    construction.  Construction checks every gate's kind and operands."""
 
     n_inputs: int
     gates: tuple[Gate, ...]
@@ -53,8 +54,10 @@ class MonotoneCircuit:
 
     def __post_init__(self):
         base = self.n_inputs + 2
-        for gid, g in enumerate(self.gates):
-            for ref in (g.a, g.b):
+        for gid, (kind, a, b) in enumerate(self.gates):
+            if kind not in (AND, OR):
+                raise ValueError(f"gate kind must be AND or OR, got {kind!r}")
+            for ref in (a, b):
                 if not 0 <= operator.index(ref) < base + gid:
                     raise ValueError(f"gate g{gid} has bad operand {ref!r}")
         for ref in self.outputs:
@@ -82,16 +85,9 @@ def evaluate_slices(
     if len(input_slices) != circuit.n_inputs:
         raise ValueError(f"{len(input_slices)} input slices for {circuit.n_inputs} inputs")
     vals = [0, (1 << nbits) - 1, *input_slices]
-    for g in circuit.gates:
-        vals.append(vals[g.a] & vals[g.b] if g.kind == AND else vals[g.a] | vals[g.b])
+    for kind, a, b in circuit.gates:
+        vals.append(vals[a] & vals[b] if kind == AND else vals[a] | vals[b])
     return [vals[r] for r in circuit.outputs]
-
-
-def evaluate_all(circuit: MonotoneCircuit) -> list[int]:
-    """Output slices over all 2**n_inputs binary inputs (see _bitslice for
-    the slice layout)."""
-    n = circuit.n_inputs
-    return evaluate_slices(circuit, _bitslice.evaluate(n, [], []), 1 << n)
 
 
 def cone_depth(circuit: MonotoneCircuit, wire: int) -> int:
@@ -99,8 +95,8 @@ def cone_depth(circuit: MonotoneCircuit, wire: int) -> int:
     if not 0 <= wire < len(circuit.outputs):
         raise ValueError(f"no output wire {wire}")
     depths = [0] * (circuit.n_inputs + 2)
-    for g in circuit.gates:
-        depths.append(1 + max(depths[g.a], depths[g.b]))
+    for _, a, b in circuit.gates:
+        depths.append(1 + max(depths[a], depths[b]))
     return depths[circuit.outputs[wire]]
 
 
@@ -153,21 +149,19 @@ def specialize(circuit: MonotoneCircuit, input_index: int, bit: int) -> Monotone
     return MonotoneCircuit(n - 1, tuple(gates), tuple(renumber[r] for r in outputs))
 
 
-def threshold_slice(n: int, k: int) -> int:
-    """Slice of the k-of-n threshold function over all 2**n inputs."""
-    inputs = _bitslice.evaluate(n, [], [])
-    full = (1 << (1 << n)) - 1
-    if k <= 0:
-        return full
-    return _bitslice.at_least(inputs, full, k)[k]
-
-
 def is_threshold(circuit: MonotoneCircuit, wire: int, k: int) -> bool:
-    """Exhaustively compare one output against the k-of-n threshold."""
+    """Exhaustively compare one output against the k-of-n threshold, one
+    block of inputs at a time; the first block that differs ends the check."""
     n = circuit.n_inputs
     if not 0 <= wire < len(circuit.outputs):
         raise ValueError(f"no output wire {wire}")
-    return evaluate_all(circuit)[wire] == threshold_slice(n, k)
+    for bits, start in _bitslice.blocks(n):
+        full = (1 << (1 << bits)) - 1
+        inputs = _bitslice.block_inputs(n, bits, start, full)
+        want = _bitslice.at_least(inputs, full, k)[k] if k > 0 else full
+        if evaluate_slices(circuit, inputs, 1 << bits)[wire] != want:
+            return False
+    return True
 
 
 def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):

@@ -9,11 +9,12 @@ maximum always travels toward the highest wire index.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class Phase(str, Enum):
@@ -33,26 +34,14 @@ class Phase(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Comparator:
+class Comparator(NamedTuple):
     """A single min/max gadget between two wires, optionally tagged with the
-    structural block it belongs to."""
+    structural block it belongs to.  A plain record: the ``Network`` that
+    holds it checks its wires."""
 
     low: int
     high: int
     tag: Phase | None = None
-
-    def __post_init__(self):
-        if not 0 <= self.low < self.high:
-            raise ValueError(
-                f"comparator ({self.low}, {self.high}) needs 0 <= low < high"
-            )
-
-
-def _as_comparator(item) -> Comparator:
-    if isinstance(item, Comparator):
-        return item
-    return Comparator(*item)
 
 
 @dataclass(frozen=True)
@@ -60,29 +49,33 @@ class Network:
     """An ordered sequence of comparators on ``width`` wires.
 
     Comparators may be given as ``Comparator`` instances or bare
-    ``(low, high)`` pairs; pairs are normalised on construction.
+    ``(low, high)`` pairs; pairs are normalised on construction.  This is
+    the one place that checks wires: each must be an int (read through
+    ``operator.index``) with ``0 <= low < high < width``.
     """
 
     width: int
     comparators: tuple[Comparator, ...] = ()
 
     def __post_init__(self):
-        if self.width < 1:
+        index = operator.index
+        width = index(self.width)
+        if width < 1:
             raise ValueError("network width must be at least 1")
-        comps = tuple(_as_comparator(c) for c in self.comparators)
-        for c in comps:
-            if c.high >= self.width:
-                raise ValueError(
-                    f"comparator ({c.low}, {c.high}) exceeds width {self.width}"
-                )
-        object.__setattr__(self, "comparators", comps)
+        comps = []
+        for c in self.comparators:
+            if type(c) is not Comparator:
+                c = Comparator(*c)
+            low, high, _ = c
+            if not 0 <= index(low) < index(high):
+                raise ValueError(f"comparator ({low}, {high}) needs 0 <= low < high")
+            if high >= width:
+                raise ValueError(f"comparator ({low}, {high}) exceeds width {width}")
+            comps.append(c)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "comparators", tuple(comps))
 
     def __len__(self) -> int:
-        return len(self.comparators)
-
-    @property
-    def size(self) -> int:
-        """Number of comparators (the network's complexity)."""
         return len(self.comparators)
 
     def apply(self, values: Sequence) -> list:
@@ -129,7 +122,9 @@ class Network:
         return counts
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [(c.low, c.high) for c in self.comparators]
+        """The comparators as bare ``(low, high)`` pairs, the slice engine's
+        input."""
+        return [(low, high) for low, high, _ in self.comparators]
 
 
 def concat(a: Network, b: Network) -> Network:

@@ -3,7 +3,9 @@
 By the zero-one principle a network sorts every input iff it sorts every
 binary input, so every verdict here covers the full 2**width binary input
 space.  The slice engine in ``_bitslice``, reached through the module
-attribute ``_backend``, is the only verifier.  It walks the inputs in
+attribute ``_backend``, is the only verifier.  It takes the network as
+its width and ``net.pairs()``, the bare ``(low, high)`` wire pairs that
+``Network`` has already checked.  It walks the inputs in
 index order, in blocks of one Python int per wire: the first 2**12
 inputs, then blocks as large as all the inputs before them, up to
 2**BLOCK_BITS.  A failure ends the check at its block, and order
@@ -31,10 +33,6 @@ class DegenerateOrderError(ValueError):
     """Two distinct wires carry equal values on every binary input."""
 
 
-def _wire_lists(net: Network) -> tuple[list[int], list[int]]:
-    return [c.low for c in net.comparators], [c.high for c in net.comparators]
-
-
 @dataclass(frozen=True)
 class SortVerdict:
     """Outcome of exhaustive verification.
@@ -56,8 +54,7 @@ def verify_sorts_binary(net: Network) -> SortVerdict:
     The inputs are swept in index order, block by block, and the first
     block with a failing input ends the sweep.
     """
-    lows, highs = _wire_lists(net)
-    bad = _backend.first_unsorted(net.width, lows, highs)
+    bad = _backend.first_unsorted(net.width, net.pairs())
     if bad < 0:
         return SortVerdict(True)
     return SortVerdict(False, _backend.vector_of(bad, net.width))
@@ -167,6 +164,5 @@ def poset_from_rows(width: int, rows: Sequence[int]) -> Poset:
 
 def infer_poset(net: Network) -> Poset:
     """Infer the known-at-most relation over all binary inputs."""
-    lows, highs = _wire_lists(net)
-    rows = _backend.leq_masks(net.width, lows, highs)
+    rows = _backend.leq_masks(net.width, net.pairs())
     return poset_from_rows(net.width, rows)

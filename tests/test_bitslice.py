@@ -12,10 +12,6 @@ from sortnet16._bitslice import BLOCK_BITS, PROBE_BITS
 from test_network import random_network
 
 
-def wire_lists(net):
-    return [c.low for c in net.comparators], [c.high for c in net.comparators]
-
-
 def bits_of(index, width):
     return [(index >> (width - 1 - i)) & 1 for i in range(width)]
 
@@ -74,16 +70,15 @@ def assert_slices_match_apply(net, slices, inputs):
 
 
 def assert_engine_matches_apply(net):
-    lows, highs = wire_lists(net)
-    assert _bitslice.first_unsorted(net.width, lows, highs) == least_failing_index(net)
-    assert _bitslice.leq_masks(net.width, lows, highs) == brute_force_rows(net)
+    assert _bitslice.first_unsorted(net.width, net.pairs()) == least_failing_index(net)
+    assert _bitslice.leq_masks(net.width, net.pairs()) == brute_force_rows(net)
 
 
 @pytest.mark.parametrize("width", range(1, 13))
 def test_empty_networks(width):
     net = Network(width)
     assert_engine_matches_apply(net)
-    slices = _bitslice.evaluate(width, [], [])
+    slices = _bitslice.evaluate(width, [])
     assert len(slices) == width
     assert_slices_match_apply(net, slices, range(1 << width))
     # No bit is set past the last input.
@@ -106,10 +101,9 @@ def sorter(width):
 
 
 def assert_engine_matches_columns(net):
-    lows, highs = wire_lists(net)
     first, rows = column_oracle(net)
-    assert _bitslice.first_unsorted(net.width, lows, highs) == first
-    assert _bitslice.leq_masks(net.width, lows, highs) == rows
+    assert _bitslice.first_unsorted(net.width, net.pairs()) == first
+    assert _bitslice.leq_masks(net.width, net.pairs()) == rows
 
 
 def test_probe_rows_are_the_first_columns_of_the_slices():
@@ -117,9 +111,9 @@ def test_probe_rows_are_the_first_columns_of_the_slices():
     for width in range(1, 17):
         bits = min(width, PROBE_BITS)
         for size in (0, 3 * width if width > 1 else 0):
-            lows, highs = wire_lists(random_network(rng, width=width, size=size))
-            first = [row % (1 << (1 << bits)) for row in _bitslice.evaluate(width, lows, highs)]
-            assert _bitslice.evaluate(width, lows, highs, bits) == first
+            pairs = random_network(rng, width=width, size=size).pairs()
+            first = [row % (1 << (1 << bits)) for row in _bitslice.evaluate(width, pairs)]
+            assert _bitslice.evaluate(width, pairs, bits) == first
 
 
 @pytest.mark.parametrize("width", range(PROBE_BITS + 1, BLOCK_BITS + 3))
@@ -132,10 +126,9 @@ def test_sweep_rows_equal_the_int_slices(width):
     nets += [random_network(rng, width=width, size=s) for s in (width, 6 * width)]
     nets.append(Network(width, sorter(width)))
     for net in nets:
-        lows, highs = wire_lists(net)
-        whole = _bitslice.evaluate(width, lows, highs)
-        blocks = list(_bitslice._blocks(width))
-        swept = list(_bitslice._sweep(width, lows, highs))
+        whole = _bitslice.evaluate(width, net.pairs())
+        blocks = list(_bitslice.blocks(width))
+        swept = list(_bitslice._sweep(width, net.pairs()))
         assert [start for start, _ in swept] == [start for _, start in blocks]
         for (bits, start), (_, block) in zip(blocks, swept):
             mask = (1 << (1 << bits)) - 1
@@ -158,7 +151,7 @@ def test_first_failure_just_past_the_probe(k):
     # PROBE_BITS + 1, and the last for BLOCK_BITS.
     net = Network(k + 1, [(a + 1, b + 1) for a, b in sorter(k)])
     assert_engine_matches_columns(net)
-    assert _bitslice.first_unsorted(k + 1, *wire_lists(net)) == 1 << k
+    assert _bitslice.first_unsorted(k + 1, net.pairs()) == 1 << k
     if k == PROBE_BITS:
         assert least_failing_index(net) == 1 << k
         assert_engine_matches_apply(net)
@@ -171,7 +164,7 @@ def test_failure_only_in_the_last_block():
     sink = [(i, i + 1) for i in range(width - 2, 0, -1)]
     net = Network(width, sorter(width - 1) + sink)
     assert_engine_matches_columns(net)
-    assert _bitslice.first_unsorted(width, *wire_lists(net)) == (1 << width) - 2
+    assert _bitslice.first_unsorted(width, net.pairs()) == (1 << width) - 2
 
 
 @pytest.mark.parametrize("width", [BLOCK_BITS - 1, BLOCK_BITS, BLOCK_BITS + 1])
@@ -197,7 +190,7 @@ def test_random_sorters_and_non_sorters_past_the_probe(width):
     # Without its first comparator, (0, 1), the sorter fails only past the
     # probe on these networks; without a random one it mostly fails inside.
     late = Network(width, prefix + tuple(suffix[1:]))
-    assert _bitslice.first_unsorted(width, *wire_lists(late)) >= 1 << PROBE_BITS
+    assert _bitslice.first_unsorted(width, late.pairs()) >= 1 << PROBE_BITS
     assert_engine_matches_apply(late)
     del suffix[rng.randrange(len(suffix))]
     assert_engine_matches_apply(Network(width, prefix + tuple(suffix)))
@@ -207,26 +200,25 @@ def test_evaluate_matches_apply_bit_for_bit():
     rng = random.Random(0xB17)
     for _ in range(40):
         net = random_network(rng, width=rng.randint(2, 9))
-        slices = _bitslice.evaluate(net.width, *wire_lists(net))
+        slices = _bitslice.evaluate(net.width, net.pairs())
         assert_slices_match_apply(net, slices, range(1 << net.width))
 
 
 @pytest.mark.parametrize("build", [green16, van_voorhis16])
 def test_the_classics(build):
     net = build()
-    lows, highs = wire_lists(net)
-    assert _bitslice.first_unsorted(16, lows, highs) == -1
+    assert _bitslice.first_unsorted(16, net.pairs()) == -1
     # A sorter's outputs form one chain: wire a is at most every wire above it.
     chain = [sum(1 << b for b in range(a, 16)) for a in range(16)]
-    assert _bitslice.leq_masks(16, lows, highs) == chain
-    slices = _bitslice.evaluate(16, lows, highs)
+    assert _bitslice.leq_masks(16, net.pairs()) == chain
+    slices = _bitslice.evaluate(16, net.pairs())
     assert_slices_match_apply(net, slices, random.Random(0xC1A5).sample(range(1 << 16), 2000))
 
 
 def test_width_ceiling():
     for fn in (_bitslice.first_unsorted, _bitslice.leq_masks, _bitslice.evaluate):
         with pytest.raises(ValueError):
-            fn(_bitslice.MAX_WIDTH + 1, [], [])
+            fn(_bitslice.MAX_WIDTH + 1, [])
 
 
 @pytest.mark.parametrize("k", [None, 0, 2, 9])
@@ -247,7 +239,7 @@ def test_at_least_counts_ones_per_input(k):
 def test_input_slices_across_the_cached_table(width):
     # Up to BLOCK_BITS input bits the slices are cut from one cached table,
     # above it they are built per call: both follow vector_of.
-    slices = _bitslice.evaluate(width, [], [])
+    slices = _bitslice.evaluate(width, [])
     assert all(row >> (1 << width) == 0 for row in slices)
     rng = random.Random(width)
     last = (1 << width) - 1

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,7 +22,7 @@ from sortnet16 import (
     van_voorhis16,
 )
 from sortnet16 import _bitslice
-from sortnet16.circuits import evaluate_all, evaluate_slices, threshold_slice
+from sortnet16.circuits import evaluate_slices
 
 from test_bitslice import bits_of, slice_bit
 from test_network import random_network
@@ -45,9 +46,21 @@ def constructed_networks():
 
 
 def network_slices(net):
-    lows = [c.low for c in net.comparators]
-    highs = [c.high for c in net.comparators]
-    return _bitslice.evaluate(net.width, lows, highs)
+    return _bitslice.evaluate(net.width, net.pairs())
+
+
+def evaluate_all(circuit):
+    """Output slices over all 2**n_inputs binary inputs at once."""
+    n = circuit.n_inputs
+    return evaluate_slices(circuit, _bitslice.evaluate(n, []), 1 << n)
+
+
+def threshold_slice(n, k):
+    """Slice of the k-of-n threshold function over all 2**n inputs."""
+    full = (1 << (1 << n)) - 1
+    if k <= 0:
+        return full
+    return _bitslice.at_least(_bitslice.evaluate(n, []), full, k)[k]
 
 
 def test_single_comparator_circuit():
@@ -124,6 +137,38 @@ def test_is_threshold_examples(vv):
     assert not is_threshold(vv_circuit, 8, 7)
 
 
+def test_is_threshold_matches_whole_input_slices():
+    # is_threshold walks the engine's blocks; past PROBE_BITS inputs there
+    # are several, and constant input rows in all but the first.
+    rng = random.Random(0x7E5)
+    nets = [Network(1), sorter4(), batcher_sorter(16)] + [
+        random_network(rng, width, rng.randint(0, 3 * width)) for width in (2, 5, 13, 14)
+    ]
+    for net in nets:
+        circuit = network_to_circuit(net)
+        slices = evaluate_all(circuit)
+        for wire in range(net.width):
+            for k in range(-1, net.width + 2):
+                expected = slices[wire] == threshold_slice(net.width, k)
+                assert is_threshold(circuit, wire, k) == expected, (net, wire, k)
+
+
+def test_is_threshold_memory_is_bounded_by_the_block():
+    # The 20-wire odd-even transposition sorter: slices of its 380 gate
+    # values over all 2**20 inputs would take ~50 MB, over one block of
+    # 2**BLOCK_BITS inputs a sixteenth of that.
+    width = 20
+    net = Network(width, [(i, i + 1) for r in range(width) for i in range(r % 2, width - 1, 2)])
+    circuit = network_to_circuit(net)
+    tracemalloc.start()
+    try:
+        assert is_threshold(circuit, 10, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+
+
 def test_threshold_slice_against_popcount_loop():
     for n in (1, 3, 4):
         for k in range(0, n + 2):
@@ -165,7 +210,7 @@ def test_specialize_preserves_function():
         n = circuit.n_inputs - 1
         assert reduced.n_inputs == n
         # original circuit driven with the pinned input held constant
-        patterns = _bitslice.evaluate(n, [], [])
+        patterns = _bitslice.evaluate(n, [])
         nbits = 1 << n
         pinned = (1 << nbits) - 1 if bit else 0
         driven = patterns[:index] + [pinned] + patterns[index:]
@@ -226,8 +271,8 @@ def test_circuit_reference_validation():
         MonotoneCircuit(2, (Gate("AND", 2, 4),), (4,))
     with pytest.raises(ValueError):
         MonotoneCircuit(2, (), (7,))
-    with pytest.raises(ValueError):
-        Gate("XOR", 2, 3)
+    with pytest.raises(ValueError, match="gate kind must be AND or OR, got 'XOR'"):
+        MonotoneCircuit(2, (Gate("XOR", 2, 3),), (4,))
     for gates, outputs in (
         ((Gate("AND", -1, 2),), (4,)),  # would wrap to the last value
         ((Gate("AND", 2, 3),), (-1,)),

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -369,3 +370,71 @@ def test_numpy_loads_only_for_the_sampled_observations(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = [line.split()[1] == "True" for line in proc.stdout.splitlines()]
     assert loaded == [False] * (len(commands) - 1) + [True]
+
+
+# -- fuzz --------------------------------------------------------------------
+
+_NOISE = ["", ";", "#", "# phase: merge", "# phase: bogus", "-1", "+2", "1_0", "٣", "x", "0 1 2"]
+
+
+def fuzz_text(rng):
+    """Network text: mostly well-formed comparators on small widths, some
+    with one noise line or bad wire, some with a width past the engine's or
+    the diagram's cap, and now and then no header or no text at all."""
+    if rng.random() < 0.05:
+        return "".join(rng.choice("width 0123456789;#\n -") for _ in range(rng.randint(0, 30)))
+    small = rng.randint(1, 6) if rng.random() < 0.5 else rng.randint(1, 14)
+    width = rng.choices([small, 0, 27, 70, 10**12], [12, 1, 1, 1, 1])[0]
+    span = max(1, min(width, 16))
+    lines = []
+    for _ in range(rng.randint(0, 4 * span)):
+        a, b = sorted(rng.sample(range(span), 2)) if span > 1 else (0, 1)
+        lines.append(f"{a} {b}")
+    if rng.random() < 0.4:
+        bad = rng.choice(_NOISE + [f"{rng.randint(-1, span + 1)} {rng.randint(-1, span + 1)}"])
+        lines.insert(rng.randint(0, len(lines)), bad)
+    if rng.random() > 0.03:
+        lines.insert(0, f"width {width}")
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def fuzz_restrict(rng):
+    choice = rng.choice(["M", "layer1", "layer3", "list", "junk"])
+    if choice == "list":
+        return ",".join(str(rng.randint(-2, 17)) for _ in range(rng.randint(1, 4)))
+    if choice == "junk":
+        return rng.choice(["", ",", "1,,2", "+3", "٣", "1_0", "m", "1 2"])
+    return choice
+
+
+def fuzz_argvs(rng):
+    poset = ["poset", "-"]
+    if rng.random() < 0.5:
+        poset.append(f"--prefix={rng.randint(-2, 40)}")
+    if rng.random() < 0.5:
+        poset.append(f"--restrict={fuzz_restrict(rng)}")
+    return [
+        ["verify", "-"],
+        ["stats", "-"],
+        poset,
+        ["diagram", "-"],
+        ["diagram", "-", "--format", "svg", "--flip", "--color"],
+    ]
+
+
+def test_cli_fuzz_ends_in_a_verdict_or_a_clean_exit_2(capsys, monkeypatch):
+    rng = random.Random(0xF022)
+    for _ in range(300):
+        text = fuzz_text(rng)
+        for argv in fuzz_argvs(rng):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, out, err = run(capsys, *argv)
+            case = (argv, text)
+            assert code in (0, 1, 2), case
+            if code == 1:
+                assert argv[0] == "verify", case
+                assert out.startswith("counterexample: "), case
+            if code == 2:
+                assert out == "" and err, case
+            if argv[0] == "verify" and code == 0:
+                assert out == "sorts\n", case

@@ -57,14 +57,34 @@ def test_apply_preserves_multiset():
 
 
 def test_comparator_validation():
-    with pytest.raises(ValueError):
-        Comparator(3, 3)
-    with pytest.raises(ValueError):
-        Comparator(5, 2)
-    with pytest.raises(ValueError):
+    # A Comparator is a plain record; the Network holding it checks it.
+    with pytest.raises(ValueError, match=r"comparator \(3, 3\) needs 0 <= low < high"):
+        Network(16, (Comparator(3, 3),))
+    with pytest.raises(ValueError, match=r"comparator \(5, 2\) needs 0 <= low < high"):
+        Network(16, ((5, 2),))
+    with pytest.raises(ValueError, match=r"comparator \(-1, 2\) needs 0 <= low < high"):
+        Network(16, ((-1, 2),))
+    with pytest.raises(ValueError, match=r"comparator \(0, 4\) exceeds width 4"):
         Network(4, ((0, 4),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="network width must be at least 1"):
         Network(0)
+
+
+def test_non_integer_wires_and_widths_are_refused():
+    for comparators in (((0.5, 1),), ((0, 1.0),), (Comparator("0", 1),)):
+        with pytest.raises(TypeError):
+            Network(4, comparators)
+    for width in (2.0, "2", None):
+        with pytest.raises(TypeError):
+            Network(width, ((0, 1),))
+
+
+def test_comparator_record():
+    c = Comparator(1, 2, Phase.MERGE)
+    assert (c.low, c.high, c.tag) == (1, 2, Phase.MERGE)
+    assert c == Comparator(1, 2, Phase.MERGE) and c != Comparator(1, 2)
+    assert hash(c) == hash(Comparator(1, 2, Phase.MERGE))
+    assert repr(Comparator(0, 1)) == "Comparator(low=0, high=1, tag=None)"
 
 
 def test_network_accepts_bare_pairs():
