@@ -24,10 +24,17 @@ identities of those slices; a 6-of-8 multiset inclusion, for instance, is
 (sort every input's outputs, compare columns) with the sort replaced by its
 value on 0/1 inputs, so the verdict per input and hence the lexicographically
 least counterexample are the same; ``tests/test_analysis.py`` keeps the
-matrix check as its oracle.  The sampled mode runs random permutations of
-0..15 through the prefix on per-wire numpy rows, the one use of numpy in
-the package (imported there); the r-th smallest of all outputs is then r
-itself, and only layers I and III need sorting.
+matrix check as its oracle.
+
+The sampled mode runs seeded random permutations of 0..15 through the
+prefix, on which the r-th smallest of all outputs is r itself.  It holds
+each wire's values as four bit planes, Python ints with one bit per sample:
+bit k of plane t is bit t of sample k's value.  The permutations are drawn
+by Fisher-Yates, a comparator is a bit-sliced 4-bit "greater than" and a
+swap in the lanes where it holds, layers I and III are sorted the same
+way, and each claim is a per-lane identity: a value equal to a constant,
+six of M's eight values in 5..10 (counted with ``_bitslice.at_least``), or
+bounds on the minimum and maximum of M.
 
 Also here: the cube-order check itself, the partial orders established on
 M by each construction's preliminary comparisons, the strategy-completeness
@@ -37,8 +44,9 @@ regression for the merge ordering.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Iterable, Iterator, Sequence
 
 from . import _bitslice
 from .constructions import (
@@ -59,9 +67,6 @@ from .constructions import (
 from .network import Network, Phase, depth
 from .verify import infer_poset, verify_sorts_binary
 
-if TYPE_CHECKING:
-    import numpy as np
-
 EXHAUSTIVE = "exhaustive-binary"
 SAMPLED = "sampled-permutations"
 DEFAULT_SAMPLES = 10_000
@@ -71,6 +76,11 @@ CLAIM_NAMES = ("a", "b", "c", "d")
 
 _SORTER4 = sorter4()  # sorts the four wires of layer I or III in sampled mode
 _FULL16 = (1 << (1 << 16)) - 1  # all-ones slice over the 2**16 binary inputs
+
+# Sampled mode: permutations are drawn and checked this many at a time.
+SAMPLE_BLOCK = 1 << 16
+
+Planes = tuple[int, int, int, int]  # a value 0..15 per lane, bit t in entry t
 
 
 @dataclass(frozen=True)
@@ -143,54 +153,129 @@ def _exhaustive_masks(prefix: Network) -> dict[str, int]:
     return {"a": a, "b": b, "c": c, "d": d}
 
 
-def _permutation_inputs(width: int, samples: int, seed: int) -> np.ndarray:
-    import numpy as np
+def _at_least_value(planes: Sequence[int], c: int, full: int) -> int:
+    """Lanes whose value (bit t in ``planes[t]``) is at least ``c``."""
+    if c >> len(planes):
+        return 0
+    ge = full  # every value is at least c on zero bits
+    for t, p in enumerate(planes):
+        ge = p & ge if c >> t & 1 else p | ge
+    return ge
 
-    rng = np.random.default_rng(seed)
-    base = np.tile(np.arange(width, dtype=np.int64), (samples, 1))
-    return rng.permuted(base, axis=1)
+
+def _below(getrandbits, n: int, lanes: int, full: int) -> list[int]:
+    """Planes of one uniform draw from 0 .. n-1 per lane: random bits,
+    drawn again in the lanes where they read n or more."""
+    planes = [getrandbits(lanes) for _ in range((n - 1).bit_length())]
+    redraw = _at_least_value(planes, n, full)
+    while redraw:
+        for t, p in enumerate(planes):
+            planes[t] = p ^ ((p ^ getrandbits(lanes)) & redraw)
+        redraw &= _at_least_value(planes, n, full)
+    return planes
 
 
-def _sampled_claims(prefix: Network, inputs: np.ndarray) -> dict[str, ClaimVerdict]:
-    """Claims a-d over permutations of 0..15, on which rank r is r; a
-    failing claim carries the first permutation it fails on."""
-    import numpy as np
+def _one_hot(planes: Sequence[int], n: int, full: int) -> list[int]:
+    """Lane masks of the values 0 .. n-1."""
+    masks = [full]
+    for p in reversed(planes):
+        masks = [m for x in masks for m in (x & ~p, x & p)]
+    return masks[:n]
 
-    def apply_rows(rows: list[np.ndarray], net: Network) -> None:
-        """Apply ``net`` in place to per-wire rows of values."""
-        spare = np.empty_like(rows[0])
-        for c in net.comparators:
-            lo, hi = rows[c.low], rows[c.high]
-            np.minimum(lo, hi, out=spare)
-            np.maximum(lo, hi, out=hi)
-            rows[c.low], spare = spare, lo
 
-    out = list(np.ascontiguousarray(inputs.T, dtype=np.uint8))
-    apply_rows(out, prefix)
-    l1 = [out[w].copy() for w in CUBE_LAYER1]
-    l3 = [out[w].copy() for w in CUBE_LAYER3]
-    apply_rows(l1, _SORTER4)
-    apply_rows(l3, _SORTER4)
-    m = np.array([*(out[w] for w in MIDDLE_LAYER), l3[0], l1[3]])
-    m_lo, m_hi = m.min(axis=0), m.max(axis=0)
+def _draw_permutations(samples: int, seed: int) -> Iterator[tuple[int, list[Planes]]]:
+    """Uniform permutations of 0..15 from ``seed``, in blocks of at most
+    SAMPLE_BLOCK lanes: (lanes, wires), where bit k of ``wires[w][t]`` is
+    bit t of the value that sample k puts on wire w.
 
-    def pair_is(lo, hi, x, y):
-        return (np.minimum(x, y) == lo) & (np.maximum(x, y) == hi)
+    Fisher-Yates (Knuth's Algorithm P), one step for every lane at once: for
+    i = 15 .. 1 draw j uniform in 0 .. i and swap the values at i and j.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    for start in range(0, samples, SAMPLE_BLOCK):
+        lanes = min(SAMPLE_BLOCK, samples - start)
+        full = (1 << lanes) - 1
+        wires = [tuple(full if v >> t & 1 else 0 for t in range(4)) for v in range(16)]
+        for i in range(15, 0, -1):
+            h0, h1, h2, h3 = wires[i]
+            for q, m in enumerate(_one_hot(_below(getrandbits, i + 1, lanes, full), i, full)):
+                l0, l1, l2, l3 = wires[q]
+                d0, d1, d2, d3 = (l0 ^ h0) & m, (l1 ^ h1) & m, (l2 ^ h2) & m, (l3 ^ h3) & m
+                wires[q] = (l0 ^ d0, l1 ^ d1, l2 ^ d2, l3 ^ d3)
+                h0, h1, h2, h3 = h0 ^ d0, h1 ^ d1, h2 ^ d2, h3 ^ d3
+            wires[i] = (h0, h1, h2, h3)
+        yield lanes, wires
 
-    a = (out[15] == 15) & (out[0] == 0)
-    b = (l3[3] == 14) & (l3[2] == 13) & (l1[0] == 1) & (l1[1] == 2)
+
+def _compare_planes(wires: list[Planes], pairs: Iterable[tuple[int, int]]) -> list[Planes]:
+    """Apply comparators to 4-bit values held as planes, in place: a
+    bit-sliced "low > high" from the least significant bit up, then a
+    swap in the lanes where it holds."""
+    for a, b in pairs:
+        l0, l1, l2, l3 = wires[a]
+        h0, h1, h2, h3 = wires[b]
+        x0, x1, x2, x3 = l0 ^ h0, l1 ^ h1, l2 ^ h2, l3 ^ h3
+        gt = x0 & l0
+        gt ^= (gt ^ l1) & x1  # where bit 1 differs, low > high iff low has it
+        gt ^= (gt ^ l2) & x2
+        gt ^= (gt ^ l3) & x3
+        if gt:
+            x0, x1, x2, x3 = x0 & gt, x1 & gt, x2 & gt, x3 & gt
+            wires[a] = (l0 ^ x0, l1 ^ x1, l2 ^ x2, l3 ^ x3)
+            wires[b] = (h0 ^ x0, h1 ^ x1, h2 ^ x2, h3 ^ x3)
+    return wires
+
+
+def _lane_values(wires: Sequence[Planes], k: int) -> tuple[int, ...]:
+    """The values that lane k holds on each wire."""
+    return tuple(sum((p >> k & 1) << t for t, p in enumerate(planes)) for planes in wires)
+
+
+def _sampled_masks(out: list[Planes], full: int) -> dict[str, int]:
+    """Per-lane verdicts of claims a-d on outputs of permutations of 0..15,
+    on which rank r is the value r (see the module docstring)."""
+    pairs4 = _SORTER4.pairs()
+    l1 = _compare_planes([out[w] for w in CUBE_LAYER1], pairs4)
+    l3 = _compare_planes([out[w] for w in CUBE_LAYER3], pairs4)
+    m = [*(out[w] for w in MIDDLE_LAYER), l3[0], l1[3]]
+
+    def ge(v, c):
+        return _at_least_value(v, c, full)
+
+    def within(v, lo, hi):
+        return ge(v, lo) & ~ge(v, hi + 1)
+
+    def equals(v, c):
+        return within(v, c, c)
+
+    a = equals(out[15], 15) & equals(out[0], 0)
+    b = equals(l3[3], 14) & equals(l3[2], 13) & equals(l1[0], 1) & equals(l1[1], 2)
     # M holds distinct values, so it contains ranks 5..10 iff six of them lie there.
-    c = np.count_nonzero((m >= 5) & (m <= 10), axis=0) == 6
-    d = pair_is(11, 12, l3[1], m_hi) & pair_is(3, 4, l1[2], m_lo)
+    c = _bitslice.at_least([within(v, 5, 10) for v in m], full, 6)[6]
+    # Claim d: {l3[1], max M} = {11, 12} and {l1[2], min M} = {3, 4}.  The
+    # values are distinct, so this holds iff l3[1] lies in 11..12, l1[2] in
+    # 3..4, and every value of M in 3..12.  For if no value of M were 11 or
+    # more, the five values 11..15 would take the five places left to them
+    # (l3[1..3] and wires 0 and 15), leaving only l1[0] and l1[1] for the
+    # three values 0..2; dually at the bottom.
+    d = within(l3[1], 11, 12) & within(l1[2], 3, 4)
+    for v in m:
+        d &= within(v, 3, 12)
+    return {"a": a, "b": b, "c": c, "d": d}
+
+
+def _sampled_claims(prefix: Network, samples: int, seed: int) -> dict[str, ClaimVerdict]:
+    """Claims a-d over ``samples`` permutations drawn from ``seed``; a
+    failing claim carries the first permutation it fails on."""
+    pairs = prefix.pairs()
     claims = {}
-    for name, ok in {"a": a, "b": b, "c": c, "d": d}.items():
-        bad = np.flatnonzero(~ok)
-        claims[name] = (
-            ClaimVerdict(True)
-            if len(bad) == 0
-            else ClaimVerdict(False, tuple(int(x) for x in inputs[bad[0]]))
-        )
-    return claims
+    for lanes, inputs in _draw_permutations(samples, seed):
+        full = (1 << lanes) - 1
+        masks = _sampled_masks(_compare_planes(list(inputs), pairs), full)
+        for name, ok in masks.items():
+            if name not in claims and ok != full:
+                claims[name] = ClaimVerdict(False, _lane_values(inputs, _bitslice.lowest(full ^ ok)))
+    return {name: claims.get(name, ClaimVerdict(True)) for name in CLAIM_NAMES}
 
 
 def check_observations(
@@ -226,9 +311,10 @@ def check_observations(
                 else ClaimVerdict(False, _bitslice.vector_of(first, 16))
             )
     elif mode == SAMPLED:
-        inputs = _permutation_inputs(16, samples, seed)
-        inputs_checked, used_seed = len(inputs), seed
-        claims = _sampled_claims(prefix, inputs)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        inputs_checked, used_seed = samples, seed
+        claims = _sampled_claims(prefix, samples, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ObservationReport(mode, inputs_checked, used_seed, claims)

@@ -158,7 +158,12 @@ def is_threshold(circuit: MonotoneCircuit, wire: int, k: int) -> bool:
     for bits, start in _bitslice.blocks(n):
         full = (1 << (1 << bits)) - 1
         inputs = _bitslice.block_inputs(n, bits, start, full)
-        want = _bitslice.at_least(inputs, full, k)[k] if k > 0 else full
+        if k <= 0:
+            want = full
+        elif k > n:  # no input has more than n ones
+            want = 0
+        else:
+            want = _bitslice.at_least(inputs, full, k)[k]
         if evaluate_slices(circuit, inputs, 1 << bits)[wire] != want:
             return False
     return True

@@ -3,6 +3,10 @@
 Exit codes follow a CI-friendly convention: 0 when the command succeeds
 and any checked claim holds, 1 when a claim fails or a counterexample is
 found, 2 for usage or I/O errors and for inputs too large to evaluate.
+
+Each command imports the modules it runs when it runs: ``build``, ``stats``
+and ``diagram`` need neither the slice engine nor ``analysis`` or
+``circuits``, and parsing the arguments loads none of them.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import analysis, circuits
 from .constructions import (
     CUBE_LAYER1,
     CUBE_LAYER3,
@@ -29,12 +32,6 @@ from .render import (
     render_diagram,
     render_poset_dot,
     render_text,
-)
-from .verify import (
-    backend_name,
-    counterexample_permutation,
-    infer_poset,
-    verify_sorts_binary,
 )
 
 _BUILDERS = {
@@ -84,6 +81,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import counterexample_permutation, verify_sorts_binary
+
     net = _read_network(args.network_file)
     verdict = verify_sorts_binary(net)
     if verdict.sorts:
@@ -135,6 +134,8 @@ def _parse_restrict(choice: str, width: int) -> tuple[int, ...]:
 
 
 def _cmd_poset(args) -> int:
+    from .verify import infer_poset
+
     net = _read_network(args.network_file)
     if args.prefix is not None:
         net = net.prefix(args.prefix)
@@ -153,34 +154,41 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_observations(args) -> int:
+    from . import analysis
+
+    samples = analysis.DEFAULT_SAMPLES if args.samples is None else args.samples
+    seed = analysis.DEFAULT_SEED if args.seed is None else args.seed
     # Build the whole report first: an error exit leaves stdout empty.
-    lines = [f"# prefix=hypercube(4) samples={args.samples} seed={hex(args.seed)}"]
+    lines = [f"# prefix=hypercube(4) samples={samples} seed={hex(seed)}"]
     ok = True
     for mode in (analysis.EXHAUSTIVE, analysis.SAMPLED):
-        report = analysis.check_observations(
-            mode=mode, samples=args.samples, seed=args.seed
-        )
+        report = analysis.check_observations(mode=mode, samples=samples, seed=seed)
         ok = ok and report.all_hold
         lines += report.to_lines()
     print("\n".join(lines))
     return 0 if ok else 1
 
 
+# Check name -> function in ``analysis``, looked up when the check runs.
 _CHECKS = {
-    "green-m": analysis.check_green_m_poset,
-    "vv-m": analysis.check_vv_m_poset,
-    "strategy": analysis.check_strategy_completeness,
-    "depth-regression": analysis.check_depth_regression,
+    "green-m": "check_green_m_poset",
+    "vv-m": "check_vv_m_poset",
+    "strategy": "check_strategy_completeness",
+    "depth-regression": "check_depth_regression",
 }
 
 
 def _cmd_checks(args) -> int:
-    ok = _CHECKS[args.check]()
+    from . import analysis
+
+    ok = getattr(analysis, _CHECKS[args.check])()
     print(f"{args.check}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
 def _cmd_majority(args) -> int:
+    from . import circuits
+
     n = args.variables
     k = args.threshold if args.threshold is not None else (n + 1) // 2
     circuit, wire = circuits.majority_circuit(n, k, pin_bit=args.pin)
@@ -237,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "observations", help="check claims a-d for the cube phase, both modes"
     )
-    p.add_argument("--samples", type=int, default=analysis.DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=analysis.DEFAULT_SEED)
+    # Defaults (None) are analysis.DEFAULT_SAMPLES and DEFAULT_SEED.
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--seed", type=lambda s: int(s, 0), default=None)
     p.set_defaults(func=_cmd_observations)
 
     p = sub.add_parser("checks", help="run one of the structural checks")
@@ -260,6 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.version:
         from . import __version__
+        from .verify import backend_name
 
         print(f"sortnet16 {__version__} (backend: {backend_name()})")
         return 0

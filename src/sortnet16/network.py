@@ -51,7 +51,8 @@ class Network:
     Comparators may be given as ``Comparator`` instances or bare
     ``(low, high)`` pairs; pairs are normalised on construction.  This is
     the one place that checks wires: each must be an int (read through
-    ``operator.index``) with ``0 <= low < high < width``.
+    ``operator.index`` and stored as the int it returns) with
+    ``0 <= low < high < width``.
     """
 
     width: int
@@ -66,12 +67,15 @@ class Network:
         for c in self.comparators:
             if type(c) is not Comparator:
                 c = Comparator(*c)
-            low, high, _ = c
-            if not 0 <= index(low) < index(high):
+            low, high, tag = c
+            lo, hi = index(low), index(high)
+            if not 0 <= lo < hi:
                 raise ValueError(f"comparator ({low}, {high}) needs 0 <= low < high")
-            if high >= width:
+            if hi >= width:
                 raise ValueError(f"comparator ({low}, {high}) exceeds width {width}")
-            comps.append(c)
+            # Wires are stored as plain ints (not bools or numpy ints), so the
+            # network renders as text that parse_text reads back.
+            comps.append(c if lo is low and hi is high else Comparator(lo, hi, tag))
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "comparators", tuple(comps))
 

@@ -16,8 +16,12 @@ default rendering reproduces the network exactly.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .network import Comparator, Network, Phase, asap_schedule
-from .verify import Poset
+
+if TYPE_CHECKING:
+    from .verify import Poset
 
 
 class TextFormatError(ValueError):

@@ -22,7 +22,7 @@ from sortnet16 import (
     infer_poset,
 )
 from sortnet16 import analysis
-from sortnet16.analysis import EXHAUSTIVE, SAMPLED, ClaimVerdict, _permutation_inputs
+from sortnet16.analysis import EXHAUSTIVE, SAMPLED, ClaimVerdict
 from sortnet16.constructions import CUBE_LAYER1, CUBE_LAYER3, MIDDLE_LAYER
 
 # Hasse diagrams of the partial order established on the M wires, as
@@ -90,6 +90,11 @@ def test_observations_sampled_mode_is_deterministic():
     first = check_observations(mode=SAMPLED, samples=500, seed=42)
     second = check_observations(mode=SAMPLED, samples=500, seed=42)
     assert first == second
+    # On a failing prefix the counterexamples are the draws, so they repeat too.
+    identity = check_observations(Network(16), mode=SAMPLED, samples=500, seed=42)
+    assert identity == check_observations(Network(16), mode=SAMPLED, samples=500, seed=42)
+    assert (drawn_permutations(500, 42) == drawn_permutations(500, 42)).all()
+    assert (drawn_permutations(500, 42) != drawn_permutations(500, 43)).any()
 
 
 def test_observations_fail_on_identity_prefix():
@@ -106,6 +111,8 @@ def test_observations_reject_bad_inputs():
         check_observations(Network(8))
     with pytest.raises(ValueError):
         check_observations(mode="guess")
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        check_observations(mode=SAMPLED, seed=-1)
 
 
 @pytest.mark.parametrize("mode", [EXHAUSTIVE, SAMPLED])
@@ -115,7 +122,7 @@ def test_observations_refuse_bad_sample_counts(monkeypatch, mode, samples):
         raise AssertionError("evaluated before the sample count was checked")
 
     monkeypatch.setattr(analysis, "_exhaustive_masks", evaluated)
-    monkeypatch.setattr(analysis, "_permutation_inputs", evaluated)
+    monkeypatch.setattr(analysis, "_draw_permutations", evaluated)
     with pytest.raises(ValueError, match="samples must be at least 1"):
         check_observations(mode=mode, samples=samples)
 
@@ -282,6 +289,21 @@ def oracle_claims(prefix, inputs=BINARY_INPUTS):
     return claims
 
 
+def drawn_permutations(samples, seed):
+    """The permutations the sampled mode draws from ``seed``, one row each,
+    read from the bit planes with numpy (bit k of plane t is bit t of row
+    k's value)."""
+    rows = []
+    for lanes, wires in analysis._draw_permutations(samples, seed):
+        block = np.zeros((lanes, 16), dtype=np.uint8)
+        for w, planes in enumerate(wires):
+            for t, plane in enumerate(planes):
+                raw = np.frombuffer(plane.to_bytes((lanes + 7) // 8, "little"), dtype=np.uint8)
+                block[:, w] |= np.unpackbits(raw, bitorder="little")[:lanes] << t
+        rows.append(block)
+    return np.concatenate(rows)
+
+
 def random_prefix(rng, size):
     comps = []
     for _ in range(size):
@@ -328,12 +350,100 @@ def test_sampled_observations_match_matrix_oracle():
     verdicts = []
     for i, prefix in enumerate(differential_prefixes(60, seed=0x5A)):
         seed = 1000 + i
-        inputs = _permutation_inputs(16, 300, seed)
+        inputs = drawn_permutations(300, seed)
         expected = oracle_claims(prefix, inputs)
         report = check_observations(prefix, mode=SAMPLED, samples=300, seed=seed)
         assert report.claims == expected, prefix.comparators
         verdicts.append(expected)
+        # Every sample's verdict, not just the first failure.
+        ((lanes, planes),) = analysis._draw_permutations(300, seed)
+        full = (1 << lanes) - 1
+        masks = analysis._sampled_masks(analysis._compare_planes(list(planes), prefix.pairs()), full)
+        outputs = inputs.copy()
+        _apply_columns(outputs, prefix)
+        for name, ok in _claim_masks(outputs).items():
+            assert masks[name] == lanes_of(ok), (name, prefix.comparators)
     assert_every_verdict_seen(verdicts)
+
+
+def lanes_of(flags):
+    """Bit k set where ``flags[k]`` is true."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def test_sampled_claim_masks_match_oracle_near_the_cube_order():
+    # Outputs of the cube phase, on which every claim holds, with two wires'
+    # values exchanged: the claims then fail narrowly or not at all, which
+    # random prefixes rarely reach.
+    rng = np.random.default_rng(0xD15)
+    outputs = drawn_permutations(4000, 0xD15)
+    _apply_columns(outputs, hypercube_phase(4))
+    rows = np.arange(len(outputs))
+    a, b = rng.integers(0, 16, len(outputs)), rng.integers(0, 16, len(outputs))
+    outputs[rows, a], outputs[rows, b] = outputs[rows, b], outputs[rows, a].copy()
+    planes = [
+        tuple(lanes_of((outputs[:, w] >> t) & 1) for t in range(4)) for w in range(16)
+    ]
+    masks = analysis._sampled_masks(planes, (1 << len(outputs)) - 1)
+    for name, ok in _claim_masks(outputs).items():
+        assert 0 < ok.sum() < len(ok), name
+        assert masks[name] == lanes_of(ok), name
+
+
+def test_every_draw_is_a_permutation():
+    rows = drawn_permutations(3000, 0x5EED)
+    assert rows.shape == (3000, 16)
+    assert (np.sort(rows, axis=1) == np.arange(16)).all()
+
+
+def test_draws_are_uniform_over_values_and_wires():
+    rows = drawn_permutations(160_000, 0xC0FFEE)  # three blocks, the last partial
+    assert (np.sort(rows, axis=1) == np.arange(16)).all()
+    counts = np.array([np.bincount(rows[:, w], minlength=16) for w in range(16)])
+    # Each count is Binomial(160000, 1/16): mean 10000, sd ~97; 500 is ~5 sd.
+    assert np.abs(counts - 10_000).max() < 500, counts
+
+
+def test_sampled_counterexample_is_the_first_failing_draw_across_blocks(monkeypatch):
+    samples = analysis.SAMPLE_BLOCK + 5
+    inputs = drawn_permutations(samples, 0xB10C)
+    prefix = hypercube_phase(4).prefix(31)
+    report = check_observations(prefix, mode=SAMPLED, samples=samples, seed=0xB10C)
+    assert report.claims == oracle_claims(prefix, inputs)
+    assert not report.all_hold
+
+    # Claim a fails only on the fourth draw of the second block, and claim b
+    # on the same draw and on the last draw of the first block.
+    masks = analysis._sampled_masks
+
+    def failing_late(out, full):
+        got = masks(out, full)
+        if full.bit_length() == 5:
+            got["a"] &= ~(1 << 3)
+            got["b"] &= ~(1 << 3)
+        else:
+            got["b"] &= ~(1 << analysis.SAMPLE_BLOCK - 1)
+        return got
+
+    monkeypatch.setattr(analysis, "_sampled_masks", failing_late)
+    claims = check_observations(mode=SAMPLED, samples=samples, seed=0xB10C).claims
+    assert claims["a"].counterexample == tuple(inputs[analysis.SAMPLE_BLOCK + 3])
+    assert claims["b"].counterexample == tuple(inputs[analysis.SAMPLE_BLOCK - 1])
+    assert claims["c"].holds and claims["d"].holds
+
+
+def test_sampled_observations_stay_small():
+    prefix = hypercube_phase(4)
+    check_observations(prefix, mode=SAMPLED, samples=10)  # warm caches
+    tracemalloc.start()
+    try:
+        check_observations(prefix, mode=SAMPLED, samples=3 * analysis.SAMPLE_BLOCK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One block's values take 16 wires x 4 planes x 8 KB = 512 KB, and the
+    # 3 x 2**16 x 16 sampled values would take 3 MB even as bytes.
+    assert peak < 2 << 20, peak
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -169,6 +169,22 @@ def test_is_threshold_memory_is_bounded_by_the_block():
     assert peak < 8 << 20, peak
 
 
+def test_is_threshold_above_the_input_count_counts_nothing():
+    circuit = network_to_circuit(sorter4())
+    assert not is_threshold(circuit, 0, 5)  # wire 0 is "at least 4", never 0
+    tracemalloc.start()
+    try:
+        assert not is_threshold(circuit, 0, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Counting to k would build k + 1 slices (16 MB for this k).
+    assert peak < 256 << 10, peak
+    zero = MonotoneCircuit(2, (), (0,))  # the constant 0 is "at least 3 of 2"
+    assert is_threshold(zero, 0, 3) and is_threshold(zero, 0, 10**6)
+    assert not is_threshold(zero, 0, 2)
+
+
 def test_threshold_slice_against_popcount_loop():
     for n in (1, 3, 4):
         for k in range(0, n + 2):

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import random
 import subprocess
@@ -336,40 +337,76 @@ def test_stats_out_of_memory_prints_nothing_to_stdout(capsys, monkeypatch):
     assert err == "error: out of memory\n"
 
 
-# Runs each command in one fresh interpreter and reports, after each, whether
-# numpy has been loaded; sys.modules only grows, so a False after a command
-# clears every command before it too.
-_NUMPY_PROBE = """
-import contextlib, io, sys
-from sortnet16.cli import main
-for argv in map(str.split, sys.argv[1:]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        main(argv)
-    print(argv[0], "numpy" in sys.modules)
+# Runs every command in one fresh interpreter in which numpy cannot be
+# imported, and reports after each its exit code, its stdout and the package
+# modules loaded so far.  sys.modules only grows, so a module missing after a
+# command was loaded by none of the commands before it either.
+_COMMAND_PROBE = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # makes every import of numpy fail
+from sortnet16.cli import build_parser, main
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("sortnet16."))
+
+build_parser()
+report = [[0, "", loaded()]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    report.append([code, out.getvalue(), loaded()])
+print(json.dumps(report))
 """
 
 
-def test_numpy_loads_only_for_the_sampled_observations(tmp_path):
-    path = write_net(tmp_path, green16())
-    commands = [
-        "build green16",
-        f"stats {path}",
-        f"diagram {path} --format svg",
-        f"verify {path}",
-        f"poset {path} --restrict M",
-        *(f"checks {name}" for name in sorted(_CHECKS)),
-        "majority 15",
-        "observations --samples 10",
+def test_commands_run_without_numpy_and_load_only_what_they_run(tmp_path):
+    green, cube = str(REFERENCE / "green16.txt"), str(tmp_path / "cube.txt")
+    commands = [  # argv, exit code, file in bench/reference/ holding its stdout
+        (["build", "green16"], 0, "green16.txt"),
+        (["build", "hypercube", "4", "-o", cube], 0, None),
+        (["stats", green], 0, "stats.out"),
+        (["diagram", green, "--format", "svg", "--color"], 0, "diagram_svg.out"),
+        (["verify", green], 0, "verify_green16.out"),
+        (["verify", cube], 1, "verify_hypercube4.out"),
+        (["poset", green, "--prefix", "55", "--restrict", "M"], 0, "poset_prefix55_M.out"),
+        (["majority", "16"], 0, "majority16.out"),
+        (["majority", "15"], 0, "majority15.out"),
+        (["observations"], 0, "observations.out"),
+        *((["checks", name], 0, f"checks_{name}.out") for name in sorted(_CHECKS)),
     ]
     src = str(Path(sortnet16.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, *commands],
+        [sys.executable, "-c", _COMMAND_PROBE, json.dumps([argv for argv, _, _ in commands])],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = [line.split()[1] == "True" for line in proc.stdout.splitlines()]
-    assert loaded == [False] * (len(commands) - 1) + [True]
+    (_, _, parsed), *report = json.loads(proc.stdout)
+    for (argv, code, reference), (got_code, stdout, _) in zip(commands, report):
+        assert got_code == code, argv
+        if reference:
+            assert stdout == (REFERENCE / reference).read_text(encoding="utf-8"), argv
+    assert len(report) == len(commands)
+
+    def loaded_after(command):
+        """Modules loaded once the last run of ``command`` has returned."""
+        last = max(i for i, (argv, _, _) in enumerate(commands) if argv[0] == command)
+        return set(report[last][2])
+
+    heavy = {"sortnet16.analysis", "sortnet16.circuits"}
+    assert not heavy & set(parsed)
+    assert not heavy & loaded_after("diagram")  # build, stats and diagram
+    assert "sortnet16.circuits" not in loaded_after("poset")  # and verify
+    assert "sortnet16.analysis" not in loaded_after("majority")
+    assert heavy <= loaded_after("checks")
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from sortnet16 import *", namespace)
+    assert set(sortnet16.__all__) <= set(namespace)
+    assert namespace["verify_sorts_binary"] is sortnet16.verify.verify_sorts_binary
 
 
 # -- fuzz --------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,30 @@ def test_random_networks_round_trip():
     for _ in range(100):
         net = random_tagged_network(rng)
         assert parse_text(render_text(net)) == net
+
+
+# Ways a caller may spell a wire number: Network stores each as a plain int.
+_WIRE_SPELLINGS = [int, np.int64, np.uint8, lambda w: bool(w) if w < 2 else w]
+
+
+@st.composite
+def networks_from_any_wire_spelling(draw):
+    width = draw(st.integers(2, 12))
+    comps = []
+    for _ in range(draw(st.integers(0, 20))):
+        low = draw(st.integers(0, width - 2))
+        high = draw(st.integers(low + 1, width - 1))
+        spell = draw(st.sampled_from(_WIRE_SPELLINGS))
+        comps.append((spell(low), spell(high), draw(st.sampled_from([None, *Phase]))))
+    return Network(draw(st.sampled_from(_WIRE_SPELLINGS[:3]))(width), comps)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(networks_from_any_wire_spelling())
+def test_round_trip_whatever_the_wire_spelling(net):
+    assert all(type(w) is int for c in net.comparators for w in c[:2])
+    assert parse_text(render_text(net)) == net
+    assert parse_text(render_text(net, layered=True)).width == net.width
 
 
 def test_layered_render_groups_by_asap_layer(green):
