@@ -20,10 +20,8 @@ _EXPORTS = {
         "Comparator",
         "Network",
         "Phase",
-        "LayeredSchedule",
         "asap_schedule",
         "concat",
-        "concat_all",
         "depth",
         "embed",
     ),
@@ -44,7 +42,6 @@ _EXPORTS = {
         "UPPER_TETRAD",
         "LOWER_TETRAD",
         "batcher_sorter",
-        "cube_layer",
         "green16",
         "green16_naive_merge",
         "hypercube_phase",

@@ -13,6 +13,8 @@ has checked the pairs; the engine checks only the width.  ``evaluate`` runs
 a network on the first 2**bits inputs.  ``analysis`` counts ones on the
 slices with ``at_least``, and ``circuits.is_threshold`` evaluates gates on
 the input slices of each block (``blocks``, ``block_inputs``).
+``block_inputs`` is the one input builder: ``evaluate`` and the sweeps
+take their input slices from it, so it alone states the input numbering.
 
 The two reductions walk all 2**width inputs in index order, one block at a
 time.  The first block is inputs 0 .. 2**PROBE_BITS - 1; each later one is
@@ -53,8 +55,8 @@ PROBE_BITS = 12
 # with the once-per-sweep comparators, 2**17 and 2**18 blocks ran the kernel
 # 3% and 7% slower than 2**16 even without such faults.
 # Input slices of every block are cut from one table of BLOCK_BITS patterns
-# built on first use; wider ones (only a whole-input ``evaluate`` asks for
-# them) are built per call.
+# built on first use; ``block_inputs`` builds wider ones (only a whole-input
+# ``evaluate`` asks for them) per call.
 BLOCK_BITS = 16
 
 
@@ -101,14 +103,8 @@ def evaluate(width: int, pairs: Iterable[tuple[int, int]], bits: int | None = No
     check_width(width)
     if bits is None:
         bits = width
-    # Wire i is driven by input bit width-1-i, which is 0 over these inputs
-    # for the top width-bits wires.
-    rows = [0] * (width - bits)
-    if bits > BLOCK_BITS:
-        rows += [_pattern(j, bits) for j in reversed(range(bits))]
-    else:
-        rows += _patterns(bits)
-    return _compare(rows, pairs, (1 << (1 << bits)) - 1)
+    full = (1 << (1 << bits)) - 1
+    return _compare(block_inputs(width, bits, 0, full), pairs, full)
 
 
 def _compare(rows: list[int], pairs: Iterable[tuple[int, int]], full: int) -> list[int]:
@@ -160,7 +156,10 @@ def block_inputs(width: int, bits: int, start: int, full: int) -> list[int]:
     # Wire i is driven by input bit width-1-i, which is constant over the
     # block for the top width-bits wires.
     rows = [full if start >> j & 1 else 0 for j in range(width - 1, bits - 1, -1)]
-    rows += _patterns(bits)
+    if bits > BLOCK_BITS:
+        rows += [_pattern(j, bits) for j in reversed(range(bits))]
+    else:
+        rows += _patterns(bits)
     return rows
 
 

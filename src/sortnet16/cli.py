@@ -101,7 +101,7 @@ def _cmd_stats(args) -> int:
     lines = [
         f"width: {net.width}",
         f"comparators: {len(net)}",
-        f"depth: {asap_schedule(net).depth}",
+        f"depth: {max(asap_schedule(net), default=0)}",
     ]
     lines += [
         f"phase {tag.value}: {count}"

@@ -27,7 +27,7 @@ networks differ only in how they sort M:
 
 from __future__ import annotations
 
-from .network import Network, Phase, concat_all, embed
+from .network import Network, Phase, concat, embed
 
 # Cube layers of the width-16 approximate phase (popcount of the wire index).
 CUBE_LAYER1 = (1, 2, 4, 8)
@@ -42,28 +42,19 @@ UPPER_TETRAD = (7, 9, 10, 12)
 LOWER_TETRAD = (3, 5, 6, 8)
 
 
-def cube_layer(wire: int) -> int:
-    """Boolean-cube layer of a wire: the popcount of its index."""
-    return wire.bit_count()
-
-
-def hypercube_phase(n: int, dim_order=None) -> Network:
+def hypercube_phase(n: int) -> Network:
     """Approximate sorting of 2**n wires into the Boolean cube order.
 
     Round k compares (i, i + 2**k) for every wire i whose bit k is clear:
     n rounds of 2**(n-1) disjoint comparators each, so depth n and size
-    n * 2**(n-1).  ``dim_order`` permutes the rounds; any order yields the
-    same cube order.  ``n`` is at most 6: 64 wires, the widest network
+    n * 2**(n-1).  ``n`` is at most 6: 64 wires, the widest network
     ``render_diagram`` draws.
     """
     if not 1 <= n <= 6:
         raise ValueError(f"hypercube phase needs 1 <= n <= 6, got {n}")
     width = 1 << n
-    dims = list(range(n)) if dim_order is None else list(dim_order)
-    if sorted(dims) != list(range(n)):
-        raise ValueError(f"dim_order must be a permutation of 0..{n - 1}")
     comps = []
-    for k in dims:
+    for k in range(n):
         step = 1 << k
         comps.extend((i, i + step) for i in range(width) if not i & step)
     return Network(width, tuple(comps))
@@ -113,7 +104,7 @@ def green16() -> Network:
     """
     upper, lower = _tetrad_blocks()
     merge = Network(16, ((7, 8), (6, 7), (8, 9))).tagged(Phase.MERGE)
-    return concat_all(*_shared_blocks(), upper, lower, merge, _final_block())
+    return concat(*_shared_blocks(), upper, lower, merge, _final_block())
 
 
 def green16_naive_merge() -> Network:
@@ -121,7 +112,7 @@ def green16_naive_merge() -> Network:
     deeper, kept as the regression witness for the merge ordering."""
     upper, lower = _tetrad_blocks()
     merge = Network(16, ((6, 7), (7, 8), (8, 9))).tagged(Phase.MERGE)
-    return concat_all(*_shared_blocks(), upper, lower, merge, _final_block())
+    return concat(*_shared_blocks(), upper, lower, merge, _final_block())
 
 
 def van_voorhis16() -> Network:
@@ -136,7 +127,7 @@ def van_voorhis16() -> Network:
     upper, lower = _tetrad_blocks()
     pairs2 = Network(16, ((5, 12), (6, 10), (3, 9))).tagged(Phase.PAIRS2)
     merge = Network(16, ((7, 8),)).tagged(Phase.MERGE)
-    return concat_all(
+    return concat(
         *_shared_blocks(), pairs2, upper, lower, merge, _final_block()
     )
 
@@ -185,4 +176,4 @@ def strategy_sorter(m_sorter: Network | None = None) -> Network:
         raise ValueError(f"M sorter must have width {len(M_WIRES)}")
     approx, layer1, layer3, _ = _shared_blocks()
     m_block = embed(m_sorter, M_WIRES, 16)
-    return concat_all(approx, layer1, layer3, m_block, _final_block())
+    return concat(approx, layer1, layer3, m_block, _final_block())

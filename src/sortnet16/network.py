@@ -13,7 +13,6 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 from typing import NamedTuple, Sequence
 
 
@@ -50,9 +49,11 @@ class Network:
 
     Comparators may be given as ``Comparator`` instances or bare
     ``(low, high)`` pairs; pairs are normalised on construction.  This is
-    the one place that checks wires: each must be an int (read through
-    ``operator.index`` and stored as the int it returns) with
-    ``0 <= low < high < width``.
+    the one place that checks comparators: each wire must be an int (read
+    through ``operator.index`` and stored as the int it returns) with
+    ``0 <= low < high < width``, and a tag other than None is read through
+    ``Phase``, so "approx" is stored as ``Phase.APPROX`` and an unknown tag
+    raises ValueError.
     """
 
     width: int
@@ -73,9 +74,12 @@ class Network:
                 raise ValueError(f"comparator ({low}, {high}) needs 0 <= low < high")
             if hi >= width:
                 raise ValueError(f"comparator ({low}, {high}) exceeds width {width}")
-            # Wires are stored as plain ints (not bools or numpy ints), so the
-            # network renders as text that parse_text reads back.
-            comps.append(c if lo is low and hi is high else Comparator(lo, hi, tag))
+            # Wires are stored as plain ints (not bools or numpy ints) and tags
+            # as Phase members, so the network renders as text that parse_text
+            # reads back.
+            if lo is not low or hi is not high or tag is not None and type(tag) is not Phase:
+                c = Comparator(lo, hi, None if tag is None else Phase(tag))
+            comps.append(c)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "comparators", tuple(comps))
 
@@ -131,15 +135,14 @@ class Network:
         return [(low, high) for low, high, _ in self.comparators]
 
 
-def concat(a: Network, b: Network) -> Network:
-    """Sequential composition; both networks must share a width."""
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-    return Network(a.width, a.comparators + b.comparators)
-
-
-def concat_all(first: Network, *rest: Network) -> Network:
-    return reduce(concat, rest, first)
+def concat(first: Network, *rest: Network) -> Network:
+    """Sequential composition; all networks must share a width."""
+    comps = list(first.comparators)
+    for net in rest:
+        if net.width != first.width:
+            raise ValueError(f"width mismatch: {first.width} vs {net.width}")
+        comps += net.comparators
+    return Network(first.width, tuple(comps))
 
 
 def embed(block: Network, wires: Sequence[int], host_width: int) -> Network:
@@ -164,21 +167,14 @@ def embed(block: Network, wires: Sequence[int], host_width: int) -> Network:
     return Network(host_width, comps)
 
 
-@dataclass(frozen=True)
-class LayeredSchedule:
-    """ASAP layering of a network: 1-based layer per comparator position.
+def asap_schedule(net: Network) -> tuple[int, ...]:
+    """ASAP layering: the 1-based layer of each comparator, the earliest its
+    wires allow.
 
     Two comparators in the same layer never share a wire, and the number of
     layers equals the length of the longest chain of wire-sharing
-    comparators, so ``depth`` is the network's parallel time.
+    comparators, so the largest layer is the network's parallel time.
     """
-
-    layers: tuple[int, ...]
-    depth: int
-
-
-def asap_schedule(net: Network) -> LayeredSchedule:
-    """Schedule each comparator at the earliest layer its wires allow."""
     # Keyed by the wires comparators touch: the declared width costs nothing.
     last: defaultdict[int, int] = defaultdict(int)
     layers = []
@@ -186,9 +182,9 @@ def asap_schedule(net: Network) -> LayeredSchedule:
         layer = 1 + max(last[c.low], last[c.high])
         layers.append(layer)
         last[c.low] = last[c.high] = layer
-    return LayeredSchedule(tuple(layers), max(layers, default=0))
+    return tuple(layers)
 
 
 def depth(net: Network) -> int:
     """ASAP depth of the network (0 for an empty network)."""
-    return asap_schedule(net).depth
+    return max(asap_schedule(net), default=0)

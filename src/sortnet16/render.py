@@ -37,14 +37,14 @@ def render_text(net: Network, *, layered: bool = False) -> str:
     layered form is functionally identical, though not order-identical.
     """
     if layered:
-        sched = asap_schedule(net)
-        order = sorted(range(len(net)), key=lambda i: (sched.layers[i], i))
+        layers = asap_schedule(net)
+        order = sorted(range(len(net)), key=lambda i: (layers[i], i))
         groups: list[list[Comparator]] = []
         prev = None
         for i in order:
-            if sched.layers[i] != prev:
+            if layers[i] != prev:
                 groups.append([])
-                prev = sched.layers[i]
+                prev = layers[i]
             groups[-1].append(net.comparators[i])
     else:
         groups = [list(net.comparators)] if net.comparators else []
@@ -177,44 +177,6 @@ _PHASE_COLORS = {
 }
 
 
-def _layout(net: Network):
-    """Per-comparator (layer, sub-column) plus sub-column counts per layer.
-
-    Bridges of one layer that overlap as wire ranges get distinct
-    sub-columns, filled left to right by low wire index.
-    """
-    sched = asap_schedule(net)
-    by_layer: dict[int, list[Comparator]] = {}
-    for layer, comp in zip(sched.layers, net.comparators):
-        by_layer.setdefault(layer, []).append(comp)
-    placed: dict[tuple[int, int, int], int] = {}
-    subcols: dict[int, int] = {}
-    for layer in sorted(by_layer):
-        ranges: list[list[tuple[int, int]]] = []
-        for comp in sorted(by_layer[layer], key=lambda c: (c.low, c.high)):
-            slot = 0
-            while slot < len(ranges) and any(
-                comp.low <= hi and lo <= comp.high for lo, hi in ranges[slot]
-            ):
-                slot += 1
-            if slot == len(ranges):
-                ranges.append([])
-            ranges[slot].append((comp.low, comp.high))
-            placed[(layer, comp.low, comp.high)] = slot
-        subcols[layer] = len(ranges)
-    return sched, placed, subcols
-
-
-def _separator_layer(net: Network, sched) -> int | None:
-    """Last layer of the approximate phase, if the network is tagged."""
-    layers = [
-        layer
-        for layer, comp in zip(sched.layers, net.comparators)
-        if comp.tag is Phase.APPROX
-    ]
-    return max(layers) if layers else None
-
-
 def render_diagram(
     net: Network,
     fmt: str = "ascii",
@@ -241,37 +203,52 @@ _MARGIN = 3
 _LAYER_GAP = 3
 
 
-def _column_positions(subcols: dict[int, int], sep_layer: int | None):
-    """x position of (layer, slot) columns plus the separator position."""
-    xs: dict[tuple[int, int], int] = {}
-    x = _MARGIN
-    sep_x = None
-    for layer in sorted(subcols):
+def _columns(net: Network):
+    """Diagram layout: the (layer, column) of each comparator, the column of
+    the separator that follows the approximate phase (None if no comparator
+    is tagged APPROX), and the total number of columns.
+
+    Layers run left to right, each in as many columns as its bridges need:
+    bridges of one layer that overlap as wire ranges get distinct columns,
+    filled left to right by low wire index.
+    """
+    layers = asap_schedule(net)
+    comps = net.comparators
+    by_layer: list[list[int]] = [[] for _ in range(max(layers, default=0))]
+    for i, layer in enumerate(layers):
+        by_layer[layer - 1].append(i)
+    sep_layer = max(
+        (layer for layer, c in zip(layers, comps) if c.tag is Phase.APPROX), default=None
+    )
+    cols = [0] * len(comps)
+    x, sep = _MARGIN, None
+    for layer, members in enumerate(by_layer, 1):
         if sep_layer is not None and layer == sep_layer + 1:
-            sep_x = x
-            x += 2
-        for slot in range(subcols[layer]):
-            xs[(layer, slot)] = x
-            x += 2
-        x += _LAYER_GAP - 1
-    if sep_layer is not None and sep_x is None and subcols:
-        # separator after the final layer
-        sep_x = x
-        x += 2
-    return xs, sep_x, x + _MARGIN
+            sep, x = x, x + 2
+        slots: list[list[tuple[int, int]]] = []  # wire ranges drawn in each column
+        for i in sorted(members, key=lambda i: (comps[i].low, comps[i].high)):
+            low, high, _ = comps[i]
+            slot = 0
+            while slot < len(slots) and any(low <= hi and lo <= high for lo, hi in slots[slot]):
+                slot += 1
+            if slot == len(slots):
+                slots.append([])
+            slots[slot].append((low, high))
+            cols[i] = x + 2 * slot
+        x += 2 * len(slots) + _LAYER_GAP - 1
+    if sep_layer is not None and sep is None:  # the separator follows the last layer
+        sep, x = x, x + 2
+    return list(zip(layers, cols)), sep, x + _MARGIN
 
 
 def _render_ascii(net: Network, flip: bool) -> str:
-    sched, placed, subcols = _layout(net)
-    sep_layer = _separator_layer(net, sched)
-    xs, sep_x, total = _column_positions(subcols, sep_layer)
+    placed, sep_x, total = _columns(net)
     rows = [["-"] * total for _ in range(net.width)]
 
     def row(wire: int) -> int:
         return wire if flip else net.width - 1 - wire
 
-    for layer, comp in zip(sched.layers, net.comparators):
-        x = xs[(layer, placed[(layer, comp.low, comp.high)])]
+    for (_, x), comp in zip(placed, net.comparators):
         for w in range(comp.low, comp.high + 1):
             rows[row(w)][x] = "+"
         rows[row(comp.low)][x] = "o"
@@ -283,9 +260,7 @@ def _render_ascii(net: Network, flip: bool) -> str:
 
 
 def _render_svg(net: Network, flip: bool, color: bool, labels: bool) -> str:
-    sched, placed, subcols = _layout(net)
-    sep_layer = _separator_layer(net, sched)
-    xs, sep_x, total = _column_positions(subcols, sep_layer)
+    placed, sep_x, total = _columns(net)
     unit, dy, margin_y = 12, 22, 30
     width_px = total * unit
     height_px = 2 * margin_y + (net.width - 1) * dy
@@ -308,8 +283,8 @@ def _render_svg(net: Network, flip: bool, color: bool, labels: bool) -> str:
             f'stroke="black" stroke-width="1"/>'
         )
     label_cols: dict[Phase, list[int]] = {}
-    for layer, comp in zip(sched.layers, net.comparators):
-        x = x_px(xs[(layer, placed[(layer, comp.low, comp.high)])])
+    for (layer, col), comp in zip(placed, net.comparators):
+        x = x_px(col)
         phase = comp.tag.value if comp.tag else ""
         stroke = (
             _PHASE_COLORS.get(comp.tag, "black") if color and comp.tag else "black"

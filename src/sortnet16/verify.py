@@ -112,26 +112,6 @@ class Poset:
     def leq(self, a: int, b: int) -> bool:
         return (self.rows[a] >> b) & 1 == 1
 
-    def above(self, a: int) -> list[int]:
-        """Wires known to be >= wire a (including a itself)."""
-        return [b for b in range(self.width) if self.leq(a, b)]
-
-    def below(self, b: int) -> list[int]:
-        """Wires known to be <= wire b (including b itself)."""
-        return [a for a in range(self.width) if self.leq(a, b)]
-
-    def matrix(self) -> list[list[bool]]:
-        return [[self.leq(a, b) for b in range(self.width)] for a in range(self.width)]
-
-    def relation_pairs(self) -> list[tuple[int, int]]:
-        """All ordered pairs (a, b) with a != b and a <= b."""
-        return [
-            (a, b)
-            for a in range(self.width)
-            for b in range(self.width)
-            if a != b and self.leq(a, b)
-        ]
-
     def covers(self, elements: Sequence[int] | None = None) -> list[tuple[int, int]]:
         """Cover pairs (transitive reduction) of the order, optionally
         restricted to a subset of wires."""
@@ -147,13 +127,6 @@ class Poset:
                 ):
                     out.append((a, b))
         return out
-
-    def is_total_chain(self, elements: Sequence[int] | None = None) -> bool:
-        """True when the (restricted) order is total."""
-        elems = sorted(elements) if elements is not None else list(range(self.width))
-        return all(
-            self.leq(a, b) or self.leq(b, a) for a in elems for b in elems if a != b
-        )
 
 
 def poset_from_rows(width: int, rows: Sequence[int]) -> Poset:

@@ -7,9 +7,9 @@ from sortnet16 import (
     Gate,
     MonotoneCircuit,
     Network,
-    asap_schedule,
     batcher_sorter,
     cone_depth,
+    depth,
     green16,
     green16_naive_merge,
     hypercube_phase,
@@ -89,7 +89,7 @@ def test_green16_circuit_matches_apply_on_random_vectors(green):
 def test_cone_depth_bounded_by_network_depth():
     for net in constructed_networks():
         circuit = network_to_circuit(net)
-        net_depth = asap_schedule(net).depth
+        net_depth = depth(net)
         for wire in range(net.width):
             assert cone_depth(circuit, wire) <= net_depth
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -12,7 +11,6 @@ from sortnet16 import (
     asap_schedule,
     batcher_sorter,
     check_cube_poset,
-    cube_layer,
     depth,
     green16_naive_merge,
     hypercube_phase,
@@ -46,23 +44,11 @@ def test_hypercube_orders_into_cube_poset(n):
     assert check_cube_poset(hypercube_phase(n), n)
 
 
-def test_hypercube_cube_poset_for_every_dimension_order():
-    for order in itertools.permutations(range(4)):
-        net = hypercube_phase(4, dim_order=order)
-        assert check_cube_poset(net, 4), f"order {order}"
-
-
-def test_hypercube_rejects_bad_dimension_order():
-    with pytest.raises(ValueError):
-        hypercube_phase(3, dim_order=(0, 1))
-    with pytest.raises(ValueError):
-        hypercube_phase(3, dim_order=(0, 1, 1))
-
-
 def test_cube_layer_constants():
-    assert all(cube_layer(w) == 1 for w in CUBE_LAYER1)
-    assert all(cube_layer(w) == 3 for w in CUBE_LAYER3)
-    assert all(cube_layer(w) == 2 for w in MIDDLE_LAYER)
+    # Cube layer k holds the wires whose index has popcount k.
+    assert all(w.bit_count() == 1 for w in CUBE_LAYER1)
+    assert all(w.bit_count() == 3 for w in CUBE_LAYER3)
+    assert all(w.bit_count() == 2 for w in MIDDLE_LAYER)
     assert set(M_WIRES) == set(MIDDLE_LAYER) | {7, 8}
     assert CUBE_LAYER1 == (1, 2, 4, 8)
     assert CUBE_LAYER3 == (7, 11, 13, 14)
@@ -150,15 +136,15 @@ def test_winners_and_losers_after_pairs(green):
 
 
 def test_m_extremes_settle_at_layer_6(green):
-    sched = asap_schedule(green)
+    layers = asap_schedule(green)
     last7 = max(
         layer
-        for layer, c in zip(sched.layers, green.comparators)
+        for layer, c in zip(layers, green.comparators)
         if c.tag is Phase.LAYER3 and 7 in (c.low, c.high)
     )
     last8 = max(
         layer
-        for layer, c in zip(sched.layers, green.comparators)
+        for layer, c in zip(layers, green.comparators)
         if c.tag is Phase.LAYER1 and 8 in (c.low, c.high)
     )
     assert last7 == 6
@@ -211,4 +197,4 @@ def test_strategy_sorter_rejects_wrong_width():
 
 def test_full_sorters_order_wires_totally(green, vv):
     for net in (green, vv):
-        assert infer_poset(net).is_total_chain()
+        assert infer_poset(net).covers() == [(i, i + 1) for i in range(15)]

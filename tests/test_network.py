@@ -70,6 +70,14 @@ def test_comparator_validation():
         Network(0)
 
 
+def test_tags_are_read_as_phases():
+    # A str-valued Phase compares equal to its value, so test identity.
+    assert Network(2, [(0, 1, "approx")]).comparators[0].tag is Phase.APPROX
+    assert Network(2, [Comparator(0, 1, "merge")]).comparators[0].tag is Phase.MERGE
+    with pytest.raises(ValueError, match="bogus"):
+        Network(2, [(0, 1, "bogus")])
+
+
 def test_non_integer_wires_and_widths_are_refused():
     for comparators in (((0.5, 1),), ((0, 1.0),), (Comparator("0", 1),)):
         with pytest.raises(TypeError):
@@ -94,10 +102,15 @@ def test_network_accepts_bare_pairs():
 
 def test_concat_identities(green):
     empty = Network(16)
+    assert concat(green) == green
     assert concat(empty, green) == green
     assert concat(green, empty) == green
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="width mismatch: 4 vs 5"):
         concat(Network(4), Network(5))
+    a, b, c = (Network(16, green.comparators[i:j]) for i, j in ((0, 32), (32, 50), (50, 60)))
+    assert concat(a, b, c) == green
+    with pytest.raises(ValueError, match="width mismatch: 16 vs 8"):
+        concat(a, b, Network(8, ((0, 1),)))
 
 
 def test_green16_splits_into_approx_plus_completion(green):
@@ -138,25 +151,27 @@ def test_embed_rejects_bad_targets():
 
 
 def test_asap_schedule_examples():
-    assert asap_schedule(Network(4)).depth == 0
-    sched = asap_schedule(Network(4, ((0, 1), (2, 3), (0, 2))))
-    assert sched.layers == (1, 1, 2)
-    assert sched.depth == 2
+    assert asap_schedule(Network(4)) == ()
+    assert depth(Network(4)) == 0
+    net = Network(4, ((0, 1), (2, 3), (0, 2)))
+    assert asap_schedule(net) == (1, 1, 2)
+    assert depth(net) == 2
 
 
 def test_asap_schedule_invariants():
     rng = random.Random(0xBEEF)
     for _ in range(50):
         net = random_network(rng)
-        sched = asap_schedule(net)
+        layers = asap_schedule(net)
+        assert type(layers) is tuple and len(layers) == len(net)
         comps = net.comparators
         for i, ci in enumerate(comps):
             for j in range(i + 1, len(comps)):
                 cj = comps[j]
                 if {ci.low, ci.high} & {cj.low, cj.high}:
-                    assert sched.layers[i] < sched.layers[j]
+                    assert layers[i] < layers[j]
         by_layer = {}
-        for layer, c in zip(sched.layers, comps):
+        for layer, c in zip(layers, comps):
             wires = by_layer.setdefault(layer, set())
             assert not wires & {c.low, c.high}
             wires.update((c.low, c.high))

@@ -12,6 +12,8 @@ from sortnet16 import (
     Poset,
     DegenerateOrderError,
     TextFormatError,
+    batcher_sorter,
+    concat,
     hypercube_phase,
     infer_poset,
     parse_text,
@@ -207,6 +209,41 @@ def test_ascii_flip_moves_wire_zero():
 def test_ascii_separator_only_when_tagged():
     art = render_diagram(hypercube_phase(4))
     assert "|" not in art
+
+
+BATCHER8_ASCII = """\
+---o-----o-----o----------------------
+---o---o-+---o-+-----o---------o------
+---o---+-o---o-+---o-+-----o---o------
+---o---o-----o-+---+-+---o-+---o------
+---o-----o---+-o---+-+---+-o---o------
+---o---o-+---+-o---+-o---o-----o------
+---o---+-o---+-o---o-----------o------
+---o---o-----o------------------------
+"""
+
+SEPARATOR_BETWEEN_LAYERS_ASCII = """\
+---o-----o---|--------
+---o---o-+---|-o------
+---o---+-o---|-o------
+---o---o-----|--------
+"""
+
+SEPARATOR_AFTER_LAST_LAYER_ASCII = """\
+---o-----o---|----
+---o---o-+---|----
+---o---+-o---|----
+---o---o-----|----
+"""
+
+
+def test_ascii_layouts_are_pinned():
+    # Layers that need several columns, and the approximate-phase separator
+    # both between layers and after the last one.
+    approx = hypercube_phase(2).tagged(Phase.APPROX)
+    assert render_diagram(batcher_sorter(8)) == BATCHER8_ASCII
+    assert render_diagram(concat(approx, Network(4, ((1, 2),)))) == SEPARATOR_BETWEEN_LAYERS_ASCII
+    assert render_diagram(approx) == SEPARATOR_AFTER_LAST_LAYER_ASCII
 
 
 def test_diagram_width_cap():
