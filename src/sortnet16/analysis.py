@@ -36,6 +36,12 @@ way, and each claim is a per-lane identity: a value equal to a constant,
 six of M's eight values in 5..10 (counted with ``_bitslice.at_least``), or
 bounds on the minimum and maximum of M.
 
+Exhaustive claims a, b and d imply all four claims on every permutation.
+Comparators commute with thresholds, so a, b and d hold on a permutation
+iff they hold on its 15 threshold inputs; the 8 wires outside M then hold
+ranks 0-2, 13-15, one of 3-4 and one of 11-12, leaving ranks 5-10 on M
+(claim c).  So the sampled mode cannot fail while exhaustive a, b, d hold.
+
 Also here: the cube-order check itself, the partial orders established on
 M by each construction's preliminary comparisons, the strategy-completeness
 check (any 8-sorter on the M wires completes the network), and the depth

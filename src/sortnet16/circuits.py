@@ -104,8 +104,10 @@ def specialize(circuit: MonotoneCircuit, input_index: int, bit: int) -> Monotone
     """Pin one input to a constant and simplify.
 
     Constants are propagated exhaustively (x AND 0 = 0, x AND 1 = x,
-    x OR 1 = 1, x OR 0 = x), unreachable gates are dropped, and inputs
-    above ``input_index`` shift down by one.
+    x OR 1 = 1, x OR 0 = x), and inputs above ``input_index`` shift down
+    by one.  On circuits of networks, pinned any number of times, no gate
+    is left unreachable: a value sits on one wire until a comparator's AND
+    and OR both consume it.
     """
     n = circuit.n_inputs
     if not 0 <= input_index < n:
@@ -130,23 +132,7 @@ def specialize(circuit: MonotoneCircuit, input_index: int, bit: int) -> Monotone
         else:
             table.append(base + len(folded))
             folded.append(Gate(g.kind, a, b))
-    outputs = [table[r] for r in circuit.outputs]
-
-    # Drop gates not reachable from any output, keeping relative order.
-    # Operands come before their gate, so one backward pass finds them all.
-    live = set(outputs)
-    for f in range(len(folded) - 1, -1, -1):
-        if base + f in live:
-            live.update((folded[f].a, folded[f].b))
-    renumber = list(range(base))
-    gates: list[Gate] = []
-    for ref, g in enumerate(folded, start=base):
-        if ref in live:
-            renumber.append(base + len(gates))
-            gates.append(Gate(g.kind, renumber[g.a], renumber[g.b]))
-        else:
-            renumber.append(-1)  # unreferenced; the constructor would refuse it
-    return MonotoneCircuit(n - 1, tuple(gates), tuple(renumber[r] for r in outputs))
+    return MonotoneCircuit(n - 1, tuple(folded), tuple(table[r] for r in circuit.outputs))
 
 
 def is_threshold(circuit: MonotoneCircuit, wire: int, k: int) -> bool:

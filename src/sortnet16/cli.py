@@ -24,7 +24,7 @@ from .constructions import (
     sorter4,
     van_voorhis16,
 )
-from .network import Network, asap_schedule
+from .network import Network, depth
 from .render import (
     TextFormatError,
     _decimal,
@@ -98,11 +98,7 @@ def _cmd_verify(args) -> int:
 def _cmd_stats(args) -> int:
     net = _read_network(args.network_file)
     # Build the whole report first: an error exit leaves stdout empty.
-    lines = [
-        f"width: {net.width}",
-        f"comparators: {len(net)}",
-        f"depth: {max(asap_schedule(net), default=0)}",
-    ]
+    lines = [f"width: {net.width}", f"comparators: {len(net)}", f"depth: {depth(net)}"]
     lines += [
         f"phase {tag.value}: {count}"
         for tag, count in net.phase_counts().items()
@@ -139,7 +135,7 @@ def _cmd_poset(args) -> int:
     net = _read_network(args.network_file)
     if args.prefix is not None:
         net = net.prefix(args.prefix)
-    restrict = _parse_restrict(args.restrict, net.width) if args.restrict else None
+    restrict = _parse_restrict(args.restrict, net.width) if args.restrict is not None else None
     sys.stdout.write(render_poset_dot(infer_poset(net), restrict=restrict))
     return 0
 

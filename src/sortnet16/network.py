@@ -113,11 +113,9 @@ class Network:
         return Network(self.width, self.comparators[:count])
 
     def prefix_through(self, tag: Phase) -> Network:
-        """Prefix ending at the last comparator tagged ``tag``."""
-        last = None
-        for i, c in enumerate(self.comparators):
-            if c.tag is tag:
-                last = i
+        """Prefix ending at the last comparator tagged ``tag``, read as a Phase."""
+        tag = Phase(tag)
+        last = max((i for i, c in enumerate(self.comparators) if c.tag is tag), default=None)
         if last is None:
             raise ValueError(f"network has no comparator tagged {tag.value!r}")
         return self.prefix(last + 1)

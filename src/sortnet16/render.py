@@ -36,29 +36,19 @@ def render_text(net: Network, *, layered: bool = False) -> str:
     Grouping only ever reorders comparators that share no wires, so the
     layered form is functionally identical, though not order-identical.
     """
-    if layered:
-        layers = asap_schedule(net)
-        order = sorted(range(len(net)), key=lambda i: (layers[i], i))
-        groups: list[list[Comparator]] = []
-        prev = None
-        for i in order:
-            if layers[i] != prev:
-                groups.append([])
-                prev = layers[i]
-            groups[-1].append(net.comparators[i])
-    else:
-        groups = [list(net.comparators)] if net.comparators else []
-
+    layers = asap_schedule(net) if layered else (1,) * len(net)
     lines = [f"width {net.width}"]
     tag: Phase | None = None
-    for gi, group in enumerate(groups):
-        if layered and gi > 0:
+    layer = 1
+    for i in sorted(range(len(net)), key=layers.__getitem__):
+        c = net.comparators[i]
+        if layers[i] != layer:
             lines.append(";")
-        for c in group:
-            if c.tag != tag:
-                lines.append(f"# phase:{c.tag.value if c.tag else 'none'}")
-                tag = c.tag
-            lines.append(f"{c.low} {c.high}")
+            layer = layers[i]
+        if c.tag != tag:
+            lines.append(f"# phase:{c.tag.value if c.tag else 'none'}")
+            tag = c.tag
+        lines.append(f"{c.low} {c.high}")
     return "\n".join(lines) + "\n"
 
 
@@ -73,7 +63,8 @@ def parse_text(text: str) -> Network:
     """Parse the network text format; inverse of ``render_text``."""
     width: int | None = None
     comps: list[Comparator] = []
-    groups: list[list[Comparator]] = [[]]
+    used: set[int] = set()  # wires of the current layer group
+    reuse: str | None = None  # the first reuse, an error if the text has a ";"
     tag: Phase | None = None
     saw_separator = False
 
@@ -99,10 +90,10 @@ def parse_text(text: str) -> Network:
         if line == ";":
             if width is None:
                 fail(lineno, "separator before width header")
-            if not groups[-1]:
+            if not used:
                 fail(lineno, "empty layer group")
             saw_separator = True
-            groups.append([])
+            used = set()
             continue
         fields = line.split()
         if fields[0] == "width":
@@ -130,23 +121,17 @@ def parse_text(text: str) -> Network:
             fail(lineno, f"comparator ({low}, {high}) needs 0 <= low < high")
         if high >= width:
             fail(lineno, f"wire {high} out of range for width {width}")
-        comp = Comparator(low, high, tag)
-        comps.append(comp)
-        groups[-1].append(comp)
+        if reuse is None and (low in used or high in used):
+            reuse = f"line {lineno}: layer group reuses wire in comparator ({low}, {high})"
+        used.update((low, high))
+        comps.append(Comparator(low, high, tag))
 
     if width is None:
         raise TextFormatError("missing width header")
-    if saw_separator:
-        if not groups[-1]:
-            raise TextFormatError("trailing empty layer group")
-        for group in groups:
-            used: set[int] = set()
-            for c in group:
-                if c.low in used or c.high in used:
-                    raise TextFormatError(
-                        f"layer group reuses wire in comparator ({c.low}, {c.high})"
-                    )
-                used.update((c.low, c.high))
+    if saw_separator and not used:
+        raise TextFormatError("trailing empty layer group")
+    if saw_separator and reuse is not None:
+        raise TextFormatError(reuse)
     return Network(width, tuple(comps))
 
 

@@ -134,6 +134,16 @@ def test_observation_report_lines():
     assert lines[1:] == ["a: holds", "b: holds", "c: holds", "d: holds"]
 
 
+def test_failing_report_lines_are_pinned():
+    assert check_observations(Network(16)).to_lines() == [
+        "observations mode=exhaustive-binary inputs=65536 seed=-",
+        "a: FAIL input=[0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0]",
+        "b: FAIL input=[0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0]",
+        "c: FAIL input=[0 0 0 0 0 0 0 0 0 1 1 0 1 0 0 0]",
+        "d: FAIL input=[0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0]",
+    ]
+
+
 def test_claim_a_restated_on_poset():
     poset = infer_poset(hypercube_phase(4))
     assert [b for b in range(16) if poset.leq(15, b)] == [15]
@@ -158,6 +168,29 @@ def test_green_m_poset_holds(green):
 
 def test_green_m_poset_fails_before_tetrad_sorts(green):
     assert not check_green_m_poset(green.prefix_through(Phase.PAIRS))
+
+
+def test_green_m_poset_fails_at_wire_9(green):
+    # After 45 comparators the upper tetrad beats two lower wires each, but
+    # wire 9 beats only two, not three.
+    prefix = green.prefix(45)
+    poset = infer_poset(prefix)
+    assert all(analysis._dominates(poset, u) >= 2 for u in UPPER_TETRAD)
+    assert analysis._dominates(poset, 9) == 2
+    assert not check_green_m_poset(prefix)
+
+
+def test_green_m_poset_fails_at_the_lower_tetrad(green):
+    # Without tetrad A's (9, 12) both upper conditions still hold, but
+    # wire 8 loses to only one upper wire.
+    comps = list(green.prefix_through(Phase.TETRAD_B).comparators)
+    assert comps.pop(48) == (9, 12, Phase.TETRAD_A)
+    prefix = Network(16, comps)
+    poset = infer_poset(prefix)
+    assert all(analysis._dominates(poset, u) >= 2 for u in UPPER_TETRAD)
+    assert analysis._dominates(poset, 9) >= 3
+    assert analysis._dominated_by(poset, 8) == 1
+    assert not check_green_m_poset(prefix)
 
 
 def test_green_m_hasse_diagram(green):
@@ -364,6 +397,19 @@ def test_sampled_observations_match_matrix_oracle():
         for name, ok in _claim_masks(outputs).items():
             assert masks[name] == lanes_of(ok), (name, prefix.comparators)
     assert_every_verdict_seen(verdicts)
+
+
+def test_exhaustive_a_b_d_imply_every_claim_on_permutations():
+    # See the module docstring: exhaustive a, b and d put ranks 5..10 on M.
+    implied = 0
+    for i, prefix in enumerate(differential_prefixes(210, seed=0xA11)):
+        claims = check_observations(prefix).claims
+        if all(claims[name].holds for name in "abd"):
+            implied += 1
+            assert claims["c"].holds, prefix.comparators
+            sampled = check_observations(prefix, mode=SAMPLED, samples=2000, seed=i)
+            assert sampled.all_hold, prefix.comparators
+    assert implied >= 20
 
 
 def lanes_of(flags):

@@ -233,6 +233,28 @@ def test_specialize_preserves_function():
         assert evaluate_all(reduced) == evaluate_slices(circuit, driven, nbits), (index, bit)
 
 
+def unreachable_gates(circuit):
+    """Ids of the gates that no output depends on."""
+    base = circuit.n_inputs + 2
+    live = set(circuit.outputs)
+    for gid in range(len(circuit.gates) - 1, -1, -1):
+        if base + gid in live:
+            live.update(circuit.gates[gid][1:])
+    return [gid for gid in range(len(circuit.gates)) if base + gid not in live]
+
+
+def test_specialize_leaves_every_gate_reachable():
+    # specialize folds in one sweep with no liveness pass: on the circuits of
+    # networks, pinned once or twice, no gate may be left unreachable.
+    for circuit, index, bit, reduced in specializations():
+        assert unreachable_gates(circuit) == []
+        assert unreachable_gates(reduced) == [], (index, bit)
+        for again_index in range(reduced.n_inputs):
+            for again_bit in (0, 1):
+                again = specialize(reduced, again_index, again_bit)
+                assert unreachable_gates(again) == [], (index, bit, again_index, again_bit)
+
+
 def test_specialize_never_deepens():
     for circuit, index, bit, reduced in specializations():
         before = [cone_depth(circuit, w) for w in range(len(circuit.outputs))]

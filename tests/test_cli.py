@@ -161,7 +161,7 @@ def test_poset_bad_restrict(capsys, tmp_path):
         ("M", "wire 5 is outside 0..3"),
         *(
             (bad, f"wants M, layer1, layer3, or a comma list of wires, got {bad!r}")
-            for bad in ("+3,1", "1_0", "\u0663", "3,-0x1", "-")
+            for bad in ("+3,1", "1_0", "\u0663", "3,-0x1", "-", "")
         ),
     ],
 )
@@ -309,7 +309,7 @@ def test_memory_error_exits_2(capsys, monkeypatch, tmp_path):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr("sortnet16.cli.asap_schedule", exhausted)
+    monkeypatch.setattr("sortnet16.network.asap_schedule", exhausted)
     code, _, err = run(capsys, "stats", write_net(tmp_path, sorter4()))
     assert code == 2
     assert err == "error: out of memory\n"
@@ -330,7 +330,7 @@ def test_stats_out_of_memory_prints_nothing_to_stdout(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr("sys.stdin", io.StringIO("width 99999999999\n0 1\n"))
-    monkeypatch.setattr("sortnet16.cli.asap_schedule", exhausted)
+    monkeypatch.setattr("sortnet16.network.asap_schedule", exhausted)
     code, out, err = run(capsys, "stats", "-")
     assert code == 2
     assert out == ""

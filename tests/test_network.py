@@ -206,6 +206,12 @@ def test_prefix_through_missing_tag(green):
         green.prefix_through(Phase.PAIRS2)
 
 
+def test_prefix_through_reads_the_tag_as_a_phase(green):
+    assert green.prefix_through("merge") == green.prefix_through(Phase.MERGE)
+    with pytest.raises(ValueError):
+        green.prefix_through("bogus")
+
+
 def test_tagged_and_phase_counts():
     net = Network(4, ((0, 1), (2, 3))).tagged(Phase.PAIRS)
     assert all(c.tag is Phase.PAIRS for c in net.comparators)

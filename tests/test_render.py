@@ -56,6 +56,8 @@ def test_random_networks_round_trip():
     for _ in range(100):
         net = random_tagged_network(rng)
         assert parse_text(render_text(net)) == net
+        layered = render_text(net, layered=True)
+        assert render_text(parse_text(layered), layered=True) == layered
 
 
 # Ways a caller may spell a wire number: Network stores each as a plain int.
@@ -94,6 +96,17 @@ def test_layered_render_groups_by_asap_layer(green):
         assert reordered.apply(values) == green.apply(values)
 
 
+def test_layered_text_is_pinned():
+    net = Network(
+        5,
+        ((0, 1, "approx"), (1, 2, "merge"), (3, 4, None), (2, 3, "merge"), (0, 1, "approx")),
+    )
+    assert render_text(net, layered=True) == (
+        "width 5\n# phase:approx\n0 1\n# phase:none\n3 4\n;\n"
+        "# phase:merge\n1 2\n;\n2 3\n# phase:approx\n0 1\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -117,9 +130,10 @@ def test_layered_render_groups_by_asap_layer(green):
         ("width 16\n٣ 4\n", "line 2: non-integer"),
         ("width ١٦\n+1 1_0\n٣ 4\n", "line 1: width header"),
         ("width 2\n# phase:warmup\n0 1\n", "unknown phase"),
-        ("width 4\n0 1\n0 2\n;\n1 2\n", "reuses wire"),
+        ("width 4\n0 1\n0 2\n;\n1 2\n", "line 3: layer group reuses wire"),
         ("width 2\n;\n0 1\n", "empty layer"),
         ("width 2\n0 1\n;\n", "empty layer"),
+        (";\nwidth 2\n0 1\n", "line 1: separator before width header"),
         ("", "missing width"),
     ],
 )
