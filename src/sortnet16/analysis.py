@@ -51,8 +51,7 @@ regression for the merge ordering.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import _bitslice
 from .constructions import (
@@ -89,14 +88,12 @@ SAMPLE_BLOCK = 1 << 16
 Planes = tuple[int, int, int, int]  # a value 0..15 per lane, bit t in entry t
 
 
-@dataclass(frozen=True)
-class ClaimVerdict:
+class ClaimVerdict(NamedTuple):
     holds: bool
     counterexample: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class ObservationReport:
+class ObservationReport(NamedTuple):
     """Verdicts for claims a-d under one checking mode."""
 
     mode: str

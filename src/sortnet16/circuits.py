@@ -22,12 +22,11 @@ inputs in the slice engine's blocks, so each value it holds has at most
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import _bitslice
 from .constructions import van_voorhis16
-from .network import Network
+from .network import Network, _Record, _set_field
 
 AND = "AND"
 OR = "OR"
@@ -41,16 +40,19 @@ class Gate(NamedTuple):
     b: int
 
 
-@dataclass(frozen=True)
-class MonotoneCircuit:
+class MonotoneCircuit(_Record):
     """Acyclic gate list over ``n_inputs`` inputs with one value index per
     output wire.  Gate g may only reference the constants, the inputs and
     earlier gates (indices below n_inputs + 2 + g), so acyclicity holds by
     construction.  Construction checks every gate's kind and operands."""
 
-    n_inputs: int
-    gates: tuple[Gate, ...]
-    outputs: tuple[int, ...]
+    __slots__ = ("n_inputs", "gates", "outputs")
+
+    def __init__(self, n_inputs: int, gates: tuple[Gate, ...], outputs: tuple[int, ...]):
+        _set_field(self, "n_inputs", n_inputs)
+        _set_field(self, "gates", gates)
+        _set_field(self, "outputs", outputs)
+        self.__post_init__()
 
     def __post_init__(self):
         base = self.n_inputs + 2

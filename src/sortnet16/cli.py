@@ -4,9 +4,13 @@ Exit codes follow a CI-friendly convention: 0 when the command succeeds
 and any checked claim holds, 1 when a claim fails or a counterexample is
 found, 2 for usage or I/O errors and for inputs too large to evaluate.
 
-Each command imports the modules it runs when it runs: ``build``, ``stats``
-and ``diagram`` need neither the slice engine nor ``analysis`` or
-``circuits``, and parsing the arguments loads none of them.
+Each command imports the modules it runs when it runs, and parsing the
+arguments loads only ``network``.  So:
+
+* ``build``, ``stats`` and ``diagram`` load neither the slice engine nor
+  ``analysis`` or ``circuits``;
+* ``verify``, ``stats`` and ``diagram`` do not load ``constructions``;
+* ``checks``, ``observations`` and ``majority`` do not load ``render``.
 """
 
 from __future__ import annotations
@@ -14,42 +18,29 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .constructions import (
-    CUBE_LAYER1,
-    CUBE_LAYER3,
-    M_WIRES,
-    batcher_sorter,
-    green16,
-    hypercube_phase,
-    sorter4,
-    van_voorhis16,
-)
 from .network import Network, depth
-from .render import (
-    TextFormatError,
-    _decimal,
-    parse_text,
-    render_diagram,
-    render_poset_dot,
-    render_text,
-)
 
+# Network name -> its builder in ``constructions``.
 _BUILDERS = {
-    "green16": lambda n: green16(),
-    "vanvoorhis16": lambda n: van_voorhis16(),
-    "sorter4": lambda n: sorter4(),
-    "hypercube": hypercube_phase,
-    "batcher": batcher_sorter,
+    "green16": "green16",
+    "vanvoorhis16": "van_voorhis16",
+    "sorter4": "sorter4",
+    "hypercube": "hypercube_phase",
+    "batcher": "batcher_sorter",
 }
+_SIZED = ("hypercube", "batcher")  # the builders that take a size
 
+# --restrict name -> its wire set in ``constructions``.
 _RESTRICT_SETS = {
-    "M": M_WIRES,
-    "layer1": CUBE_LAYER1,
-    "layer3": CUBE_LAYER3,
+    "M": "M_WIRES",
+    "layer1": "CUBE_LAYER1",
+    "layer3": "CUBE_LAYER3",
 }
 
 
 def _read_network(path: str) -> Network:
+    from .render import parse_text
+
     if path == "-":
         return parse_text(sys.stdin.read())
     with open(path, "r", encoding="utf-8") as fh:
@@ -65,17 +56,18 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _cmd_build(args) -> int:
-    builder = _BUILDERS[args.network]
-    if args.network in ("hypercube", "batcher"):
-        if args.n is None:
-            print(f"build {args.network} requires a size argument", file=sys.stderr)
-            return 2
-        net = builder(args.n)
-    else:
-        if args.n is not None:
-            print(f"build {args.network} takes no size argument", file=sys.stderr)
-            return 2
-        net = builder(None)
+    from . import constructions
+    from .render import render_text
+
+    sized = args.network in _SIZED
+    if sized and args.n is None:
+        print(f"build {args.network} requires a size argument", file=sys.stderr)
+        return 2
+    if not sized and args.n is not None:
+        print(f"build {args.network} takes no size argument", file=sys.stderr)
+        return 2
+    builder = getattr(constructions, _BUILDERS[args.network])
+    net = builder(args.n) if sized else builder()
     _write(render_text(net, layered=args.layered), args.output)
     return 0
 
@@ -109,8 +101,12 @@ def _cmd_stats(args) -> int:
 
 
 def _parse_restrict(choice: str, width: int) -> tuple[int, ...]:
+    from .render import TextFormatError, _decimal
+
     if choice in _RESTRICT_SETS:
-        wires = _RESTRICT_SETS[choice]
+        from . import constructions
+
+        wires = getattr(constructions, _RESTRICT_SETS[choice])
     else:
         try:
             # A minus sign is read so that the range check names a negative wire.
@@ -130,6 +126,7 @@ def _parse_restrict(choice: str, width: int) -> tuple[int, ...]:
 
 
 def _cmd_poset(args) -> int:
+    from .render import render_poset_dot
     from .verify import infer_poset
 
     net = _read_network(args.network_file)
@@ -141,6 +138,8 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
+    from .render import render_diagram
+
     net = _read_network(args.network_file)
     text = render_diagram(
         net, args.format, flip=args.flip, color=args.color, labels=not args.no_labels
@@ -198,6 +197,16 @@ def _cmd_majority(args) -> int:
     return 0 if verified and depth <= 9 else 1
 
 
+def _seed(text: str) -> int:
+    """A seed in Python's integer syntax: 12, 0xC0FFEE, 0o17 or 0b101."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer such as 12 or 0xC0FFEE, got {text!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sortnet16",
@@ -243,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # Defaults (None) are analysis.DEFAULT_SAMPLES and DEFAULT_SEED.
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=_cmd_observations)
 
     p = sub.add_parser("checks", help="run one of the structural checks")
@@ -274,7 +283,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (TextFormatError, ValueError) as exc:
+    except ValueError as exc:  # TextFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -43,8 +42,45 @@ class Comparator(NamedTuple):
     tag: Phase | None = None
 
 
-@dataclass(frozen=True)
-class Network:
+class _Record:
+    """Base of the records that check their fields: the fields are the
+    ``__slots__``, stored by ``__init__`` before ``__post_init__`` checks
+    them.  Equality, hash and repr go by the fields, assignment raises
+    AttributeError, and pickling calls the constructor, checks included.
+    Plain classes keep ``inspect``, ``ast`` and ``dis`` out of every CLI
+    process, which ``tests/test_cli.py`` pins."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+_set_field = object.__setattr__  # how __init__ and __post_init__ store a field
+
+
+class Network(_Record):
     """An ordered sequence of comparators on ``width`` wires.
 
     Comparators may be given as ``Comparator`` instances or bare
@@ -56,8 +92,12 @@ class Network:
     raises ValueError.
     """
 
-    width: int
-    comparators: tuple[Comparator, ...] = ()
+    __slots__ = ("width", "comparators")
+
+    def __init__(self, width: int, comparators: Sequence = ()):
+        _set_field(self, "width", width)
+        _set_field(self, "comparators", comparators)
+        self.__post_init__()
 
     def __post_init__(self):
         index = operator.index
@@ -80,8 +120,8 @@ class Network:
             if lo is not low or hi is not high or tag is not None and type(tag) is not Phase:
                 c = Comparator(lo, hi, None if tag is None else Phase(tag))
             comps.append(c)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "comparators", tuple(comps))
+        _set_field(self, "width", width)
+        _set_field(self, "comparators", tuple(comps))
 
     def __len__(self) -> int:
         return len(self.comparators)

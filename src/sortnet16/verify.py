@@ -16,11 +16,10 @@ networks are refused before anything is allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _bitslice as _backend
-from .network import Network
+from .network import Network, _Record, _set_field
 
 
 def backend_name() -> str:
@@ -33,8 +32,7 @@ class DegenerateOrderError(ValueError):
     """Two distinct wires carry equal values on every binary input."""
 
 
-@dataclass(frozen=True)
-class SortVerdict:
+class SortVerdict(NamedTuple):
     """Outcome of exhaustive verification.
 
     ``counterexample`` is the lexicographically least binary input the
@@ -87,8 +85,7 @@ def counterexample_permutation(net: Network, bad: Sequence[int]) -> list[int]:
     return perm
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(_Record):
     """The always-at-most relation between wires after a network prefix.
 
     ``rows[a]`` is a bitmask with bit b set iff wire a's value is at most
@@ -97,8 +94,12 @@ class Poset:
     not antisymmetric.
     """
 
-    width: int
-    rows: tuple[int, ...]
+    __slots__ = ("width", "rows")
+
+    def __init__(self, width: int, rows: tuple[int, ...]):
+        _set_field(self, "width", width)
+        _set_field(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         rows = self.rows

@@ -219,6 +219,19 @@ def test_observations_bad_sample_count_prints_nothing(capsys, samples):
     assert err == f"error: samples must be at least 1, got {samples}\n"
 
 
+@pytest.mark.parametrize("seed", ["0x", "12.5", "seven"])
+def test_observations_bad_seed_says_what_a_seed_is(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["observations", "--seed", seed])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.endswith(
+        "error: argument --seed: seed must be an integer such as 12 or 0xC0FFEE, "
+        f"got {seed!r}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "name", ["green-m", "vv-m", "strategy", "depth-regression"]
 )
@@ -337,17 +350,20 @@ def test_stats_out_of_memory_prints_nothing_to_stdout(capsys, monkeypatch):
     assert err == "error: out of memory\n"
 
 
-# Runs every command in one fresh interpreter in which numpy cannot be
-# imported, and reports after each its exit code, its stdout and the package
-# modules loaded so far.  sys.modules only grows, so a module missing after a
-# command was loaded by none of the commands before it either.
+# Runs commands in one fresh interpreter in which numpy cannot be imported,
+# and reports after each its exit code, its stdout and the package modules
+# (and the standard library's dataclasses and inspect) loaded so far.
+# sys.modules only grows, so a module missing after a command was loaded by
+# none of the commands before it either.
 _COMMAND_PROBE = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None  # makes every import of numpy fail
 from sortnet16.cli import build_parser, main
 
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("sortnet16."))
+    return sorted(
+        m for m in sys.modules if m.startswith("sortnet16.") or m in ("dataclasses", "inspect")
+    )
 
 build_parser()
 report = [[0, "", loaded()]]
@@ -375,19 +391,7 @@ def test_commands_run_without_numpy_and_load_only_what_they_run(tmp_path):
         (["observations"], 0, "observations.out"),
         *((["checks", name], 0, f"checks_{name}.out") for name in sorted(_CHECKS)),
     ]
-    src = str(Path(sortnet16.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", _COMMAND_PROBE, json.dumps([argv for argv, _, _ in commands])],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    (_, _, parsed), *report = json.loads(proc.stdout)
-    for (argv, code, reference), (got_code, stdout, _) in zip(commands, report):
-        assert got_code == code, argv
-        if reference:
-            assert stdout == (REFERENCE / reference).read_text(encoding="utf-8"), argv
-    assert len(report) == len(commands)
+    (_, _, parsed), *report = probe_commands(commands)
 
     def loaded_after(command):
         """Modules loaded once the last run of ``command`` has returned."""
@@ -400,6 +404,50 @@ def test_commands_run_without_numpy_and_load_only_what_they_run(tmp_path):
     assert "sortnet16.circuits" not in loaded_after("poset")  # and verify
     assert "sortnet16.analysis" not in loaded_after("majority")
     assert heavy <= loaded_after("checks")
+    assert not {"dataclasses", "inspect"} & loaded_after("checks")  # after every command
+
+
+def probe_commands(commands):
+    """Run ``(argv, exit code, reference file or None)`` commands through
+    ``_COMMAND_PROBE``, check each one's exit code and stdout, and return
+    the probe's report: the state after parsing, then one per command."""
+    src = str(Path(sortnet16.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMMAND_PROBE, json.dumps([argv for argv, _, _ in commands])],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert len(report) == len(commands) + 1
+    for (argv, code, reference), (got_code, stdout, _) in zip(commands, report[1:]):
+        assert got_code == code, argv
+        if reference:
+            assert stdout == (REFERENCE / reference).read_text(encoding="utf-8"), argv
+    return report
+
+
+def test_commands_leave_unloaded_the_modules_they_do_not_run():
+    # Each group runs in its own interpreter, so that no command outside the
+    # group loads a module first and hides a load by a command inside it.
+    green = str(REFERENCE / "green16.txt")
+    readers = [
+        (["verify", green], 0, "verify_green16.out"),
+        (["stats", green], 0, "stats.out"),
+        (["diagram", green, "--format", "svg", "--color"], 0, "diagram_svg.out"),
+    ]
+    claims = [
+        (["majority", "16"], 0, "majority16.out"),
+        (["majority", "15"], 0, "majority15.out"),
+        (["observations"], 0, "observations.out"),
+        *((["checks", name], 0, f"checks_{name}.out") for name in sorted(_CHECKS)),
+    ]
+    loaded_by_readers = set(probe_commands(readers)[-1][2])
+    loaded_by_claims = set(probe_commands(claims)[-1][2])
+    assert "sortnet16.render" in loaded_by_readers
+    assert "sortnet16.constructions" not in loaded_by_readers
+    assert "sortnet16.constructions" in loaded_by_claims
+    assert "sortnet16.render" not in loaded_by_claims
 
 
 def test_star_import_binds_every_public_name():
