@@ -26,10 +26,10 @@ constant only moves slices.  The blocks of the largest size repeat, and a
 comparator no constant reaches computes the same slices in each of them, so
 it runs once per sweep.  ``first_unsorted`` stops at the first block with a
 failing input: its least failing input is the least of all.  ``leq_masks``
-takes as candidates the wire pairs the first block does not refute.  Each
-later block refutes candidates, skipping a pair that two pairs verified on
-the same block imply by transitivity, and the walk stops once no candidate
-is left.
+starts from every ordered pair of distinct wires, nearest first.  Every
+block, the first included, keeps the pairs that hold on it and skips a pair
+that two pairs already verified on that block imply by transitivity, and
+the walk stops once no pair is left.
 """
 
 from __future__ import annotations
@@ -207,23 +207,18 @@ def leq_masks(width: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
 
     Bit b of row a is set iff no binary input yields wire a = 1, wire b = 0.
     """
-    swept = _sweep(width, pairs)
-    _, first = next(swept)
-    # Candidates: the wire pairs the first block does not refute, a superset
-    # of the answer.
-    cand = [
-        sum(1 << b for b in range(width) if b != a and first[a] & first[b] == first[a])
+    check_width(width)
+    # Nearest first, ties by (a, b), so the two shorter pairs through a wire
+    # between a and b are tested before (a, b) and may settle it.  The order
+    # affects only how many pairs are tested.
+    leq = [
+        (a, b)
+        for d in range(1, width)
         for a in range(width)
+        for b in (a - d, a + d)
+        if 0 <= b < width
     ]
-    inv = [sum(1 << a for a in range(width) if cand[a] >> b & 1) for b in range(width)]
-    # Test pairs with fewer candidate wires between them first (nearer wires
-    # first among equals), so that a pair two verified pairs already imply by
-    # transitivity is skipped.  The order affects only how many pairs are tested.
-    leq = sorted(
-        ((a, b) for a in range(width) for b in range(width) if cand[a] >> b & 1),
-        key=lambda p: ((cand[p[0]] & inv[p[1]]).bit_count(), abs(p[1] - p[0])),
-    )
-    for _, rows in swept if leq else ():
+    for _, rows in _sweep(width, pairs):
         above = [0] * width  # pairs verified on this block, by row and by column
         below = [0] * width
         kept = []

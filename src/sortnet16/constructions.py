@@ -94,6 +94,12 @@ def _final_block() -> Network:
     return Network(16, ((3, 4), (11, 12))).tagged(Phase.FINAL)
 
 
+def _green(merge: tuple[tuple[int, int], ...]) -> Network:
+    """Green's network with the three tetrad-merge comparators in the given order."""
+    merge_block = Network(16, merge).tagged(Phase.MERGE)
+    return concat(*_shared_blocks(), *_tetrad_blocks(), merge_block, _final_block())
+
+
 def green16() -> Network:
     """Green's 16-input sorter: 60 comparators, depth 10.
 
@@ -102,17 +108,13 @@ def green16() -> Network:
     merge runs (7, 8) first: those two wires settle one layer earlier than
     their neighbours, so leading with them saves a layer overall.
     """
-    upper, lower = _tetrad_blocks()
-    merge = Network(16, ((7, 8), (6, 7), (8, 9))).tagged(Phase.MERGE)
-    return concat(*_shared_blocks(), upper, lower, merge, _final_block())
+    return _green(((7, 8), (6, 7), (8, 9)))
 
 
 def green16_naive_merge() -> Network:
     """green16 with the merge done bottom-up; functionally identical but
     deeper, kept as the regression witness for the merge ordering."""
-    upper, lower = _tetrad_blocks()
-    merge = Network(16, ((6, 7), (7, 8), (8, 9))).tagged(Phase.MERGE)
-    return concat(*_shared_blocks(), upper, lower, merge, _final_block())
+    return _green(((6, 7), (7, 8), (8, 9)))
 
 
 def van_voorhis16() -> Network:

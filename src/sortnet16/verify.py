@@ -2,16 +2,11 @@
 
 By the zero-one principle a network sorts every input iff it sorts every
 binary input, so every verdict here covers the full 2**width binary input
-space.  The slice engine in ``_bitslice``, reached through the module
-attribute ``_backend``, is the only verifier.  It takes the network as
-its width and ``net.pairs()``, the bare ``(low, high)`` wire pairs that
-``Network`` has already checked.  It walks the inputs in
-index order, in blocks of one Python int per wire: the first 2**12
-inputs, then blocks as large as all the inputs before them, up to
-2**BLOCK_BITS.  A failure ends the check at its block, and order
-inference tests in each block only the wire pairs no earlier block
-refuted.  The engine's ``MAX_WIDTH`` is the one width limit: wider
-networks are refused before anything is allocated.
+space.  The slice engine ``_bitslice``, the module attribute ``_backend``,
+sweeps the inputs; this module turns its answers into a ``SortVerdict``
+with the least failing input, lifts that input to a failing permutation,
+and builds the ``Poset`` of wire order, which refuses two wires forced
+equal.
 """
 
 from __future__ import annotations

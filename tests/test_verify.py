@@ -14,11 +14,12 @@ from sortnet16 import (
     hypercube_phase,
     infer_poset,
     is_threshold,
+    van_voorhis16,
     verify_sorts_binary,
 )
 from sortnet16.verify import poset_from_rows
 
-from test_bitslice import bits_of, brute_force_poset_pairs, least_failing_index
+from test_bitslice import bits_of, brute_force_poset_pairs, column_oracle, least_failing_index
 from test_network import random_network
 
 
@@ -183,6 +184,16 @@ def test_infer_poset_matches_brute_force_on_random_networks():
             (a, b) for a in range(net.width) for b in range(net.width) if poset.leq(a, b)
         }
         assert actual == brute_force_poset_pairs(net)
+
+
+@pytest.mark.parametrize("build", [green16, van_voorhis16])
+def test_every_prefix_poset_of_the_classics(build):
+    # The cube order after the approximate phase and the dominance patterns
+    # on M are all read from these posets.
+    net = build()
+    for k in range(len(net.comparators) + 1):
+        prefix = net.prefix(k)
+        assert list(infer_poset(prefix).rows) == column_oracle(prefix)[1], k
 
 
 def test_sorter_poset_is_total_chain(green):
