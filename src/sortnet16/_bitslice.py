@@ -16,20 +16,21 @@ the input slices of each block (``blocks``, ``block_inputs``).
 ``block_inputs`` is the one input builder: ``evaluate`` and the sweeps
 take their input slices from it, so it alone states the input numbering.
 
-The two reductions walk all 2**width inputs in index order, one block at a
-time.  The first block is inputs 0 .. 2**PROBE_BITS - 1; each later one is
-as large as all the inputs before it, up to 2**BLOCK_BITS, so an evaluation
-holds at most width * 2**BLOCK_BITS bits.  In a block of 2**bits inputs the
-wires driven by the low ``bits`` input bits get a fixed pattern; the others
-are constant over the block, 0 or all ones, and a comparator that meets a
-constant only moves slices.  The blocks of the largest size repeat, and a
-comparator no constant reaches computes the same slices in each of them, so
-it runs once per sweep.  ``first_unsorted`` stops at the first block with a
-failing input: its least failing input is the least of all.  ``leq_masks``
-starts from every ordered pair of distinct wires, nearest first.  Every
-block, the first included, keeps the pairs that hold on it and skips a pair
-that two pairs already verified on that block imply by transitivity, and
-the walk stops once no pair is left.
+The two reductions walk the inputs in blocks of two sizes.  Past
+PROBE_BITS wires a probe of inputs 0 .. 2**PROBE_BITS - 1 comes first; then
+blocks of 2**min(width, BLOCK_BITS) inputs cover all 2**width inputs in
+index order, from input 0 again (a verdict is a conjunction over inputs, so
+testing some twice changes none).  An evaluation holds at most
+width * 2**BLOCK_BITS bits.  In a block of 2**bits inputs the wires driven
+by the low ``bits`` input bits get a fixed pattern; the others are constant
+over the block, 0 or all ones, and a comparator that meets a constant only
+moves slices.  The full blocks share their patterns, and a comparator no
+constant reaches computes the same slices in each, so it runs once per
+sweep.  ``first_unsorted`` stops at the first block with a failing input:
+its least failing input is the least of all.  ``leq_masks`` starts from
+every ordered pair of distinct wires, nearest first.  Every block keeps the
+pairs that hold on it and skips a pair that two pairs already verified on
+that block imply by transitivity; the walk stops once no pair is left.
 """
 
 from __future__ import annotations
@@ -43,17 +44,18 @@ from typing import Iterable, Iterator, Sequence
 # to ~1.6x slower in its slow spells), and each wire more doubles that.
 MAX_WIDTH = 26
 
-# The first block: 2**PROBE_BITS inputs, small enough that a network failing
-# early is refuted in microseconds.
+# The probe: inputs 0 .. 2**PROBE_BITS - 1, swept first on wider networks so
+# that a network failing early is refuted in microseconds.
 PROBE_BITS = 12
 
-# The largest block: 2**BLOCK_BITS inputs, chosen from timings of verify +
-# poset on sorters and random networks of 18 and 20 wires.  Smaller blocks
-# pay more interpreter overhead (2**15 took ~19% longer than 2**16).  At
-# 2**17 the C allocator handed the slices a call frees back to the system,
-# so each later call faulted ~100 fresh pages in and took 10-25% longer;
-# with the once-per-sweep comparators, 2**17 and 2**18 blocks ran the kernel
-# 3% and 7% slower than 2**16 even without such faults.
+# The full blocks: 2**BLOCK_BITS inputs, or all of them on fewer wires.
+# Chosen from timings of verify + poset on sorters and random networks of 18
+# and 20 wires.  Smaller blocks pay more interpreter overhead (2**15 took
+# ~19% longer than 2**16).  At 2**17 the C allocator handed the slices a
+# call frees back to the system, so each later call faulted ~100 fresh pages
+# in and took 10-25% longer; with the once-per-sweep comparators, 2**17 and
+# 2**18 blocks ran the kernel 3% and 7% slower than 2**16 even without such
+# faults.
 # Input slices of every block are cut from one table of BLOCK_BITS patterns
 # built on first use; ``block_inputs`` builds wider ones (only a whole-input
 # ``evaluate`` asks for them) per call.
@@ -141,13 +143,13 @@ def at_least(rows: Sequence[int], full: int, k: int | None = None) -> list[int]:
 
 
 def blocks(width: int) -> Iterator[tuple[int, int]]:
-    """(bits, start) of each block of inputs, in index order."""
+    """(bits, start) of each block: the probe, then full blocks from input 0."""
     check_width(width)
-    bits, start = min(width, PROBE_BITS), 0
-    while start < 1 << width:
+    if width > PROBE_BITS:
+        yield PROBE_BITS, 0
+    bits = min(width, BLOCK_BITS)
+    for start in range(0, 1 << width, 1 << bits):
         yield bits, start
-        start += 1 << bits
-        bits = min(BLOCK_BITS, start.bit_length() - 1)
 
 
 def block_inputs(width: int, bits: int, start: int, full: int) -> list[int]:

@@ -143,15 +143,18 @@ def is_threshold(circuit: MonotoneCircuit, wire: int, k: int) -> bool:
     n = circuit.n_inputs
     if not 0 <= wire < len(circuit.outputs):
         raise ValueError(f"no output wire {wire}")
+    # Counting slices of the low input bits, over one full block: the probe
+    # takes their low part, and each block the entry for the ones its index
+    # lacks.
+    bits = min(n, _bitslice.BLOCK_BITS)
+    full = (1 << (1 << bits)) - 1
+    low = _bitslice.block_inputs(bits, bits, 0, full)
+    counts = _bitslice.at_least(low, full, min(max(k, 0), bits))
     for bits, start in _bitslice.blocks(n):
         full = (1 << (1 << bits)) - 1
+        need = k - (start >> bits).bit_count()
+        want = full if need <= 0 else counts[need] & full if need < len(counts) else 0
         inputs = _bitslice.block_inputs(n, bits, start, full)
-        if k <= 0:
-            want = full
-        elif k > n:  # no input has more than n ones
-            want = 0
-        else:
-            want = _bitslice.at_least(inputs, full, k)[k]
         if evaluate_slices(circuit, inputs, 1 << bits)[wire] != want:
             return False
     return True

@@ -27,7 +27,7 @@ networks differ only in how they sort M:
 
 from __future__ import annotations
 
-from .network import Network, Phase, concat, embed
+from .network import Comparator, Network, Phase
 
 # Cube layers of the width-16 approximate phase (popcount of the wire index).
 CUBE_LAYER1 = (1, 2, 4, 8)
@@ -42,6 +42,10 @@ UPPER_TETRAD = (7, 9, 10, 12)
 LOWER_TETRAD = (3, 5, 6, 8)
 
 
+def _cube_pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, i | 1 << k) for k in range(n) for i in range(1 << n) if not i >> k & 1]
+
+
 def hypercube_phase(n: int) -> Network:
     """Approximate sorting of 2**n wires into the Boolean cube order.
 
@@ -52,12 +56,10 @@ def hypercube_phase(n: int) -> Network:
     """
     if not 1 <= n <= 6:
         raise ValueError(f"hypercube phase needs 1 <= n <= 6, got {n}")
-    width = 1 << n
-    comps = []
-    for k in range(n):
-        step = 1 << k
-        comps.extend((i, i + step) for i in range(width) if not i & step)
-    return Network(width, tuple(comps))
+    return Network(1 << n, tuple(_cube_pairs(n)))
+
+
+_SORTER4 = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))
 
 
 def sorter4() -> Network:
@@ -66,38 +68,45 @@ def sorter4() -> Network:
     Its first two layers (4 comparators) already pin the minimum on wire 0
     and the maximum on wire 3; only the middle pair needs the third layer.
     """
-    return Network(4, ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)))
+    return Network(4, _SORTER4)
 
 
-def _shared_blocks() -> tuple[Network, ...]:
-    """Prefix common to both 16-input sorters: cube phase, layer sorters,
-    first pair round."""
-    approx = hypercube_phase(4).tagged(Phase.APPROX)
-    layer1 = embed(sorter4(), CUBE_LAYER1, 16).tagged(Phase.LAYER1)
-    layer3 = embed(sorter4(), CUBE_LAYER3, 16).tagged(Phase.LAYER3)
-    # Each pair couples a middle-layer wire with the complementary one so
-    # that together they neighbour all of layers I and III: winners beat
-    # every lower-layer wire, losers lose to every upper-layer one.
-    pairs = Network(16, ((3, 12), (5, 10), (6, 9))).tagged(Phase.PAIRS)
-    return approx, layer1, layer3, pairs
+def _block(tag: Phase, pairs, wires=range(16)) -> list[Comparator]:
+    """One tagged block: block wire i runs on host wire ``wires[i]``."""
+    return [Comparator(wires[a], wires[b], tag) for a, b in pairs]
 
 
-def _tetrad_blocks() -> tuple[Network, Network]:
-    upper = embed(sorter4(), UPPER_TETRAD, 16).tagged(Phase.TETRAD_A)
-    lower = embed(sorter4(), LOWER_TETRAD, 16).tagged(Phase.TETRAD_B)
-    return upper, lower
+# First pair round, shared by both classic sorters.  Each pair couples a
+# middle-layer wire with the complementary one so that together they
+# neighbour all of layers I and III: winners beat every lower-layer wire,
+# losers lose to every upper-layer one.
+_PAIRS = ((3, 12), (5, 10), (6, 9))
+
+# Max of M against the third element of layer III, min of M against the
+# third element of layer I (counted from the bottom).
+_FINAL = ((3, 4), (11, 12))
 
 
-def _final_block() -> Network:
-    # Max of M against the third element of layer III, min of M against the
-    # third element of layer I (counted from the bottom).
-    return Network(16, ((3, 4), (11, 12))).tagged(Phase.FINAL)
+def _sorter16(*middle: Comparator) -> Network:
+    """Cube phase, layer sorters, ``middle``, final pair: each 16-wire
+    builder makes this one Network, which checks every comparator once."""
+    return Network(16, (
+        *_block(Phase.APPROX, _cube_pairs(4)),
+        *_block(Phase.LAYER1, _SORTER4, CUBE_LAYER1),
+        *_block(Phase.LAYER3, _SORTER4, CUBE_LAYER3),
+        *middle,
+        *_block(Phase.FINAL, _FINAL),
+    ))
 
 
 def _green(merge: tuple[tuple[int, int], ...]) -> Network:
     """Green's network with the three tetrad-merge comparators in the given order."""
-    merge_block = Network(16, merge).tagged(Phase.MERGE)
-    return concat(*_shared_blocks(), *_tetrad_blocks(), merge_block, _final_block())
+    return _sorter16(
+        *_block(Phase.PAIRS, _PAIRS),
+        *_block(Phase.TETRAD_A, _SORTER4, UPPER_TETRAD),
+        *_block(Phase.TETRAD_B, _SORTER4, LOWER_TETRAD),
+        *_block(Phase.MERGE, merge),
+    )
 
 
 def green16() -> Network:
@@ -126,11 +135,12 @@ def van_voorhis16() -> Network:
     other tetrad, so after sorting both tetrads a single comparison of the
     medial pair (7, 8) finishes M.
     """
-    upper, lower = _tetrad_blocks()
-    pairs2 = Network(16, ((5, 12), (6, 10), (3, 9))).tagged(Phase.PAIRS2)
-    merge = Network(16, ((7, 8),)).tagged(Phase.MERGE)
-    return concat(
-        *_shared_blocks(), pairs2, upper, lower, merge, _final_block()
+    return _sorter16(
+        *_block(Phase.PAIRS, _PAIRS),
+        *_block(Phase.PAIRS2, ((5, 12), (6, 10), (3, 9))),
+        *_block(Phase.TETRAD_A, _SORTER4, UPPER_TETRAD),
+        *_block(Phase.TETRAD_B, _SORTER4, LOWER_TETRAD),
+        *_block(Phase.MERGE, ((7, 8),)),
     )
 
 
@@ -173,9 +183,9 @@ def strategy_sorter(m_sorter: Network | None = None) -> Network:
     strategy itself.
     """
     if m_sorter is None:
-        m_sorter = batcher_sorter(8)
-    if m_sorter.width != len(M_WIRES):
+        m_comps = [Comparator(*c) for c in _oddeven_sort(0, len(M_WIRES) - 1)]
+    elif m_sorter.width != len(M_WIRES):
         raise ValueError(f"M sorter must have width {len(M_WIRES)}")
-    approx, layer1, layer3, _ = _shared_blocks()
-    m_block = embed(m_sorter, M_WIRES, 16)
-    return concat(approx, layer1, layer3, m_block, _final_block())
+    else:
+        m_comps = m_sorter.comparators
+    return _sorter16(*(Comparator(M_WIRES[c.low], M_WIRES[c.high], c.tag) for c in m_comps))

@@ -110,18 +110,20 @@ class Poset(_Record):
 
     def covers(self, elements: Sequence[int] | None = None) -> list[tuple[int, int]]:
         """Cover pairs (transitive reduction) of the order, optionally
-        restricted to a subset of wires."""
-        elems = sorted(elements) if elements is not None else list(range(self.width))
+        restricted to a subset of wires, in (a, b) order."""
+        elems = sorted(elements) if elements is not None else range(self.width)
+        keep = sum(1 << e for e in set(elems))
+        # up[a]: the kept wires strictly above a.  b covers a unless b is
+        # also above some c in up[a].
+        up = {a: self.rows[a] & keep & ~(1 << a) for a in elems}
         out = []
         for a in elems:
-            for b in elems:
-                if a == b or not self.leq(a, b):
-                    continue
-                if not any(
-                    c != a and c != b and self.leq(a, c) and self.leq(c, b)
-                    for c in elems
-                ):
-                    out.append((a, b))
+            above, through = up[a], 0
+            while above:
+                through |= up[_backend.lowest(above)]
+                above &= above - 1
+            cover = up[a] & ~through
+            out += [(a, b) for b in elems if cover >> b & 1]
         return out
 
 

@@ -116,6 +116,21 @@ def test_probe_rows_are_the_first_columns_of_the_slices():
             assert _bitslice.evaluate(width, pairs, bits) == first
 
 
+def test_block_schedule():
+    # Past PROBE_BITS wires the probe comes first, then full blocks from
+    # input 0 again.
+    full = [(16, i << 16) for i in range(16)]
+    assert {w: list(_bitslice.blocks(w)) for w in (0, 1, 12, 13, 16, 17, 20)} == {
+        0: [(0, 0)],
+        1: [(1, 0)],
+        12: [(12, 0)],
+        13: [(12, 0), (13, 0)],
+        16: [(12, 0), (16, 0)],
+        17: [(12, 0), *full[:2]],
+        20: [(12, 0), *full],
+    }
+
+
 @pytest.mark.parametrize("width", range(PROBE_BITS + 1, BLOCK_BITS + 3))
 def test_sweep_rows_equal_the_int_slices(width):
     # Each block the reductions sweep holds the bits of the whole-input
@@ -146,9 +161,10 @@ def test_widths_at_the_probe_boundary(width):
 @pytest.mark.parametrize("k", [PROBE_BITS, PROBE_BITS + 1, BLOCK_BITS])
 def test_first_failure_just_past_the_probe(k):
     # Wire 0 is the top input bit, so inputs below 2**k leave it 0 and the
-    # sorter on wires 1..k sorts them all; input 2**k is 1 then k 0s.  It
-    # starts the second block for k = PROBE_BITS, the third for
-    # PROBE_BITS + 1, and the last for BLOCK_BITS.
+    # sorter on wires 1..k sorts them all; input 2**k is 1 then k 0s.  The
+    # probe passes, and the input lies inside the second block, the first
+    # full one, for k = PROBE_BITS and PROBE_BITS + 1; for k = BLOCK_BITS it
+    # starts the third and last.
     net = Network(k + 1, [(a + 1, b + 1) for a, b in sorter(k)])
     assert_engine_matches_columns(net)
     assert _bitslice.first_unsorted(k + 1, net.pairs()) == 1 << k

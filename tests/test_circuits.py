@@ -153,6 +153,27 @@ def test_is_threshold_matches_whole_input_slices():
                 assert is_threshold(circuit, wire, k) == expected, (net, wire, k)
 
 
+@pytest.mark.parametrize("n", range(13, 19))
+def test_is_threshold_against_brute_force(n):
+    # Per input v, output wire w must be 1 iff v has at least k one bits.
+    # Past 16 inputs the blocks start at inputs with high one bits to count.
+    rng = random.Random(0x7B + n)
+    sorter = [(i, i + 1) for r in range(n) for i in range(r % 2, n - 1, 2)]
+    broken = list(sorter)
+    del broken[rng.randrange(len(broken))]
+    ones = [v.bit_count() for v in reversed(range(1 << n))]  # input 0 last
+    threshold = {}
+    for pairs in (sorter, broken):
+        circuit = network_to_circuit(Network(n, pairs))
+        outputs = evaluate_all(circuit)
+        for wire in (0, n // 2, n - 1):
+            for k in (n - wire - 1, n - wire, n - wire + 1):
+                if k not in threshold:
+                    threshold[k] = int("".join("01"[count >= k] for count in ones), 2)
+                expected = outputs[wire] == threshold[k]
+                assert is_threshold(circuit, wire, k) == expected, (pairs is sorter, wire, k)
+
+
 def test_is_threshold_memory_is_bounded_by_the_block():
     # The 20-wire odd-even transposition sorter: slices of its 380 gate
     # values over all 2**20 inputs would take ~50 MB, over one block of

@@ -2,8 +2,10 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
@@ -507,19 +509,57 @@ def fuzz_argvs(rng):
     ]
 
 
+def in_limited_child(check, headroom=512 << 20):
+    """Run ``check()`` in a forked child whose address space may grow by
+    ``headroom`` bytes, and fail with the child's traceback or exit status.
+
+    An allocation past the limit raises MemoryError in the child, where an
+    unbounded one would exhaust the machine and kill the whole test run.
+    """
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status, report = 1, b""
+        try:
+            os.close(read_end)
+            size = int(Path("/proc/self/statm").read_text().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (size + headroom, hard))
+            check()
+            status = 0
+        except BaseException:
+            report = traceback.format_exc().encode()
+        finally:
+            try:
+                with os.fdopen(write_end, "wb") as pipe:
+                    pipe.write(report)
+            finally:
+                os._exit(status)  # never return into pytest
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        report = pipe.read().decode()
+    _, wait_status = os.waitpid(pid, 0)
+    if wait_status:
+        pytest.fail(report or f"child ended with wait status {wait_status}", pytrace=False)
+
+
 def test_cli_fuzz_ends_in_a_verdict_or_a_clean_exit_2(capsys, monkeypatch):
-    rng = random.Random(0xF022)
-    for _ in range(300):
-        text = fuzz_text(rng)
-        for argv in fuzz_argvs(rng):
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
-            code, out, err = run(capsys, *argv)
-            case = (argv, text)
-            assert code in (0, 1, 2), case
-            if code == 1:
-                assert argv[0] == "verify", case
-                assert out.startswith("counterexample: "), case
-            if code == 2:
-                assert out == "" and err, case
-            if argv[0] == "verify" and code == 0:
-                assert out == "sorts\n", case
+    def cases():
+        rng = random.Random(0xF022)
+        for _ in range(300):
+            text = fuzz_text(rng)
+            for argv in fuzz_argvs(rng):
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                code, out, err = run(capsys, *argv)
+                case = (argv, text)
+                assert code in (0, 1, 2), case
+                if code == 1:
+                    assert argv[0] == "verify", case
+                    assert out.startswith("counterexample: "), case
+                if code == 2:
+                    assert out == "" and err, case
+                    assert "out of memory" not in err, case
+                if argv[0] == "verify" and code == 0:
+                    assert out == "sorts\n", case
+
+    in_limited_child(cases)

@@ -5,18 +5,25 @@ import pytest
 from sortnet16 import (
     CUBE_LAYER1,
     CUBE_LAYER3,
+    LOWER_TETRAD,
     M_WIRES,
     MIDDLE_LAYER,
+    UPPER_TETRAD,
+    Network,
     Phase,
     asap_schedule,
     batcher_sorter,
     check_cube_poset,
+    concat,
     depth,
+    embed,
+    green16,
     green16_naive_merge,
     hypercube_phase,
     infer_poset,
     sorter4,
     strategy_sorter,
+    van_voorhis16,
     verify_sorts_binary,
 )
 
@@ -198,3 +205,87 @@ def test_strategy_sorter_rejects_wrong_width():
 def test_full_sorters_order_wires_totally(green, vv):
     for net in (green, vv):
         assert infer_poset(net).covers() == [(i, i + 1) for i in range(15)]
+
+
+# The builders as they were composed block by block, one Network per block,
+# kept as the reference for the comparator tuples they now build directly.
+
+
+def composed_layers():
+    approx = hypercube_phase(4).tagged(Phase.APPROX)
+    layer1 = embed(sorter4(), CUBE_LAYER1, 16).tagged(Phase.LAYER1)
+    layer3 = embed(sorter4(), CUBE_LAYER3, 16).tagged(Phase.LAYER3)
+    return approx, layer1, layer3
+
+
+def composed_tetrads():
+    upper = embed(sorter4(), UPPER_TETRAD, 16).tagged(Phase.TETRAD_A)
+    lower = embed(sorter4(), LOWER_TETRAD, 16).tagged(Phase.TETRAD_B)
+    return upper, lower
+
+
+def composed_block(pairs, tag):
+    return Network(16, pairs).tagged(tag)
+
+
+def composed_green(merge):
+    return concat(
+        *composed_layers(),
+        composed_block(((3, 12), (5, 10), (6, 9)), Phase.PAIRS),
+        *composed_tetrads(),
+        composed_block(merge, Phase.MERGE),
+        composed_block(((3, 4), (11, 12)), Phase.FINAL),
+    )
+
+
+def composed_van_voorhis():
+    return concat(
+        *composed_layers(),
+        composed_block(((3, 12), (5, 10), (6, 9)), Phase.PAIRS),
+        composed_block(((5, 12), (6, 10), (3, 9)), Phase.PAIRS2),
+        *composed_tetrads(),
+        composed_block(((7, 8),), Phase.MERGE),
+        composed_block(((3, 4), (11, 12)), Phase.FINAL),
+    )
+
+
+def composed_strategy(m_sorter):
+    final = composed_block(((3, 4), (11, 12)), Phase.FINAL)
+    return concat(*composed_layers(), embed(m_sorter, M_WIRES, 16), final)
+
+
+def test_builders_equal_the_block_composition():
+    # Network equality compares the comparators with their tags.
+    tagged_m = Network(8, batcher_sorter(8).comparators).tagged(Phase.MERGE)
+    assert green16() == composed_green(((7, 8), (6, 7), (8, 9)))
+    assert green16_naive_merge() == composed_green(((6, 7), (7, 8), (8, 9)))
+    assert van_voorhis16() == composed_van_voorhis()
+    assert strategy_sorter() == composed_strategy(batcher_sorter(8))
+    assert strategy_sorter(tagged_m) == composed_strategy(tagged_m)
+    assert [c.tag for c in strategy_sorter(tagged_m).comparators].count(Phase.MERGE) == 19
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        green16,
+        green16_naive_merge,
+        van_voorhis16,
+        strategy_sorter,
+        # The M sorter is built before the count starts.
+        pytest.param(lambda m=batcher_sorter(8): strategy_sorter(m), id="strategy_sorter(M)"),
+        pytest.param(lambda: hypercube_phase(4), id="hypercube_phase"),
+        sorter4,
+    ],
+)
+def test_each_builder_checks_its_comparators_once(build, monkeypatch):
+    calls = []
+    check = Network.__post_init__
+
+    def counted(self):
+        calls.append(len(self.comparators))
+        check(self)
+
+    monkeypatch.setattr(Network, "__post_init__", counted)
+    net = build()
+    assert calls == [len(net)]

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from sortnet16 import (
+    M_WIRES,
     DegenerateOrderError,
     MonotoneCircuit,
     Network,
@@ -194,6 +195,27 @@ def test_every_prefix_poset_of_the_classics(build):
     for k in range(len(net.comparators) + 1):
         prefix = net.prefix(k)
         assert list(infer_poset(prefix).rows) == column_oracle(prefix)[1], k
+
+
+def covers_by_definition(poset, elems):
+    """The O(n**3) definition: a < b with no kept wire c strictly between."""
+    return [
+        (a, b)
+        for a in elems
+        for b in elems
+        if a != b
+        and poset.leq(a, b)
+        and not any(c not in (a, b) and poset.leq(a, c) and poset.leq(c, b) for c in elems)
+    ]
+
+
+@pytest.mark.parametrize("build", [green16, van_voorhis16])
+def test_covers_match_the_definition_on_every_prefix(build):
+    net = build()
+    for k in range(len(net) + 1):
+        poset = infer_poset(net.prefix(k))
+        assert poset.covers() == covers_by_definition(poset, range(16)), k
+        assert poset.covers(M_WIRES) == covers_by_definition(poset, M_WIRES), k
 
 
 def test_sorter_poset_is_total_chain(green):
