@@ -21,9 +21,7 @@ _EXPORTS = {
         "Network",
         "Phase",
         "asap_schedule",
-        "concat",
         "depth",
-        "embed",
     ),
     "verify": (
         "DegenerateOrderError",

@@ -180,10 +180,8 @@ def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):
         return full, 16 - k
     if pin_bit not in (0, 1):
         raise ValueError("pin_bit must be 0 or 1")
-    wire = 16 - k if pin_bit == 0 else 16 - (k + 1)
-    if not 0 <= wire < 16:
-        raise ValueError(f"threshold {k} not reachable with pin_bit={pin_bit}")
-    return specialize(full, 15, pin_bit), wire
+    # Sorter output 16 - j is 1 iff at least j of its 16 inputs are 1, the pinned one included.
+    return specialize(full, 15, pin_bit), 16 - k - pin_bit
 
 
 def render_gate_list(circuit: MonotoneCircuit) -> str:

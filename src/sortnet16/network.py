@@ -1,4 +1,4 @@
-"""Comparator networks: representation, evaluation, composition, scheduling.
+"""Comparator networks: representation, evaluation, scheduling.
 
 A comparator network is an ordered sequence of (low, high) wire pairs on a
 fixed number of wires.  Applying a comparator routes the smaller of the two
@@ -27,9 +27,6 @@ class Phase(str, Enum):
     TETRAD_B = "tetradB"
     MERGE = "merge"
     FINAL = "final"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class Comparator(NamedTuple):
@@ -140,12 +137,6 @@ class Network(_Record):
                 out[c.low], out[c.high] = b, a
         return out
 
-    def tagged(self, tag: Phase | None) -> Network:
-        """Copy of this network with every comparator carrying ``tag``."""
-        return Network(
-            self.width, tuple(Comparator(c.low, c.high, tag) for c in self.comparators)
-        )
-
     def prefix(self, count: int) -> Network:
         """The first ``count`` comparators as a network of the same width."""
         if not 0 <= count <= len(self):
@@ -171,38 +162,6 @@ class Network(_Record):
         """The comparators as bare ``(low, high)`` pairs, the slice engine's
         input."""
         return [(low, high) for low, high, _ in self.comparators]
-
-
-def concat(first: Network, *rest: Network) -> Network:
-    """Sequential composition; all networks must share a width."""
-    comps = list(first.comparators)
-    for net in rest:
-        if net.width != first.width:
-            raise ValueError(f"width mismatch: {first.width} vs {net.width}")
-        comps += net.comparators
-    return Network(first.width, tuple(comps))
-
-
-def embed(block: Network, wires: Sequence[int], host_width: int) -> Network:
-    """Place ``block`` on the given target wires of a wider network.
-
-    ``wires[i]`` names the host wire playing the role of block wire ``i``.
-    The target list must be strictly ascending so the min-to-low orientation
-    of every comparator is preserved.
-    """
-    targets = list(wires)
-    if len(targets) != block.width:
-        raise ValueError(
-            f"block width {block.width} != {len(targets)} target wires"
-        )
-    if any(b <= a for a, b in zip(targets, targets[1:])):
-        raise ValueError("target wires must be strictly ascending")
-    if targets and not (0 <= targets[0] and targets[-1] < host_width):
-        raise ValueError("target wires fall outside the host network")
-    comps = tuple(
-        Comparator(targets[c.low], targets[c.high], c.tag) for c in block.comparators
-    )
-    return Network(host_width, comps)
 
 
 def asap_schedule(net: Network) -> tuple[int, ...]:

@@ -109,6 +109,8 @@ def test_cone_depth_base_cases():
     assert cone_depth(passthrough, 0) == 0
     with pytest.raises(ValueError):
         cone_depth(single, 5)
+    with pytest.raises(ValueError):
+        cone_depth(single, len(single.outputs))
 
 
 def test_every_sorter_wire_is_a_threshold_function():
@@ -305,6 +307,14 @@ def test_majority_circuit_15(pin_bit):
     assert circuit.n_inputs == 15
     assert cone_depth(circuit, wire) <= 9
     assert is_threshold(circuit, wire, 8)
+
+
+@pytest.mark.parametrize("pin_bit", [0, 1])
+@pytest.mark.parametrize("k", range(1, 16))
+def test_majority_circuit_15_every_threshold(k, pin_bit):
+    circuit, wire = majority_circuit(15, k, pin_bit=pin_bit)
+    assert is_threshold(circuit, wire, k)
+    assert cone_depth(circuit, wire) <= 9
 
 
 def test_majority_circuit_validation():

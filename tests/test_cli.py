@@ -456,6 +456,29 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from sortnet16 import *", namespace)
     assert set(sortnet16.__all__) <= set(namespace)
+    # The public surface, pinned: adding or dropping a name edits this set.
+    assert set(sortnet16.__all__) == {
+        "__version__",
+        # network
+        "Comparator", "Network", "Phase", "asap_schedule", "depth",
+        # verify
+        "DegenerateOrderError", "Poset", "SortVerdict", "backend_name",
+        "counterexample_permutation", "infer_poset", "verify_sorts_binary",
+        # constructions
+        "CUBE_LAYER1", "CUBE_LAYER3", "MIDDLE_LAYER", "M_WIRES", "UPPER_TETRAD",
+        "LOWER_TETRAD", "batcher_sorter", "green16", "green16_naive_merge",
+        "hypercube_phase", "sorter4", "strategy_sorter", "van_voorhis16",
+        # analysis
+        "ObservationReport", "check_cube_poset", "check_depth_regression",
+        "check_green_m_poset", "check_observations", "check_strategy_completeness",
+        "check_vv_m_poset",
+        # circuits
+        "Gate", "MonotoneCircuit", "cone_depth", "is_threshold", "majority_circuit",
+        "network_to_circuit", "render_gate_list", "specialize",
+        # render
+        "TextFormatError", "parse_text", "render_diagram", "render_poset_dot",
+        "render_text",
+    }
     assert namespace["verify_sorts_binary"] is sortnet16.verify.verify_sorts_binary
 
 

@@ -1,31 +1,31 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from sortnet16 import (
     CUBE_LAYER1,
     CUBE_LAYER3,
-    LOWER_TETRAD,
     M_WIRES,
     MIDDLE_LAYER,
-    UPPER_TETRAD,
     Network,
     Phase,
     asap_schedule,
     batcher_sorter,
     check_cube_poset,
-    concat,
     depth,
-    embed,
     green16,
     green16_naive_merge,
     hypercube_phase,
     infer_poset,
+    parse_text,
     sorter4,
     strategy_sorter,
     van_voorhis16,
     verify_sorts_binary,
 )
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -207,61 +207,103 @@ def test_full_sorters_order_wires_totally(green, vv):
         assert infer_poset(net).covers() == [(i, i + 1) for i in range(15)]
 
 
-# The builders as they were composed block by block, one Network per block,
-# kept as the reference for the comparator tuples they now build directly.
+# The builders' reference: their tagged comparator lists written out in the
+# network text format.  Green's network is the CLI's reference output; the
+# naive merge differs from it only in the order of the merge block.
 
-
-def composed_layers():
-    approx = hypercube_phase(4).tagged(Phase.APPROX)
-    layer1 = embed(sorter4(), CUBE_LAYER1, 16).tagged(Phase.LAYER1)
-    layer3 = embed(sorter4(), CUBE_LAYER3, 16).tagged(Phase.LAYER3)
-    return approx, layer1, layer3
-
-
-def composed_tetrads():
-    upper = embed(sorter4(), UPPER_TETRAD, 16).tagged(Phase.TETRAD_A)
-    lower = embed(sorter4(), LOWER_TETRAD, 16).tagged(Phase.TETRAD_B)
-    return upper, lower
-
-
-def composed_block(pairs, tag):
-    return Network(16, pairs).tagged(tag)
-
-
-def composed_green(merge):
-    return concat(
-        *composed_layers(),
-        composed_block(((3, 12), (5, 10), (6, 9)), Phase.PAIRS),
-        *composed_tetrads(),
-        composed_block(merge, Phase.MERGE),
-        composed_block(((3, 4), (11, 12)), Phase.FINAL),
-    )
-
-
-def composed_van_voorhis():
-    return concat(
-        *composed_layers(),
-        composed_block(((3, 12), (5, 10), (6, 9)), Phase.PAIRS),
-        composed_block(((5, 12), (6, 10), (3, 9)), Phase.PAIRS2),
-        *composed_tetrads(),
-        composed_block(((7, 8),), Phase.MERGE),
-        composed_block(((3, 4), (11, 12)), Phase.FINAL),
-    )
-
-
-def composed_strategy(m_sorter):
-    final = composed_block(((3, 4), (11, 12)), Phase.FINAL)
-    return concat(*composed_layers(), embed(m_sorter, M_WIRES, 16), final)
+GREEN16_TEXT = (REFERENCE / "green16.txt").read_text(encoding="utf-8")
+GREEN_MERGE = "# phase:merge\n7 8\n6 7\n8 9\n"
+NAIVE_MERGE = "# phase:merge\n6 7\n7 8\n8 9\n"
+VAN_VOORHIS16_TEXT = """\
+width 16
+# phase:approx
+0 1
+2 3
+4 5
+6 7
+8 9
+10 11
+12 13
+14 15
+0 2
+1 3
+4 6
+5 7
+8 10
+9 11
+12 14
+13 15
+0 4
+1 5
+2 6
+3 7
+8 12
+9 13
+10 14
+11 15
+0 8
+1 9
+2 10
+3 11
+4 12
+5 13
+6 14
+7 15
+# phase:layer1
+1 2
+4 8
+1 4
+2 8
+2 4
+# phase:layer3
+7 11
+13 14
+7 13
+11 14
+11 13
+# phase:pairs
+3 12
+5 10
+6 9
+# phase:pairs2
+5 12
+6 10
+3 9
+# phase:tetradA
+7 9
+10 12
+7 10
+9 12
+9 10
+# phase:tetradB
+3 5
+6 8
+3 6
+5 8
+5 6
+# phase:merge
+7 8
+# phase:final
+3 4
+11 12
+"""
 
 
 def test_builders_equal_the_block_composition():
     # Network equality compares the comparators with their tags.
-    tagged_m = Network(8, batcher_sorter(8).comparators).tagged(Phase.MERGE)
-    assert green16() == composed_green(((7, 8), (6, 7), (8, 9)))
-    assert green16_naive_merge() == composed_green(((6, 7), (7, 8), (8, 9)))
-    assert van_voorhis16() == composed_van_voorhis()
-    assert strategy_sorter() == composed_strategy(batcher_sorter(8))
-    assert strategy_sorter(tagged_m) == composed_strategy(tagged_m)
+    assert GREEN16_TEXT.count(GREEN_MERGE) == 1
+    assert green16() == parse_text(GREEN16_TEXT)
+    assert green16_naive_merge() == parse_text(GREEN16_TEXT.replace(GREEN_MERGE, NAIVE_MERGE))
+    assert van_voorhis16() == parse_text(VAN_VOORHIS16_TEXT)
+    # strategy_sorter: Green's prefix through layer III, the M sorter on the
+    # M wires with its tags, then the final pair.
+    layers = green16().prefix_through(Phase.LAYER3).comparators
+    final = ((3, 4, Phase.FINAL), (11, 12, Phase.FINAL))
+    batcher8 = batcher_sorter(8)
+    tagged_m = Network(8, [(low, high, Phase.MERGE) for low, high in batcher8.pairs()])
+    for m, built in ((batcher8, strategy_sorter()), (tagged_m, strategy_sorter(tagged_m))):
+        on_m = [(M_WIRES[c.low], M_WIRES[c.high], c.tag) for c in m.comparators]
+        assert built == Network(16, (*layers, *on_m, *final))
     assert [c.tag for c in strategy_sorter(tagged_m).comparators].count(Phase.MERGE) == 19
 
 

@@ -8,11 +8,8 @@ from sortnet16 import (
     Network,
     Phase,
     asap_schedule,
-    concat,
     depth,
-    embed,
     green16,
-    sorter4,
 )
 
 
@@ -100,54 +97,12 @@ def test_network_accepts_bare_pairs():
     assert net.comparators[0] == Comparator(0, 1)
 
 
-def test_concat_identities(green):
-    empty = Network(16)
-    assert concat(green) == green
-    assert concat(empty, green) == green
-    assert concat(green, empty) == green
-    with pytest.raises(ValueError, match="width mismatch: 4 vs 5"):
-        concat(Network(4), Network(5))
-    a, b, c = (Network(16, green.comparators[i:j]) for i, j in ((0, 32), (32, 50), (50, 60)))
-    assert concat(a, b, c) == green
-    with pytest.raises(ValueError, match="width mismatch: 16 vs 8"):
-        concat(a, b, Network(8, ((0, 1),)))
-
-
 def test_green16_splits_into_approx_plus_completion(green):
     approx = green.prefix_through(Phase.APPROX)
     rest = Network(16, green.comparators[32:])
     assert len(approx) == 32
     assert len(rest) == 28
-    assert concat(approx, rest) == green
-
-
-def test_embed_sorter4_on_scattered_wires():
-    net = embed(sorter4(), [1, 2, 4, 8], 16)
-    assert len(net) == 5
-    used = {w for c in net.comparators for w in (c.low, c.high)}
-    assert used == {1, 2, 4, 8}
-    rng = random.Random(3)
-    for _ in range(200):
-        values = [rng.randint(0, 99) for _ in range(16)]
-        out = net.apply(values)
-        on_targets = [out[w] for w in (1, 2, 4, 8)]
-        assert on_targets == sorted(values[w] for w in (1, 2, 4, 8))
-        for w in set(range(16)) - {1, 2, 4, 8}:
-            assert out[w] == values[w]
-
-
-def test_embed_single_pair():
-    net = embed(Network(2, ((0, 1),)), [3, 12], 16)
-    assert net.pairs() == [(3, 12)]
-
-
-def test_embed_rejects_bad_targets():
-    with pytest.raises(ValueError):
-        embed(Network(2, ((0, 1),)), [2, 1], 16)
-    with pytest.raises(ValueError):
-        embed(Network(2, ((0, 1),)), [2, 16], 16)
-    with pytest.raises(ValueError):
-        embed(Network(2, ((0, 1),)), [1, 2, 3], 16)
+    assert Network(16, approx.comparators + rest.comparators) == green
 
 
 def test_asap_schedule_examples():
@@ -213,7 +168,7 @@ def test_prefix_through_reads_the_tag_as_a_phase(green):
 
 
 def test_tagged_and_phase_counts():
-    net = Network(4, ((0, 1), (2, 3))).tagged(Phase.PAIRS)
+    net = Network(4, ((0, 1, Phase.PAIRS), (2, 3, Phase.PAIRS)))
     assert all(c.tag is Phase.PAIRS for c in net.comparators)
     assert net.phase_counts() == {Phase.PAIRS: 2}
 

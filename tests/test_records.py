@@ -55,6 +55,10 @@ def test_network_record():
     )
     net = pickle.loads(pickle.dumps(green16()))
     assert net == green16() and net.comparators[0].tag is Phase.APPROX
+    with pytest.raises(AttributeError, match="cannot delete field 'width'"):
+        del net.width
+    # Records of different classes are unequal, not an error.
+    assert Network(2) != Poset(1, (1,)) and not Network(2) == Poset(1, (1,))
 
 
 def test_network_construction_checks_its_comparators():

@@ -13,7 +13,6 @@ from sortnet16 import (
     DegenerateOrderError,
     TextFormatError,
     batcher_sorter,
-    concat,
     hypercube_phase,
     infer_poset,
     parse_text,
@@ -254,10 +253,10 @@ SEPARATOR_AFTER_LAST_LAYER_ASCII = """\
 def test_ascii_layouts_are_pinned():
     # Layers that need several columns, and the approximate-phase separator
     # both between layers and after the last one.
-    approx = hypercube_phase(2).tagged(Phase.APPROX)
+    approx = ((0, 1, Phase.APPROX), (2, 3, Phase.APPROX), (0, 2, Phase.APPROX), (1, 3, Phase.APPROX))
     assert render_diagram(batcher_sorter(8)) == BATCHER8_ASCII
-    assert render_diagram(concat(approx, Network(4, ((1, 2),)))) == SEPARATOR_BETWEEN_LAYERS_ASCII
-    assert render_diagram(approx) == SEPARATOR_AFTER_LAST_LAYER_ASCII
+    assert render_diagram(Network(4, (*approx, (1, 2)))) == SEPARATOR_BETWEEN_LAYERS_ASCII
+    assert render_diagram(Network(4, approx)) == SEPARATOR_AFTER_LAST_LAYER_ASCII
 
 
 def test_diagram_width_cap():
