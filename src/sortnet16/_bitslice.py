@@ -13,42 +13,63 @@ has checked the pairs; the engine checks only the width.  ``evaluate`` runs
 a network on the first 2**bits inputs.  ``analysis`` counts ones on the
 slices with ``at_least``, and ``circuits.is_threshold`` evaluates gates on
 the input slices of each block (``blocks``, ``block_inputs``).
-``block_inputs`` is the one input builder: ``evaluate`` and the sweeps
-take their input slices from it, so it alone states the input numbering.
+``block_inputs`` builds the input slices of inputs in index order, for
+``evaluate``, the probe and ``circuits``; ``_product_inputs`` builds those
+of the sweep's other blocks, whose lanes are the vectors they spell out.
 
-The two reductions walk the inputs in blocks of two sizes.  Past
-PROBE_BITS wires a probe of inputs 0 .. 2**PROBE_BITS - 1 comes first; then
-blocks of 2**min(width, BLOCK_BITS) inputs cover all 2**width inputs in
-index order, from input 0 again (a verdict is a conjunction over inputs, so
-testing some twice changes none).  An evaluation holds at most
-width * 2**BLOCK_BITS bits.  In a block of 2**bits inputs the wires driven
-by the low ``bits`` input bits get a fixed pattern; the others are constant
-over the block, 0 or all ones, and a comparator that meets a constant only
-moves slices.  The full blocks share their patterns, and a comparator no
-constant reaches computes the same slices in each, so it runs once per
-sweep.  ``first_unsorted`` stops at the first block with a failing input:
-its least failing input is the least of all.  ``leq_masks`` starts from
-every ordered pair of distinct wires, nearest first.  Every block keeps the
-pairs that hold on it and skips a pair that two pairs already verified on
-that block imply by transitivity; the walk stops once no pair is left.
+The two reductions sweep what the network's first layer can output, not
+every input.  Past PROBE_BITS wires a probe of inputs 0 .. 2**PROBE_BITS - 1
+comes first, in index order and through every comparator, so a network
+that fails early is refuted at once.  The first layer is the comparators
+whose two wires no earlier comparator touches; they commute to the front.
+After such a comparator on wires a < b the pair reads 00, 01 or 11, so the
+full blocks cover 3**k * 2**(width - 2k) inputs for k first-layer pairs:
+by the zero-one principle the rest of the network need sort only what the
+first layer outputs.
+
+Each full block fixes the top t wires, t the fewest that leave at most
+2**BLOCK_BITS lanes, and its lanes are a mixed-radix product over the low
+wires.  A first-layer pair with both wires low is one radix-3 digit (00, 01,
+11) and its comparator is dropped; every other low wire is one radix-2
+digit, and a pair from a top wire to a low one keeps its comparator.  A
+block in which a pair inside the top wires reads 1, 0 is skipped: the block
+with the pair swapped has the same outputs.  Blocks come in index order of
+their top wires.  Comparators no top wire reaches compute the same slices in
+every block, so they run once per sweep.  An evaluation holds at most
+width * 2**BLOCK_BITS bits.
+
+``first_unsorted`` stops at the first block with a failing lane.  The least
+failing input is a fixed point of the first layer (turning 1, 0 into 0, 1 on
+a pair lowers the input and keeps the output), so that block holds it.  Lane
+order is not index order when first-layer pairs interleave, so the failing
+lanes are narrowed through the input slices in wire order, to those where
+the wire reads 0 while any are left.  ``leq_masks`` starts from every
+ordered pair of distinct wires, nearest first.  Every block keeps the pairs
+that hold on it and skips a pair that two pairs already verified on that
+block imply by transitivity; the walk stops once no pair is left.
+``blocks`` and ``block_inputs`` walk all inputs in index order, in blocks
+of 2**min(width, BLOCK_BITS) after the probe, for ``circuits``.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-# Widest input space the engine evaluates.  A budget of time, not memory:
-# the 26-wire odd-even transposition sorter takes 0.25-0.27 s to verify and
-# 0.31-0.36 s for its poset (three runs each, 2-vCPU VM, which runs up
-# to ~1.6x slower in its slow spells), and each wire more doubles that.
+# Widest input space the engine evaluates.  A budget of time, not memory.
+# The slowest sweep is of a network whose first layer is one comparator, 3/4
+# of all inputs: the 26-wire odd-even transposition sorter behind a chain
+# (0, 1), (1, 2), .. (24, 25), or (24, 25), (23, 24), .. (0, 1), takes
+# 0.16-0.26 s to verify and 0.21-0.43 s for its poset (three runs each,
+# 2-vCPU VM, which runs up to ~1.6x slower in its slow spells), and each
+# wire more doubles that.  The sorter alone takes 4-7 ms.
 MAX_WIDTH = 26
 
 # The probe: inputs 0 .. 2**PROBE_BITS - 1, swept first on wider networks so
 # that a network failing early is refuted in microseconds.
 PROBE_BITS = 12
 
-# The full blocks: 2**BLOCK_BITS inputs, or all of them on fewer wires.
+# The full blocks: at most 2**BLOCK_BITS lanes.
 # Chosen from timings of verify + poset on sorters and random networks of 18
 # and 20 wires.  Smaller blocks pay more interpreter overhead (2**15 took
 # ~19% longer than 2**16).  At 2**17 the C allocator handed the slices a
@@ -56,9 +77,10 @@ PROBE_BITS = 12
 # in and took 10-25% longer; with the once-per-sweep comparators, 2**17 and
 # 2**18 blocks ran the kernel 3% and 7% slower than 2**16 even without such
 # faults.
-# Input slices of every block are cut from one table of BLOCK_BITS patterns
-# built on first use; ``block_inputs`` builds wider ones (only a whole-input
-# ``evaluate`` asks for them) per call.
+# ``block_inputs`` cuts its input slices from one table of BLOCK_BITS
+# patterns built on first use, and builds wider ones (only a whole-input
+# ``evaluate`` asks for them) per call.  The sweep's product inputs are
+# cached for the last few first layers (``_product_inputs``).
 BLOCK_BITS = 16
 
 
@@ -165,42 +187,129 @@ def block_inputs(width: int, bits: int, start: int, full: int) -> list[int]:
     return rows
 
 
-def _split(
-    width: int, pairs: Iterable[tuple[int, int]], bits: int
+def _first_layer(
+    width: int, pairs: Iterable[tuple[int, int]]
 ) -> tuple[list[int], list[tuple[int, int]]]:
-    """Slices of wires width-bits .. width-1 after the comparators that no
-    constant wire reaches, over inputs 0 .. 2**bits - 1 (the same in every
-    block of that size), and the other comparators, in order."""
-    reached = [i < width - bits for i in range(width)]
-    once, rest = [], []
+    """Partner of each wire in the first layer (-1 if none), and the later
+    comparators in order.
+
+    The first layer is the comparators whose two wires no earlier
+    comparator touches; they commute to the front of the network.
+    """
+    partner = [-1] * width
+    touched = [False] * width
+    later = []
     for a, b in pairs:
+        if touched[a] or touched[b]:
+            later.append((a, b))
+        else:
+            partner[a], partner[b] = b, a
+        touched[a] = touched[b] = True
+    return partner, later
+
+
+def _top_wires(width: int, partner: Sequence[int]) -> int:
+    """Fewest top wires t that leave at most 2**BLOCK_BITS lanes to the
+    product over wires t .. width-1."""
+    t = 0
+    while True:
+        k = sum(1 for i in range(t, width) if partner[i] > i)
+        if 3**k << (width - t - 2 * k) <= 1 << BLOCK_BITS:
+            return t
+        t += 1
+
+
+@lru_cache(maxsize=8)
+def _product_inputs(links: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Lane count and input slices of the low wires over the lanes of
+    their mixed-radix product.
+
+    ``links[i]`` is j - i when low wires i < j form a first-layer pair, a
+    radix-3 digit (00, 01, 11); i - j on wire j; 0 on a radix-2 digit.
+    The digit of the first wire is the most significant.
+    """
+    rows = [0] * len(links)
+    lanes = 1
+    for i in reversed(range(len(links))):
+        d = links[i]
+        if d < 0:
+            continue
+        # The digit's value counts in steps of ``lanes``: repeat the less
+        # significant digits once per value.
+        radix = 3 if d else 2
+        rows[i + 1 :] = [r | r << lanes | (r << 2 * lanes if d else 0) for r in rows[i + 1 :]]
+        rows[i] = ((1 << lanes) - 1) << (radix - 1) * lanes
+        if d:
+            rows[i + d] = ((1 << 2 * lanes) - 1) << lanes
+        lanes *= radix
+    return lanes, tuple(rows)
+
+
+def _sweep(
+    width: int, pairs: Sequence[tuple[int, int]]
+) -> Iterator[tuple[list[int] | None, list[int]]]:
+    """(input slices, final slices) of each block.
+
+    The probe's lanes are inputs 0 .. 2**PROBE_BITS - 1 in index order, and
+    its input slices are None.  Every other block's lanes are the input
+    vectors its input slices spell out.  The first layer is found only once
+    the probe passes.
+    """
+    check_width(width)
+    if width > PROBE_BITS:
+        yield None, evaluate(width, pairs, PROBE_BITS)
+    partner, later = _first_layer(width, pairs)
+    t = _top_wires(width, partner)
+    links = tuple(p - i if p >= t else 0 for i, p in enumerate(partner[t:], t))
+    lanes, low = _product_inputs(links)
+    full = (1 << lanes) - 1
+    # A pair from a top wire to a low one keeps its comparator, ahead of the
+    # later ones; a pair inside the top or the low wires is dropped.
+    # Comparators no top wire reaches compute the same slices in every
+    # block: run them once.
+    crossing = [(a, partner[a]) for a in range(t) if partner[a] >= t]
+    reached = [i < t for i in range(width)]
+    once, each = [], []
+    for a, b in crossing + later:
         if reached[a] or reached[b]:
             reached[a] = reached[b] = True
-            rest.append((a, b))
+            each.append((a, b))
         else:
             once.append((a, b))
-    return evaluate(width, once, bits)[width - bits :], rest
+    swept = _compare([0] * t + list(low), once, full)[t:]
+    skip = [(t - 1 - a, t - 1 - partner[a]) for a in range(t) if a < partner[a] < t]
+    for top in range(1 << t):
+        if any(top >> a & 1 > top >> b & 1 for a, b in skip):
+            continue  # a top pair reads 1, 0: its swap, an earlier block, has the same outputs
+        tops = [full if top >> j & 1 else 0 for j in range(t - 1, -1, -1)]
+        yield tops + list(low), _compare(tops + swept, each, full)
 
 
-def _sweep(width: int, pairs: Sequence[tuple[int, int]]) -> Iterator[tuple[int, list[int]]]:
-    """(start, final slices) of each block of inputs, in index order."""
-    split = None
-    for bits, start in blocks(width):
-        full = (1 << (1 << bits)) - 1
-        rows, rest = block_inputs(width, bits, start, full), pairs
-        if bits == BLOCK_BITS:
-            if split is None:
-                split = _split(width, pairs, bits)
-            rows[width - bits :], rest = split
-        yield start, _compare(rows, rest, full)
+def _least(inputs: Sequence[int] | None, lanes: int) -> int:
+    """Least input index among the set ``lanes`` of a block: narrow them
+    wire by wire, to the lanes where the wire reads 0 while any remain."""
+    if inputs is None:
+        return lowest(lanes)
+    index = 0
+    for s in inputs:
+        zero = lanes ^ (lanes & s)
+        index <<= 1
+        if zero:
+            lanes = zero
+        else:
+            index |= 1
+    return index
 
 
 def first_unsorted(width: int, pairs: Sequence[tuple[int, int]]) -> int:
     """Least input index whose output is not non-decreasing, or -1."""
-    for start, rows in _sweep(width, pairs):
-        bad = [lo ^ m for lo, hi in zip(rows, rows[1:]) if (m := lo & hi) != lo]
+    for inputs, rows in _sweep(width, pairs):
+        bad = 0
+        for lo, hi in zip(rows, rows[1:]):
+            if (m := lo & hi) != lo:
+                bad |= lo ^ m
         if bad:
-            return start + min(map(lowest, bad))
+            return _least(inputs, bad)
     return -1
 
 

@@ -3,7 +3,8 @@
 By the zero-one principle a network sorts every input iff it sorts every
 binary input, so every verdict here covers the full 2**width binary input
 space.  The slice engine ``_bitslice``, the module attribute ``_backend``,
-sweeps the inputs; this module turns its answers into a ``SortVerdict``
+sweeps the binary vectors the network's first layer can output, which
+stand for every input; this module turns its answers into a ``SortVerdict``
 with the least failing input, lifts that input to a failing permutation,
 and builds the ``Poset`` of wire order, which refuses two wires forced
 equal.
@@ -44,8 +45,9 @@ class SortVerdict(NamedTuple):
 def verify_sorts_binary(net: Network) -> SortVerdict:
     """Check all 2**width binary inputs on the slice engine.
 
-    The inputs are swept in index order, block by block, and the first
-    block with a failing input ends the sweep.
+    The engine sweeps the first layer's outputs block by block, in index
+    order of the top wires, and the first block with a failing input ends
+    the sweep.
     """
     bad = _backend.first_unsorted(net.width, net.pairs())
     if bad < 0:

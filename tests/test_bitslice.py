@@ -131,23 +131,155 @@ def test_block_schedule():
     }
 
 
+def first_layer(pairs):
+    """Comparators whose two wires no earlier comparator touches."""
+    touched, layer = set(), []
+    for a, b in pairs:
+        if not {a, b} & touched:
+            layer.append((a, b))
+        touched |= {a, b}
+    return layer
+
+
+def lane_bits(row, lanes):
+    """Bits 0 .. lanes-1 of the slice ``row`` as a uint8 array."""
+    raw = np.frombuffer(row.to_bytes((lanes + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:lanes]
+
+
+def swept_blocks(width, pairs):
+    """(input index of each lane, final slices) of each block ``_sweep``
+    yields: the probe's lanes are inputs 0 .. 2**PROBE_BITS - 1, every other
+    block's lanes the vectors its input slices spell out."""
+    out = []
+    for inputs, rows in _bitslice._sweep(width, pairs):
+        if inputs is None:
+            index = np.arange(1 << PROBE_BITS)
+        else:
+            assert len(inputs) == width
+            lanes = max(map(int.bit_length, inputs))
+            assert 0 < lanes <= 1 << BLOCK_BITS
+            index = np.zeros(lanes, dtype=np.int64)
+            for row in inputs:
+                index = index << 1 | lane_bits(row, lanes)
+        assert all(row >> len(index) == 0 for row in rows)
+        out.append((index, rows))
+    return out
+
+
 @pytest.mark.parametrize("width", range(PROBE_BITS + 1, BLOCK_BITS + 3))
 def test_sweep_rows_equal_the_int_slices(width):
-    # Each block the reductions sweep holds the bits of the whole-input
-    # slices from its start on.  Past BLOCK_BITS the largest blocks repeat
-    # and share the comparators no constant wire reaches: a sorter has many.
+    # The probe holds the first bits of the whole-input slices.  Every
+    # later block holds, in each lane, the bits of the whole-input slices
+    # at the input that lane stands for; the blocks come in index order,
+    # sweep no input twice, and together cover every input the first layer
+    # leaves unchanged.  A sorter's first layer covers nearly every wire.
     rng = random.Random(0x5E1 + width)
     nets = [Network(width)] if width == PROBE_BITS + 1 else []
     nets += [random_network(rng, width=width, size=s) for s in (width, 6 * width)]
     nets.append(Network(width, sorter(width)))
     for net in nets:
-        whole = _bitslice.evaluate(width, net.pairs())
-        blocks = list(_bitslice.blocks(width))
-        swept = list(_bitslice._sweep(width, net.pairs()))
-        assert [start for start, _ in swept] == [start for _, start in blocks]
-        for (bits, start), (_, block) in zip(blocks, swept):
-            mask = (1 << (1 << bits)) - 1
-            assert block == [row >> start & mask for row in whole]
+        whole = [lane_bits(row, 1 << width) for row in _bitslice.evaluate(width, net.pairs())]
+        blocks = swept_blocks(width, net.pairs())
+        for index, rows in blocks:
+            for row, column in zip(rows, whole):
+                assert np.array_equal(lane_bits(row, len(index)), column[index])
+        probe, *blocks = blocks
+        assert np.array_equal(probe[0], np.arange(1 << PROBE_BITS))
+        swept = np.concatenate([index for index, _ in blocks])
+        assert all(a.max() < b.min() for (a, _), (b, _) in zip(blocks, blocks[1:]))
+        assert len(np.unique(swept)) == len(swept)
+        v = np.arange(1 << width)
+        fixed = np.ones(1 << width, dtype=bool)
+        for a, b in first_layer(net.pairs()):
+            fixed &= (v >> (width - 1 - a) & 1) <= (v >> (width - 1 - b) & 1)
+        assert np.isin(v[fixed], swept).all()
+
+
+def chained(width, layer):
+    """``layer``, then a chain of comparators through every other wire, each
+    touching the wire before it, so that ``layer`` is the whole first layer."""
+    used = {w for pair in layer for w in pair}
+    rest = [w for w in range(width) if w not in used]
+    start = layer[-1][1] if layer else 0
+    return list(layer) + [(min(a, b), max(a, b)) for a, b in zip([start] + rest[:-1], rest)]
+
+
+def assert_lanes_match_apply(net, sample=None, seed=0):
+    # Every lane of every swept block (or ``sample`` lanes of each) holds
+    # Network.apply of the input it stands for.
+    rng = random.Random(seed)
+    for index, rows in swept_blocks(net.width, net.pairs()):
+        lanes = range(len(index))
+        if sample is not None and sample < len(index):
+            lanes = rng.sample(lanes, sample)
+        for lane in lanes:
+            got = [slice_bit(row, lane) for row in rows]
+            assert got == net.apply(bits_of(int(index[lane]), net.width))
+
+
+def test_every_lane_equals_apply():
+    rng = random.Random(0x1A4E)
+    for width in range(1, PROBE_BITS + 3):
+        for size in (0, width, 4 * width) if width > 1 else (0,):
+            assert_lanes_match_apply(random_network(rng, width=width, size=size))
+    # Interleaved, crossing and one-comparator first layers, with blocks of
+    # top wires past BLOCK_BITS.
+    for width in (PROBE_BITS + 1, BLOCK_BITS + 1, BLOCK_BITS + 4):
+        for layer in ([(0, 2), (1, 3)], [(0, width - 1), (1, width - 2)], [(0, 1)]):
+            pairs = chained(width, layer) + random_network(rng, width=width, size=width).pairs()
+            assert_lanes_match_apply(Network(width, pairs), sample=150, seed=width)
+
+
+@pytest.mark.parametrize("width", range(PROBE_BITS + 1, 21))
+def test_least_counterexample_where_digit_and_index_order_disagree(width):
+    # First layer (p, r), (q, s) on the last four wires p < q < r < s,
+    # interleaved: its radix-3 digits count in the order of p, then q, so
+    # the lane of input e0 + eq + es (digits 00, 11) comes before the lane
+    # of input e0 + er (digits 01, 00), though the latter is less.  Then
+    # wire 0 becomes w0 & (wq | wr) and wires 1 .. width-1 are sorted, so
+    # both inputs fail, and every input below e0 + er, the probe included,
+    # sorts.
+    p, q, r, s = range(width - 4, width)
+    rest = [(a + 1, b + 1) for a, b in sorter(width - 1)]
+    net = Network(width, [(p, r), (q, s), (q, r), (0, r)] + rest)
+    assert sorted(first_layer(net.pairs()))[-2:] == [(p, r), (q, s)]
+    least = (1 << width - 1) + (1 << width - 1 - r)
+    assert _bitslice.first_unsorted(width, net.pairs()) == least
+    assert_engine_matches_columns(net)
+
+
+@pytest.mark.parametrize("width", range(BLOCK_BITS + 1, 21))
+def test_first_layer_pairs_across_the_top_wires(width):
+    # Two first-layer pairs from the top wires to the bottom ones: they keep
+    # their comparators, every other wire is a radix-2 digit, and the low
+    # wires leave top wires to sweep in blocks.
+    layer = [(0, width - 1), (1, width - 2)]
+    whole = sorter(width)
+    for cut in (None, 0, 1, 2):
+        suffix = whole[:cut] + whole[cut + 1 :] if cut is not None else whole
+        net = Network(width, chained(width, layer) + suffix)
+        assert first_layer(net.pairs()) == layer
+        top = _bitslice._top_wires(width, _bitslice._first_layer(width, net.pairs())[0])
+        assert 0 < top <= width - 2
+        assert_engine_matches_columns(net)
+
+
+@pytest.mark.parametrize("width", range(PROBE_BITS + 1, 21))
+def test_first_layers_of_every_wire_and_of_one_comparator(width):
+    rng = random.Random(0xF1 + width)
+    whole = sorter(width)
+    cut = whole[:1] + whole[2:]
+    # Every wire (all but the last on odd widths) paired with the wire half
+    # the width away: one radix-3 digit each, all interleaved.
+    half = width // 2
+    every = [(i, i + half) for i in range(half)]
+    # One comparator: the rest chain from it, so blocks of top wires skip
+    # the tops where it reads 1, 0.
+    one = chained(width, [(0, 1)])
+    noise = list(random_network(rng, width=width, size=3 * width).pairs())
+    for pairs in (every + whole, every + cut, every + noise, one + whole, one + cut):
+        assert_engine_matches_columns(Network(width, pairs))
 
 
 @pytest.mark.parametrize("width", [PROBE_BITS, PROBE_BITS + 1])
@@ -162,9 +294,7 @@ def test_widths_at_the_probe_boundary(width):
 def test_first_failure_just_past_the_probe(k):
     # Wire 0 is the top input bit, so inputs below 2**k leave it 0 and the
     # sorter on wires 1..k sorts them all; input 2**k is 1 then k 0s.  The
-    # probe passes, and the input lies inside the second block, the first
-    # full one, for k = PROBE_BITS and PROBE_BITS + 1; for k = BLOCK_BITS it
-    # starts the third and last.
+    # probe passes, and the block after it holds the input.
     net = Network(k + 1, [(a + 1, b + 1) for a, b in sorter(k)])
     assert_engine_matches_columns(net)
     assert _bitslice.first_unsorted(k + 1, net.pairs()) == 1 << k

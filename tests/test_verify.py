@@ -144,9 +144,9 @@ def test_early_failure_skips_the_sweep():
 
 
 def test_sweep_memory_is_one_block():
-    # The 22-wire odd-even transposition sorter must be swept over all 2**22
-    # inputs, one block of 2**BLOCK_BITS inputs at a time: 22 slices of
-    # 8 KB, where slices over all inputs would take 11.5 MB.
+    # The 22-wire odd-even transposition sorter is swept in blocks of at most
+    # 2**BLOCK_BITS lanes, one at a time: 22 slices of at most 8 KB, where
+    # slices over all 2**22 inputs would take 11.5 MB.
     width = 22
     net = Network(width, [(i, i + 1) for r in range(width) for i in range(r % 2, width - 1, 2)])
     tracemalloc.start()
