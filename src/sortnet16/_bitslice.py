@@ -12,10 +12,10 @@ A network reaches the engine as its width and one sequence of
 has checked the pairs; the engine checks only the width.  ``evaluate`` runs
 a network on the first 2**bits inputs.  ``analysis`` counts ones on the
 slices with ``at_least``, and ``circuits.is_threshold`` evaluates gates on
-the input slices of each block (``blocks``, ``block_inputs``).
+the input slices of the probe and of the blocks of ``layout``.
 ``block_inputs`` builds the input slices of inputs in index order, for
-``evaluate``, the probe and ``circuits``; ``_product_inputs`` builds those
-of the sweep's other blocks, whose lanes are the vectors they spell out.
+``evaluate`` and the probe; ``layout`` builds those of the sweep's other
+blocks, whose lanes are the vectors they spell out.
 
 The two reductions sweep what the network's first layer can output, not
 every input.  Past PROBE_BITS wires a probe of inputs 0 .. 2**PROBE_BITS - 1
@@ -47,8 +47,6 @@ the wire reads 0 while any are left.  ``leq_masks`` starts from every
 ordered pair of distinct wires, nearest first.  Every block keeps the pairs
 that hold on it and skips a pair that two pairs already verified on that
 block imply by transitivity; the walk stops once no pair is left.
-``blocks`` and ``block_inputs`` walk all inputs in index order, in blocks
-of 2**min(width, BLOCK_BITS) after the probe, for ``circuits``.
 """
 
 from __future__ import annotations
@@ -164,16 +162,6 @@ def at_least(rows: Sequence[int], full: int, k: int | None = None) -> list[int]:
     return counts
 
 
-def blocks(width: int) -> Iterator[tuple[int, int]]:
-    """(bits, start) of each block: the probe, then full blocks from input 0."""
-    check_width(width)
-    if width > PROBE_BITS:
-        yield PROBE_BITS, 0
-    bits = min(width, BLOCK_BITS)
-    for start in range(0, 1 << width, 1 << bits):
-        yield bits, start
-
-
 def block_inputs(width: int, bits: int, start: int, full: int) -> list[int]:
     """Input slices of the 2**bits inputs from ``start``, one per wire;
     ``full`` is their all-ones slice."""
@@ -245,6 +233,24 @@ def _product_inputs(links: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return lanes, tuple(rows)
 
 
+def layout(partner: Sequence[int]) -> tuple[int, int, tuple[int, ...], Iterator[int]]:
+    """Full blocks of a sweep over what the first layer ``partner`` outputs:
+    the number t of top wires, the lane count, the input slices of the low
+    wires, and the top wire values of each block to sweep, as an int whose
+    most significant of t bits is wire 0.
+
+    The top values come in order and skip those where a pair inside the top
+    wires reads 1, 0.
+    """
+    width = len(partner)
+    t = _top_wires(width, partner)
+    links = tuple(p - i if p >= t else 0 for i, p in enumerate(partner[t:], t))
+    lanes, low = _product_inputs(links)
+    skip = [(t - 1 - a, t - 1 - partner[a]) for a in range(t) if a < partner[a] < t]
+    tops = (top for top in range(1 << t) if not any(top >> a & 1 > top >> b & 1 for a, b in skip))
+    return t, lanes, low, tops
+
+
 def _sweep(
     width: int, pairs: Sequence[tuple[int, int]]
 ) -> Iterator[tuple[list[int] | None, list[int]]]:
@@ -259,9 +265,7 @@ def _sweep(
     if width > PROBE_BITS:
         yield None, evaluate(width, pairs, PROBE_BITS)
     partner, later = _first_layer(width, pairs)
-    t = _top_wires(width, partner)
-    links = tuple(p - i if p >= t else 0 for i, p in enumerate(partner[t:], t))
-    lanes, low = _product_inputs(links)
+    t, lanes, low, tops = layout(partner)
     full = (1 << lanes) - 1
     # A pair from a top wire to a low one keeps its comparator, ahead of the
     # later ones; a pair inside the top or the low wires is dropped.
@@ -277,12 +281,9 @@ def _sweep(
         else:
             once.append((a, b))
     swept = _compare([0] * t + list(low), once, full)[t:]
-    skip = [(t - 1 - a, t - 1 - partner[a]) for a in range(t) if a < partner[a] < t]
-    for top in range(1 << t):
-        if any(top >> a & 1 > top >> b & 1 for a, b in skip):
-            continue  # a top pair reads 1, 0: its swap, an earlier block, has the same outputs
-        tops = [full if top >> j & 1 else 0 for j in range(t - 1, -1, -1)]
-        yield tops + list(low), _compare(tops + swept, each, full)
+    for top in tops:
+        rows = [full if top >> j & 1 else 0 for j in range(t - 1, -1, -1)]
+        yield rows + list(low), _compare(rows + swept, each, full)
 
 
 def _least(inputs: Sequence[int] | None, lanes: int) -> int:

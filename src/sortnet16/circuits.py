@@ -14,15 +14,22 @@ turns them into names (``0``, ``1``, ``x<i>``, ``g<id>``).  A ``Gate`` is a
 plain ``(kind, a, b)`` record; the ``MonotoneCircuit`` that holds it checks
 its kind and operands.
 
-Truth tables are slices as in ``_bitslice``.  ``is_threshold`` walks the
-inputs in the slice engine's blocks, so each value it holds has at most
-2**BLOCK_BITS bits, whatever the number of inputs.
+Truth tables are slices as in ``_bitslice``.  ``is_threshold`` sweeps only
+what the comparators at the front of the circuit can output.  Such a
+comparator is an input pair (i, j) whose only readers are one AND and one
+OR gate of x_i and x_j, and which no output names.  Swapping x_i and x_j
+changes no gate's value, and a threshold function is symmetric, so the
+check need only cover the inputs on which each pair reads 00, 01 or 11.
+Past PROBE_BITS inputs the probe of inputs 0 .. 2**PROBE_BITS - 1 comes
+first, then the slice engine's first-layer blocks (``_bitslice.layout``),
+so each value the check holds has at most 2**BLOCK_BITS bits, whatever the
+number of inputs.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import _bitslice
 from .constructions import van_voorhis16
@@ -137,26 +144,68 @@ def specialize(circuit: MonotoneCircuit, input_index: int, bit: int) -> Monotone
     return MonotoneCircuit(n - 1, tuple(folded), tuple(table[r] for r in circuit.outputs))
 
 
+def _front_pairs(circuit: MonotoneCircuit) -> list[int]:
+    """Partner of each input in a comparator at the front of the circuit,
+    -1 if none: inputs i and j pair when their only readers are one AND and
+    one OR gate of the two, and no output names either."""
+    n = circuit.n_inputs
+    gates = circuit.gates
+    m = n + 2  # value indices below m are the constants and the inputs
+    readers: list[list[int]] = [[] for _ in range(m)]
+    for gid, (_, a, b) in enumerate(gates):
+        if a < m:
+            readers[a].append(gid)
+        if b < m:
+            readers[b].append(gid)
+    named = set(circuit.outputs)
+    partner = [-1] * n
+    for i in range(2, m):
+        r = readers[i]
+        if len(r) != 2 or i in named:
+            continue
+        kind, a, b = gates[r[0]]
+        j = a + b - i
+        # Two gates of different kinds read i, both read j, and nothing else
+        # reads j: the second is the other of AND and OR of i and j.
+        if kind != gates[r[1]].kind and 2 <= j < m and j not in named and readers[j] == r:
+            partner[i - 2] = j - 2
+    return partner
+
+
+def _layouts(
+    circuit: MonotoneCircuit,
+) -> Iterator[tuple[int, int, Sequence[int], Iterable[int]]]:
+    """(top wire count, lanes, low input slices, top values) of each sweep:
+    past PROBE_BITS inputs the probe of inputs 0 .. 2**PROBE_BITS - 1, whose
+    top wires read 0, then the product blocks of ``_bitslice.layout``.  The
+    front pairs are found only once the probe passes."""
+    n = circuit.n_inputs
+    if n > _bitslice.PROBE_BITS:
+        bits = _bitslice.PROBE_BITS
+        low = _bitslice.block_inputs(bits, bits, 0, (1 << (1 << bits)) - 1)
+        yield n - bits, 1 << bits, low, (0,)
+    yield _bitslice.layout(_front_pairs(circuit))
+
+
 def is_threshold(circuit: MonotoneCircuit, wire: int, k: int) -> bool:
-    """Exhaustively compare one output against the k-of-n threshold, one
-    block of inputs at a time; the first block that differs ends the check."""
+    """Compare one output against the k-of-n threshold on every input the
+    circuit's front comparators can output, one block at a time; the first
+    block that differs ends the check."""
     n = circuit.n_inputs
     if not 0 <= wire < len(circuit.outputs):
         raise ValueError(f"no output wire {wire}")
-    # Counting slices of the low input bits, over one full block: the probe
-    # takes their low part, and each block the entry for the ones its index
-    # lacks.
-    bits = min(n, _bitslice.BLOCK_BITS)
-    full = (1 << (1 << bits)) - 1
-    low = _bitslice.block_inputs(bits, bits, 0, full)
-    counts = _bitslice.at_least(low, full, min(max(k, 0), bits))
-    for bits, start in _bitslice.blocks(n):
-        full = (1 << (1 << bits)) - 1
-        need = k - (start >> bits).bit_count()
-        want = full if need <= 0 else counts[need] & full if need < len(counts) else 0
-        inputs = _bitslice.block_inputs(n, bits, start, full)
-        if evaluate_slices(circuit, inputs, 1 << bits)[wire] != want:
-            return False
+    _bitslice.check_width(n)
+    for t, lanes, low, tops in _layouts(circuit):
+        full = (1 << lanes) - 1
+        # Counting slices of the low inputs; each block takes the entry for
+        # the ones its top inputs lack.
+        counts = _bitslice.at_least(low, full, min(max(k, 0), len(low)))
+        for top in tops:
+            need = k - top.bit_count()
+            want = full if need <= 0 else counts[need] if need < len(counts) else 0
+            rows = [full if top >> j & 1 else 0 for j in range(t - 1, -1, -1)]
+            if evaluate_slices(circuit, rows + list(low), lanes)[wire] != want:
+                return False
     return True
 
 

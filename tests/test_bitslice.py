@@ -41,15 +41,22 @@ def brute_force_rows(net):
     ]
 
 
-def column_oracle(net):
-    """Least failing index and leq rows from one uint8 column per wire over
-    all inputs: independent of the slice engine, fast enough past 16 wires."""
+def output_columns(net):
+    """One uint8 column per wire of the outputs over all inputs, input v in
+    row v: independent of the slice engine, fast enough past 16 wires."""
     width = net.width
     v = np.arange(1 << width, dtype=np.uint32)
     cols = [((v >> (width - 1 - i)) & 1).astype(np.uint8) for i in range(width)]
     for c in net.comparators:
         lo, hi = cols[c.low], cols[c.high]
         cols[c.low], cols[c.high] = np.minimum(lo, hi), np.maximum(lo, hi)
+    return cols
+
+
+def column_oracle(net):
+    """Least failing index and leq rows from ``output_columns``."""
+    width = net.width
+    cols = output_columns(net)
     bad = np.zeros(1 << width, dtype=bool)
     for lo, hi in zip(cols, cols[1:]):
         bad |= lo > hi
@@ -114,21 +121,6 @@ def test_probe_rows_are_the_first_columns_of_the_slices():
             pairs = random_network(rng, width=width, size=size).pairs()
             first = [row % (1 << (1 << bits)) for row in _bitslice.evaluate(width, pairs)]
             assert _bitslice.evaluate(width, pairs, bits) == first
-
-
-def test_block_schedule():
-    # Past PROBE_BITS wires the probe comes first, then full blocks from
-    # input 0 again.
-    full = [(16, i << 16) for i in range(16)]
-    assert {w: list(_bitslice.blocks(w)) for w in (0, 1, 12, 13, 16, 17, 20)} == {
-        0: [(0, 0)],
-        1: [(1, 0)],
-        12: [(12, 0)],
-        13: [(12, 0), (13, 0)],
-        16: [(12, 0), (16, 0)],
-        17: [(12, 0), *full[:2]],
-        20: [(12, 0), *full],
-    }
 
 
 def first_layer(pairs):

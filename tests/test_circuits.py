@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sortnet16 import (
@@ -21,10 +22,10 @@ from sortnet16 import (
     specialize,
     van_voorhis16,
 )
-from sortnet16 import _bitslice
-from sortnet16.circuits import evaluate_slices
+from sortnet16 import _bitslice, circuits
+from sortnet16.circuits import _front_pairs, evaluate_slices
 
-from test_bitslice import bits_of, slice_bit
+from test_bitslice import bits_of, chained, output_columns, slice_bit
 from test_network import random_network
 
 
@@ -139,26 +140,30 @@ def test_is_threshold_examples(vv):
     assert not is_threshold(vv_circuit, 8, 7)
 
 
+def assert_is_threshold_matches_whole_input_slices(circuit):
+    slices = evaluate_all(circuit)
+    n = circuit.n_inputs
+    for wire in range(len(circuit.outputs)):
+        for k in range(-1, n + 2):
+            expected = slices[wire] == threshold_slice(n, k)
+            assert is_threshold(circuit, wire, k) == expected, (wire, k)
+
+
 def test_is_threshold_matches_whole_input_slices():
-    # is_threshold walks the engine's blocks; past PROBE_BITS inputs there
-    # are several, and constant input rows in all but the first.
+    # Past PROBE_BITS inputs is_threshold checks the probe, whose top input
+    # rows are constant, then the product blocks of the front pairs.
     rng = random.Random(0x7E5)
     nets = [Network(1), sorter4(), batcher_sorter(16)] + [
         random_network(rng, width, rng.randint(0, 3 * width)) for width in (2, 5, 13, 14)
     ]
     for net in nets:
-        circuit = network_to_circuit(net)
-        slices = evaluate_all(circuit)
-        for wire in range(net.width):
-            for k in range(-1, net.width + 2):
-                expected = slices[wire] == threshold_slice(net.width, k)
-                assert is_threshold(circuit, wire, k) == expected, (net, wire, k)
+        assert_is_threshold_matches_whole_input_slices(network_to_circuit(net))
 
 
 @pytest.mark.parametrize("n", range(13, 19))
 def test_is_threshold_against_brute_force(n):
     # Per input v, output wire w must be 1 iff v has at least k one bits.
-    # Past 16 inputs the blocks start at inputs with high one bits to count.
+    # Past 16 inputs the blocks fix top inputs whose ones count too.
     rng = random.Random(0x7B + n)
     sorter = [(i, i + 1) for r in range(n) for i in range(r % 2, n - 1, 2)]
     broken = list(sorter)
@@ -174,6 +179,111 @@ def test_is_threshold_against_brute_force(n):
                     threshold[k] = int("".join("01"[count >= k] for count in ones), 2)
                 expected = outputs[wire] == threshold[k]
                 assert is_threshold(circuit, wire, k) == expected, (pairs is sorter, wire, k)
+
+
+def lanes_per_block(monkeypatch, circuit, wire, k):
+    """Verdict of is_threshold and the lane count of each block it evaluates."""
+    lanes = []
+
+    def counted(circuit, input_slices, nbits):
+        lanes.append(nbits)
+        return evaluate_slices(circuit, input_slices, nbits)
+
+    monkeypatch.setattr(circuits, "evaluate_slices", counted)
+    return is_threshold(circuit, wire, k), lanes
+
+
+def test_is_threshold_lanes_per_block(monkeypatch):
+    # Past PROBE_BITS inputs the probe's 4096 inputs come first.  Then the
+    # product blocks: 3 lanes per front pair, 2 per other input, in blocks
+    # of at most 2**16 lanes.  The 16-input majority circuit pairs every
+    # input, the pinned 15-input one all but the partner of the pinned one.
+    cases = [
+        (*majority_circuit(16), 8, [4096, 3**8]),
+        (*majority_circuit(15, pin_bit=0), 8, [4096, 3**7 * 2]),
+        (*majority_circuit(15, pin_bit=1), 8, [4096, 3**7 * 2]),
+    ]
+    blocks = {13: [1 << 13], 16: [1 << 16], 17: [1 << 16] * 2, 20: [1 << 16] * 16}
+    for n, product in blocks.items():
+        # No pairs: the one output is the constant 1, "at least 0 of n".
+        cases.append((MonotoneCircuit(n, (), (1,)), 0, 0, [4096, *product]))
+    for circuit, wire, k, expected in cases:
+        assert lanes_per_block(monkeypatch, circuit, wire, k) == (True, expected)
+
+
+def test_front_pairs_are_and_or_pairs_read_by_nothing_else():
+    # Each circuit fails only on x0 = 1, x1 = 0, the input that pairing x0
+    # with x1 would leave out; none of them may pair.
+    and01, or01 = Gate("AND", 2, 3), Gate("OR", 2, 3)
+    hiding = [
+        # x0 is also read by a third gate: g2 = x0 AND (x0 OR x1) = x0.
+        (MonotoneCircuit(2, (and01, or01, Gate("AND", 2, 5)), (6,)), 2),
+        # An output names x0, or x1.
+        (MonotoneCircuit(2, (and01, or01), (2,)), 2),
+        (MonotoneCircuit(2, (and01, or01), (3,)), 1),
+        # x0 read twice by one gate: g1 = x0 OR x0 = x0.
+        (MonotoneCircuit(2, (and01, Gate("OR", 2, 2)), (5,)), 2),
+    ]
+    for circuit, k in hiding:
+        assert _front_pairs(circuit) == [-1, -1], circuit
+        assert not is_threshold(circuit, 0, k), circuit
+        assert_is_threshold_matches_whole_input_slices(circuit)
+    # The partner of a front pair is an input, not a constant or a gate.
+    constant = MonotoneCircuit(1, (Gate("AND", 2, 0), Gate("OR", 0, 2)), (3, 4))
+    gate = MonotoneCircuit(2, (Gate("AND", 3, 3), Gate("AND", 2, 4), Gate("OR", 4, 2)), (5, 6))
+    assert _front_pairs(constant) == [-1] and _front_pairs(gate) == [-1, -1]
+    assert_is_threshold_matches_whole_input_slices(constant)
+    assert_is_threshold_matches_whole_input_slices(gate)
+    # Two ANDs and no OR do not pair either, though AND is symmetric too.
+    two_ands = MonotoneCircuit(2, (and01, Gate("AND", 3, 2)), (4, 5))
+    assert _front_pairs(two_ands) == [-1, -1]
+    assert_is_threshold_matches_whole_input_slices(two_ands)
+    # OR(x1, x0) with swapped operands pairs, here ahead of the 3-input
+    # transposition sorter's other comparators.
+    sorter3 = network_to_circuit(Network(3, ((0, 1), (1, 2), (0, 1))))
+    swapped = MonotoneCircuit(3, (and01, Gate("OR", 3, 2), *sorter3.gates[2:]), sorter3.outputs)
+    assert _front_pairs(swapped) == [1, 0, -1]
+    assert_is_threshold_matches_whole_input_slices(swapped)
+    for wire in range(3):
+        assert is_threshold(swapped, wire, 3 - wire)
+
+
+def transposition_sorter(n):
+    return [(i, i + 1) for r in range(n) for i in range(r % 2, n - 1, 2)]
+
+
+@pytest.mark.parametrize(
+    "n, layer, t",
+    [
+        (17, [(0, 1)], 1),  # the pair crosses from the top wire to the low ones
+        (18, [(0, 1)], 2),  # the pair is inside the top wires: block 1, 0 is skipped
+        (18, [(0, 2), (1, 3)], 2),
+        (20, [(0, 2), (1, 3)], 4),  # interleaved pairs inside the top wires
+    ],
+)
+def test_is_threshold_behind_first_layers_against_columns(n, layer, t):
+    # The odd-even transposition sorter, whole and with one comparator cut,
+    # behind ``layer`` and a chain through every other wire, so that
+    # ``layer`` holds the only front pairs.  Numpy columns over all 2**n
+    # inputs give each output and the popcount of each input.
+    ones = sum(output_columns(Network(n)))
+    sorter = transposition_sorter(n)
+    cut = len(sorter) // 2 + 1  # a cut that leaves every case unsorted
+    for pairs in (sorter, sorter[:cut] + sorter[cut + 1 :]):
+        net = Network(n, chained(n, layer) + pairs)
+        circuit = network_to_circuit(net)
+        partner = [-1] * n
+        for a, b in layer:
+            partner[a], partner[b] = b, a
+        assert _front_pairs(circuit) == partner
+        assert _bitslice.layout(partner)[0] == t
+        verdicts = []
+        for wire, column in enumerate(output_columns(net)):
+            for k in (n - wire - 1, n - wire, n - wire + 1):
+                expected = bool(np.array_equal(column, ones >= k))
+                assert is_threshold(circuit, wire, k) == expected, (pairs is sorter, wire, k)
+                verdicts.append(expected)
+        assert (pairs is sorter) == (sum(verdicts) == n)
 
 
 def test_is_threshold_memory_is_bounded_by_the_block():
