@@ -10,22 +10,30 @@ A network reaches the engine as its width and one sequence of
 ``(low, high)`` wire pairs, ``Network.pairs()``: ``evaluate(width, pairs)``,
 ``first_unsorted(width, pairs)``, ``leq_masks(width, pairs)``.  ``Network``
 has checked the pairs; the engine checks only the width.  ``evaluate`` runs
-a network on the first 2**bits inputs.  ``analysis`` counts ones on the
-slices with ``at_least``, and ``circuits.is_threshold`` evaluates gates on
-the input slices of the probe and of the blocks of ``layout``.
-``block_inputs`` builds the input slices of inputs in index order, for
-``evaluate`` and the probe; ``layout`` builds those of the sweep's other
-blocks, whose lanes are the vectors they spell out.
+a network on the first 2**bits inputs.  ``analysis`` checks claims a-d on
+the blocks of ``_sweep`` and counts ones on the slices with ``at_least``,
+and ``circuits.is_threshold`` evaluates gates on the input slices of the
+probe and of the blocks of ``layout``.  ``block_inputs`` builds the input
+slices of inputs in index order, for ``evaluate`` and the probe; ``layout``
+builds those of the sweep's other blocks, whose lanes are the vectors they
+spell out.
 
 The two reductions sweep what the network's first layer can output, not
-every input.  Past PROBE_BITS wires a probe of inputs 0 .. 2**PROBE_BITS - 1
-comes first, in index order and through every comparator, so a network
-that fails early is refuted at once.  The first layer is the comparators
-whose two wires no earlier comparator touches; they commute to the front.
-After such a comparator on wires a < b the pair reads 00, 01 or 11, so the
-full blocks cover 3**k * 2**(width - 2k) inputs for k first-layer pairs:
-by the zero-one principle the rest of the network need sort only what the
-first layer outputs.
+every input.  The first layer is the comparators whose two wires no earlier
+comparator touches; they commute to the front.  After such a comparator on
+wires a < b the pair reads 00, 01 or 11, so the full blocks cover
+3**k * 2**(width - 2k) inputs for k first-layer pairs: by the zero-one
+principle the rest of the network need sort only what the first layer
+outputs.
+
+Where those outputs take more than one block, or one block of more than
+2**(PROBE_BITS + 1) lanes, a probe of inputs 0 .. 2**PROBE_BITS - 1 comes
+first, in index order and through every comparator, so a network that fails
+early is refuted at once (``probe_first``).  A smaller single block is swept
+without it: a refutation then sweeps at most twice the probe's lanes, and a
+pass saves the probe whole.  So no network of 13 wires or fewer takes the
+probe, nor does a 16-wire network whose first layer pairs every wire (3**8 =
+6,561 lanes); every network of more than 16 wires does.
 
 Each full block fixes the top t wires, t the fewest that leave at most
 2**BLOCK_BITS lanes, and its lanes are a mixed-radix product over the low
@@ -43,15 +51,21 @@ failing input is a fixed point of the first layer (turning 1, 0 into 0, 1 on
 a pair lowers the input and keeps the output), so that block holds it.  Lane
 order is not index order when first-layer pairs interleave, so the failing
 lanes are narrowed through the input slices in wire order, to those where
-the wire reads 0 while any are left.  ``leq_masks`` starts from every
-ordered pair of distinct wires, nearest first.  Every block keeps the pairs
-that hold on it and skips a pair that two pairs already verified on that
-block imply by transitivity; the walk stops once no pair is left.
+the wire reads 0 while any are left.
+
+``leq_masks`` tests every ordered pair of distinct wires on a sweep that is
+one block with no probe.  Otherwise it starts from every ordered pair,
+nearest first.  Every block keeps the pairs that hold on it and skips a pair
+that two pairs already verified on that block imply by transitivity; the
+walk stops once no pair is left.  On a single block that bookkeeping costs
+more than the tests it skips, because no later block re-tests the pairs it
+keeps.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 # Widest input space the engine evaluates.  A budget of time, not memory.
@@ -63,8 +77,9 @@ from typing import Iterable, Iterator, Sequence
 # wire more doubles that.  The sorter alone takes 4-7 ms.
 MAX_WIDTH = 26
 
-# The probe: inputs 0 .. 2**PROBE_BITS - 1, swept first on wider networks so
-# that a network failing early is refuted in microseconds.
+# The probe: inputs 0 .. 2**PROBE_BITS - 1, swept first where the first
+# layer's outputs are many (``probe_first``), so that a network failing early
+# is refuted in microseconds.
 PROBE_BITS = 12
 
 # The full blocks: at most 2**BLOCK_BITS lanes.
@@ -251,21 +266,28 @@ def layout(partner: Sequence[int]) -> tuple[int, int, tuple[int, ...], Iterator[
     return t, lanes, low, tops
 
 
+def probe_first(t: int, lanes: int) -> bool:
+    """Does the probe go ahead of a sweep whose layout has ``t`` top wires
+    and ``lanes`` lanes per block?  Only where the sweep is more than one
+    block or one of more than twice the probe's lanes."""
+    return t > 0 or lanes > 2 << PROBE_BITS
+
+
 def _sweep(
     width: int, pairs: Sequence[tuple[int, int]]
-) -> Iterator[tuple[list[int] | None, list[int]]]:
-    """(input slices, final slices) of each block.
+) -> Iterator[tuple[list[int] | None, list[int], int]]:
+    """(input slices, final slices, all-ones slice) of each block.
 
     The probe's lanes are inputs 0 .. 2**PROBE_BITS - 1 in index order, and
-    its input slices are None.  Every other block's lanes are the input
-    vectors its input slices spell out.  The first layer is found only once
-    the probe passes.
+    its input slices are None; it comes first where ``probe_first`` says
+    so.  Every other block's lanes are the input vectors its input slices
+    spell out.
     """
     check_width(width)
-    if width > PROBE_BITS:
-        yield None, evaluate(width, pairs, PROBE_BITS)
     partner, later = _first_layer(width, pairs)
     t, lanes, low, tops = layout(partner)
+    if probe_first(t, lanes):
+        yield None, evaluate(width, pairs, PROBE_BITS), (1 << (1 << PROBE_BITS)) - 1
     full = (1 << lanes) - 1
     # A pair from a top wire to a low one keeps its comparator, ahead of the
     # later ones; a pair inside the top or the low wires is dropped.
@@ -283,7 +305,7 @@ def _sweep(
     swept = _compare([0] * t + list(low), once, full)[t:]
     for top in tops:
         rows = [full if top >> j & 1 else 0 for j in range(t - 1, -1, -1)]
-        yield rows + list(low), _compare(rows + swept, each, full)
+        yield rows + list(low), _compare(rows + swept, each, full), full
 
 
 def _least(inputs: Sequence[int] | None, lanes: int) -> int:
@@ -304,7 +326,7 @@ def _least(inputs: Sequence[int] | None, lanes: int) -> int:
 
 def first_unsorted(width: int, pairs: Sequence[tuple[int, int]]) -> int:
     """Least input index whose output is not non-decreasing, or -1."""
-    for inputs, rows in _sweep(width, pairs):
+    for inputs, rows, _ in _sweep(width, pairs):
         bad = 0
         for lo, hi in zip(rows, rows[1:]):
             if (m := lo & hi) != lo:
@@ -319,7 +341,11 @@ def leq_masks(width: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
 
     Bit b of row a is set iff no binary input yields wire a = 1, wire b = 0.
     """
-    check_width(width)
+    blocks = _sweep(width, pairs)
+    inputs, rows, _ = next(blocks)
+    if inputs is not None:
+        # No probe: this block is the whole sweep, so test every pair on it.
+        return [sum(1 << b for b, y in enumerate(rows) if x & y == x) for x in rows]
     # Nearest first, ties by (a, b), so the two shorter pairs through a wire
     # between a and b are tested before (a, b) and may settle it.  The order
     # affects only how many pairs are tested.
@@ -330,7 +356,7 @@ def leq_masks(width: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
         for b in (a - d, a + d)
         if 0 <= b < width
     ]
-    for _, rows in _sweep(width, pairs):
+    for rows in chain([rows], (rows for _, rows, _ in blocks)):
         above = [0] * width  # pairs verified on this block, by row and by column
         below = [0] * width
         kept = []

@@ -16,25 +16,50 @@ How claims a-d are checked.  Over binary inputs every claim compares order
 statistics (the r-th smallest of all outputs, of a layer, or of M), and on
 0/1 values an order statistic is a threshold: the r-th smallest (from 0) of
 s values is 1 exactly when at least s - r of them are 1.  So the exhaustive
-mode evaluates the prefix once on the bit-slice engine (one 2**16-bit int
-per wire), builds the "at least j ones" slices over all outputs, layer I,
-layer III and M with ``_bitslice.at_least``, and states each claim as bitwise
-identities of those slices; a 6-of-8 multiset inclusion, for instance, is
-"at most as many ones and at most as many zeros".  This is the matrix check
-(sort every input's outputs, compare columns) with the sort replaced by its
-value on 0/1 inputs, so the verdict per input and hence the lexicographically
-least counterexample are the same; ``tests/test_analysis.py`` keeps the
-matrix check as its oracle.
+mode runs the prefix on the slice engine's sweep (``_bitslice._sweep``),
+builds the "at least j ones" slices over all outputs, layer I, layer III and
+M of each block with ``_bitslice.at_least``, and states each claim as
+bitwise identities of those slices; a 6-of-8 multiset inclusion, for
+instance, is "at most as many ones and at most as many zeros".  This is the
+matrix check (sort every input's outputs, compare columns) with the sort
+replaced by its value on 0/1 inputs, so the verdict per input and hence the
+lexicographically least counterexample are the same;
+``tests/test_analysis.py`` keeps the matrix check as its oracle.
+
+The sweep covers only what the prefix's first layer can output: one block
+of 3**8 = 6,561 lanes for the cube phase, whose first layer pairs all 16
+wires, not 2**16 inputs.  That is enough.  A claim's verdict on an input
+depends only on the prefix's output, since every slice it tests is built
+from outputs.  So the least input failing a claim is a fixed point of the
+first layer: turning 1, 0 into 0, 1 on a first-layer pair lowers the input
+and keeps the output.  The blocks cover those fixed points in index order
+of their top wires, after the probe where there is one, so the first block
+that fails a claim holds that input, and ``_bitslice._least`` narrows the
+block's failing lanes to it, as ``verify`` does.
 
 The sampled mode runs seeded random permutations of 0..15 through the
 prefix, on which the r-th smallest of all outputs is r itself.  It holds
-each wire's values as four bit planes, Python ints with one bit per sample:
-bit k of plane t is bit t of sample k's value.  The permutations are drawn
+each wire's values as four bit planes, Python ints with one bit per lane:
+bit k of plane t is bit t of lane k's value.  The permutations are drawn
 by Fisher-Yates, a comparator is a bit-sliced 4-bit "greater than" and a
 swap in the lanes where it holds, layers I and III are sorted the same
 way, and each claim is a per-lane identity: a value equal to a constant,
 six of M's eight values in 5..10 (counted with ``_bitslice.at_least``), or
 bounds on the minimum and maximum of M.
+
+The draw's cost depends on the number of samples, not on its unluckiest
+lane.  Each Fisher-Yates step draws its index by rejection, random bits
+drawn again in the lanes where they are too large, but for at most ROUNDS
+rounds; a lane still rejected then is not valid, and its permutation is
+not used.  The valid lanes are exactly uniform samples.  Given acceptance
+within ROUNDS rounds, a step's value is uniform on its range, and the
+steps draw independent bits.  A lane's validity depends only on its own
+draws, so the valid lanes hold independent uniform permutations, and
+taking the first ``samples`` of them in lane order is a stopping rule on an
+i.i.d. sequence.  At ROUNDS = 4, 90.5% of lanes are valid.  Each block
+draws about 1/8 more lanes than the sample still needs, plus 64, so one
+block nearly always suffices; more are drawn while the sample is short.
+A seed's sample is deterministic.
 
 Exhaustive claims a, b and d imply all four claims on every permutation.
 Comparators commute with thresholds, so a, b and d hold on a permutation
@@ -51,6 +76,7 @@ regression for the merge ordering.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import _bitslice
@@ -80,10 +106,11 @@ DEFAULT_SEED = 0xC0FFEE
 CLAIM_NAMES = ("a", "b", "c", "d")
 
 _SORTER4 = sorter4()  # sorts the four wires of layer I or III in sampled mode
-_FULL16 = (1 << (1 << 16)) - 1  # all-ones slice over the 2**16 binary inputs
 
 # Sampled mode: permutations are drawn and checked this many at a time.
 SAMPLE_BLOCK = 1 << 16
+# Rounds of random bits a step of the draw takes before it gives a lane up.
+ROUNDS = 4
 
 Planes = tuple[int, int, int, int]  # a value 0..15 per lane, bit t in entry t
 
@@ -127,10 +154,10 @@ def check_cube_poset(net: Network, n: int) -> bool:
     return infer_poset(net).rows == cube
 
 
-def _exhaustive_masks(prefix: Network) -> dict[str, int]:
-    """Claim slices over all 2**16 binary inputs (see the module docstring)."""
-    out = _bitslice.evaluate(16, prefix.pairs())
-    full = _FULL16
+def _binary_masks(out: list[int], full: int) -> dict[str, int]:
+    """Per-lane verdicts of claims a-d on the output slices ``out`` of a
+    block of binary inputs whose all-ones slice is ``full`` (see the module
+    docstring)."""
     t = _bitslice.at_least(out, full)  # rank r is t[16 - r]
     l1 = _bitslice.at_least([out[w] for w in CUBE_LAYER1], full)
     l3 = _bitslice.at_least([out[w] for w in CUBE_LAYER3], full)
@@ -154,6 +181,20 @@ def _exhaustive_masks(prefix: Network) -> dict[str, int]:
     return {"a": a, "b": b, "c": c, "d": d}
 
 
+def _exhaustive_claims(prefix: Network) -> dict[str, ClaimVerdict]:
+    """Claims a-d over all 2**16 binary inputs, checked on the blocks of
+    the slice engine's sweep; a failing claim carries its least failing
+    input, found in the first block that fails it (see the module
+    docstring)."""
+    claims = {}
+    for inputs, out, full in _bitslice._sweep(16, prefix.pairs()):
+        for name, ok in _binary_masks(out, full).items():
+            if name not in claims and ok != full:
+                bad = _bitslice._least(inputs, full ^ ok)
+                claims[name] = ClaimVerdict(False, _bitslice.vector_of(bad, 16))
+    return {name: claims.get(name, ClaimVerdict(True)) for name in CLAIM_NAMES}
+
+
 def _at_least_value(planes: Sequence[int], c: int, full: int) -> int:
     """Lanes whose value (bit t in ``planes[t]``) is at least ``c``."""
     if c >> len(planes):
@@ -164,48 +205,70 @@ def _at_least_value(planes: Sequence[int], c: int, full: int) -> int:
     return ge
 
 
-def _below(getrandbits, n: int, lanes: int, full: int) -> list[int]:
-    """Planes of one uniform draw from 0 .. n-1 per lane: random bits,
-    drawn again in the lanes where they read n or more."""
+def _below(getrandbits, n: int, lanes: int, full: int) -> tuple[list[int], int]:
+    """Planes of one uniform draw from 0 .. n-1 per lane, and the lanes it
+    failed in: random bits, drawn again in the lanes where they read n or
+    more, for at most ROUNDS rounds in all."""
     planes = [getrandbits(lanes) for _ in range((n - 1).bit_length())]
     redraw = _at_least_value(planes, n, full)
-    while redraw:
+    for _ in range(ROUNDS - 1):
+        if not redraw:
+            break
         for t, p in enumerate(planes):
             planes[t] = p ^ ((p ^ getrandbits(lanes)) & redraw)
         redraw &= _at_least_value(planes, n, full)
-    return planes
+    return planes, redraw
 
 
 def _one_hot(planes: Sequence[int], n: int, full: int) -> list[int]:
     """Lane masks of the values 0 .. n-1."""
     masks = [full]
     for p in reversed(planes):
-        masks = [m for x in masks for m in (x & ~p, x & p)]
+        q = full ^ p
+        masks = [m for x in masks for m in (x & q, x & p)]
     return masks[:n]
 
 
-def _draw_permutations(samples: int, seed: int) -> Iterator[tuple[int, list[Planes]]]:
+def _first_lanes(mask: int, k: int) -> int:
+    """The k lowest set bits of ``mask`` (all of them if it has fewer)."""
+    width = bisect_left(
+        range(mask.bit_length()), k, key=lambda w: (mask & ((1 << w) - 1)).bit_count()
+    )
+    return mask & ((1 << width) - 1)
+
+
+def _draw_permutations(samples: int, seed: int) -> Iterator[tuple[int, list[Planes], int]]:
     """Uniform permutations of 0..15 from ``seed``, in blocks of at most
-    SAMPLE_BLOCK lanes: (lanes, wires), where bit k of ``wires[w][t]`` is
-    bit t of the value that sample k puts on wire w.
+    SAMPLE_BLOCK lanes: (lanes, wires, valid), where bit k of
+    ``wires[w][t]`` is bit t of the value that lane k puts on wire w, and
+    ``valid`` marks the lanes that are samples.  The valid lanes of all
+    blocks number exactly ``samples``.
 
     Fisher-Yates (Knuth's Algorithm P), one step for every lane at once: for
-    i = 15 .. 1 draw j uniform in 0 .. i and swap the values at i and j.
+    i = 15 .. 1 draw j uniform in 0 .. i and swap the values at i and j.  A
+    lane whose draw failed in any step is not valid; the sample is the
+    first ``samples`` valid lanes (see the module docstring).
     """
     getrandbits = random.Random(seed).getrandbits
-    for start in range(0, samples, SAMPLE_BLOCK):
-        lanes = min(SAMPLE_BLOCK, samples - start)
+    need = samples
+    while need:
+        lanes = min(SAMPLE_BLOCK, need + need // 8 + 64)
         full = (1 << lanes) - 1
+        valid = full
         wires = [tuple(full if v >> t & 1 else 0 for t in range(4)) for v in range(16)]
         for i in range(15, 0, -1):
+            planes, failed = _below(getrandbits, i + 1, lanes, full)
+            valid &= ~failed
             h0, h1, h2, h3 = wires[i]
-            for q, m in enumerate(_one_hot(_below(getrandbits, i + 1, lanes, full), i, full)):
+            for q, m in enumerate(_one_hot(planes, i, full)):
                 l0, l1, l2, l3 = wires[q]
                 d0, d1, d2, d3 = (l0 ^ h0) & m, (l1 ^ h1) & m, (l2 ^ h2) & m, (l3 ^ h3) & m
                 wires[q] = (l0 ^ d0, l1 ^ d1, l2 ^ d2, l3 ^ d3)
                 h0, h1, h2, h3 = h0 ^ d0, h1 ^ d1, h2 ^ d2, h3 ^ d3
             wires[i] = (h0, h1, h2, h3)
-        yield lanes, wires
+        valid = _first_lanes(valid, need)
+        need -= valid.bit_count()
+        yield lanes, wires, valid
 
 
 def _compare_planes(wires: list[Planes], pairs: Iterable[tuple[int, int]]) -> list[Planes]:
@@ -270,12 +333,12 @@ def _sampled_claims(prefix: Network, samples: int, seed: int) -> dict[str, Claim
     failing claim carries the first permutation it fails on."""
     pairs = prefix.pairs()
     claims = {}
-    for lanes, inputs in _draw_permutations(samples, seed):
-        full = (1 << lanes) - 1
-        masks = _sampled_masks(_compare_planes(list(inputs), pairs), full)
+    for lanes, inputs, valid in _draw_permutations(samples, seed):
+        masks = _sampled_masks(_compare_planes(list(inputs), pairs), (1 << lanes) - 1)
         for name, ok in masks.items():
-            if name not in claims and ok != full:
-                claims[name] = ClaimVerdict(False, _lane_values(inputs, _bitslice.lowest(full ^ ok)))
+            bad = valid & ~ok
+            if name not in claims and bad:
+                claims[name] = ClaimVerdict(False, _lane_values(inputs, _bitslice.lowest(bad)))
     return {name: claims.get(name, ClaimVerdict(True)) for name in CLAIM_NAMES}
 
 
@@ -288,12 +351,13 @@ def check_observations(
 ) -> ObservationReport:
     """Check claims a-d for a width-16 prefix network.
 
-    ``mode=EXHAUSTIVE`` sweeps all 2**16 binary inputs (authoritative) as
-    threshold slices on the bit-slice engine; ``mode=SAMPLED`` spot-checks
-    ``samples`` permutations of 0..15 drawn from ``seed``.  A failing claim
-    carries its least counterexample: the lexicographically least binary
-    input vector, or the first failing permutation drawn.  ``samples`` must
-    be at least 1 in either mode.
+    ``mode=EXHAUSTIVE`` covers all 2**16 binary inputs (authoritative) as
+    threshold slices over what the prefix's first layer can output, on the
+    bit-slice engine; ``mode=SAMPLED`` spot-checks ``samples`` permutations
+    of 0..15 drawn from ``seed``.  A failing claim carries its least
+    counterexample: the lexicographically least binary input vector, or the
+    first failing permutation of the sample.  ``samples`` must be at least 1
+    in either mode.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -301,16 +365,9 @@ def check_observations(
         prefix = hypercube_phase(4)
     if prefix.width != 16:
         raise ValueError("observation checks are defined for width 16")
-    claims = {}
     if mode == EXHAUSTIVE:
         inputs_checked, used_seed = 1 << 16, None
-        for name, ok in _exhaustive_masks(prefix).items():
-            first = _bitslice.lowest(_FULL16 ^ ok)
-            claims[name] = (
-                ClaimVerdict(True)
-                if first < 0
-                else ClaimVerdict(False, _bitslice.vector_of(first, 16))
-            )
+        claims = _exhaustive_claims(prefix)
     elif mode == SAMPLED:
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")

@@ -20,10 +20,12 @@ comparator is an input pair (i, j) whose only readers are one AND and one
 OR gate of x_i and x_j, and which no output names.  Swapping x_i and x_j
 changes no gate's value, and a threshold function is symmetric, so the
 check need only cover the inputs on which each pair reads 00, 01 or 11.
-Past PROBE_BITS inputs the probe of inputs 0 .. 2**PROBE_BITS - 1 comes
-first, then the slice engine's first-layer blocks (``_bitslice.layout``),
-so each value the check holds has at most 2**BLOCK_BITS bits, whatever the
-number of inputs.
+The check sweeps the slice engine's first-layer blocks
+(``_bitslice.layout``), behind the probe of inputs 0 .. 2**PROBE_BITS - 1
+where ``_bitslice.probe_first`` asks for it, as the engine's own sweep
+does: the 16-input majority circuit takes one block of 6,561 lanes and the
+15-input one 4,374, with no probe.  Each value the check holds has at most
+2**BLOCK_BITS bits, whatever the number of inputs.
 """
 
 from __future__ import annotations
@@ -176,25 +178,25 @@ def _layouts(
     circuit: MonotoneCircuit,
 ) -> Iterator[tuple[int, int, Sequence[int], Iterable[int]]]:
     """(top wire count, lanes, low input slices, top values) of each sweep:
-    past PROBE_BITS inputs the probe of inputs 0 .. 2**PROBE_BITS - 1, whose
-    top wires read 0, then the product blocks of ``_bitslice.layout``.  The
-    front pairs are found only once the probe passes."""
+    the probe of inputs 0 .. 2**PROBE_BITS - 1, whose top wires read 0,
+    where ``_bitslice.probe_first`` asks for it, then the product blocks of
+    ``_bitslice.layout``."""
     n = circuit.n_inputs
-    if n > _bitslice.PROBE_BITS:
+    _bitslice.check_width(n)
+    t, lanes, low, tops = _bitslice.layout(_front_pairs(circuit))
+    if _bitslice.probe_first(t, lanes):
         bits = _bitslice.PROBE_BITS
-        low = _bitslice.block_inputs(bits, bits, 0, (1 << (1 << bits)) - 1)
-        yield n - bits, 1 << bits, low, (0,)
-    yield _bitslice.layout(_front_pairs(circuit))
+        probe = _bitslice.block_inputs(bits, bits, 0, (1 << (1 << bits)) - 1)
+        yield n - bits, 1 << bits, probe, (0,)
+    yield t, lanes, low, tops
 
 
 def is_threshold(circuit: MonotoneCircuit, wire: int, k: int) -> bool:
     """Compare one output against the k-of-n threshold on every input the
     circuit's front comparators can output, one block at a time; the first
     block that differs ends the check."""
-    n = circuit.n_inputs
     if not 0 <= wire < len(circuit.outputs):
         raise ValueError(f"no output wire {wire}")
-    _bitslice.check_width(n)
     for t, lanes, low, tops in _layouts(circuit):
         full = (1 << lanes) - 1
         # Counting slices of the low inputs; each block takes the entry for

@@ -21,7 +21,7 @@ from sortnet16 import (
     hypercube_phase,
     infer_poset,
 )
-from sortnet16 import analysis
+from sortnet16 import _bitslice, analysis
 from sortnet16.analysis import EXHAUSTIVE, SAMPLED, ClaimVerdict
 from sortnet16.constructions import CUBE_LAYER1, CUBE_LAYER3, MIDDLE_LAYER
 
@@ -121,7 +121,7 @@ def test_observations_refuse_bad_sample_counts(monkeypatch, mode, samples):
     def evaluated(*args):
         raise AssertionError("evaluated before the sample count was checked")
 
-    monkeypatch.setattr(analysis, "_exhaustive_masks", evaluated)
+    monkeypatch.setattr(analysis, "_exhaustive_claims", evaluated)
     monkeypatch.setattr(analysis, "_draw_permutations", evaluated)
     with pytest.raises(ValueError, match="samples must be at least 1"):
         check_observations(mode=mode, samples=samples)
@@ -322,18 +322,29 @@ def oracle_claims(prefix, inputs=BINARY_INPUTS):
     return claims
 
 
+def flags_of(mask, lanes):
+    """Bits 0 .. lanes-1 of ``mask`` as a bool array."""
+    raw = np.frombuffer(mask.to_bytes((lanes + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:lanes].astype(bool)
+
+
+def block_rows(lanes, wires):
+    """The values of every lane of one drawn block, valid or not, one row
+    each, read from the bit planes with numpy (bit k of plane t is bit t of
+    row k's value)."""
+    block = np.zeros((lanes, 16), dtype=np.uint8)
+    for w, planes in enumerate(wires):
+        for t, plane in enumerate(planes):
+            block[:, w] |= flags_of(plane, lanes).astype(np.uint8) << t
+    return block
+
+
 def drawn_permutations(samples, seed):
-    """The permutations the sampled mode draws from ``seed``, one row each,
-    read from the bit planes with numpy (bit k of plane t is bit t of row
-    k's value)."""
+    """The permutations the sampled mode draws from ``seed``, one row each:
+    the valid lanes of every block, in order."""
     rows = []
-    for lanes, wires in analysis._draw_permutations(samples, seed):
-        block = np.zeros((lanes, 16), dtype=np.uint8)
-        for w, planes in enumerate(wires):
-            for t, plane in enumerate(planes):
-                raw = np.frombuffer(plane.to_bytes((lanes + 7) // 8, "little"), dtype=np.uint8)
-                block[:, w] |= np.unpackbits(raw, bitorder="little")[:lanes] << t
-        rows.append(block)
+    for lanes, wires, valid in analysis._draw_permutations(samples, seed):
+        rows.append(block_rows(lanes, wires)[flags_of(valid, lanes)])
     return np.concatenate(rows)
 
 
@@ -379,6 +390,39 @@ def test_exhaustive_observations_match_matrix_oracle():
     assert_every_verdict_seen(verdicts)
 
 
+def interleaved_prefixes(count, seed):
+    """Prefixes whose first layer pairs all 16 wires in an interleaved
+    matching, such as (0, 2), (1, 3), so that the sweep's lane order is not
+    index order: the cube phase behind (i, i + 2) pairs or a random
+    matching, and random comparators behind a random matching."""
+    rng = random.Random(seed)
+    cube = hypercube_phase(4).comparators
+    skip2 = tuple((i, i + 2) for j in (0, 4, 8, 12) for i in (j, j + 1))
+    nets = [Network(16, skip2 + cube[:k]) for k in range(0, len(cube) + 1, 4)]
+    for i in range(count):
+        wires = rng.sample(range(16), 16)
+        layer = tuple(tuple(sorted(wires[j : j + 2])) for j in range(0, 16, 2))
+        rest = cube[: rng.randrange(len(cube) + 1)] if i % 2 else random_prefix(
+            rng, rng.randrange(0, 48)).comparators
+        nets.append(Network(16, layer + rest))
+    return nets
+
+
+def test_exhaustive_observations_behind_interleaved_first_layers():
+    # One block of 3**8 lanes, no probe: each failing claim's least input
+    # is narrowed out of lanes that do not come in index order.
+    verdicts = []
+    for prefix in interleaved_prefixes(60, seed=0x1A7E):
+        blocks = []
+        for inputs, _, full in _bitslice._sweep(16, prefix.pairs()):
+            blocks.append((inputs is None, full.bit_length()))
+        assert blocks == [(False, 3**8)]
+        expected = oracle_claims(prefix)
+        assert check_observations(prefix).claims == expected, prefix.comparators
+        verdicts.append(expected)
+    assert_every_verdict_seen(verdicts)
+
+
 def test_sampled_observations_match_matrix_oracle():
     verdicts = []
     for i, prefix in enumerate(differential_prefixes(60, seed=0x5A)):
@@ -388,14 +432,15 @@ def test_sampled_observations_match_matrix_oracle():
         report = check_observations(prefix, mode=SAMPLED, samples=300, seed=seed)
         assert report.claims == expected, prefix.comparators
         verdicts.append(expected)
-        # Every sample's verdict, not just the first failure.
-        ((lanes, planes),) = analysis._draw_permutations(300, seed)
-        full = (1 << lanes) - 1
-        masks = analysis._sampled_masks(analysis._compare_planes(list(planes), prefix.pairs()), full)
-        outputs = inputs.copy()
-        _apply_columns(outputs, prefix)
-        for name, ok in _claim_masks(outputs).items():
-            assert masks[name] == lanes_of(ok), (name, prefix.comparators)
+        # Every lane's verdict, valid or not, not just the first failure.
+        for lanes, planes, _ in analysis._draw_permutations(300, seed):
+            full = (1 << lanes) - 1
+            out = analysis._compare_planes(list(planes), prefix.pairs())
+            masks = analysis._sampled_masks(out, full)
+            outputs = block_rows(lanes, planes)
+            _apply_columns(outputs, prefix)
+            for name, ok in _claim_masks(outputs).items():
+                assert masks[name] == lanes_of(ok), (name, prefix.comparators)
     assert_every_verdict_seen(verdicts)
 
 
@@ -450,6 +495,49 @@ def test_draws_are_uniform_over_values_and_wires():
     assert np.abs(counts - 10_000).max() < 500, counts
 
 
+def test_draws_are_uniform_over_pairs_of_wires():
+    # Joint counts of the values on wires 0 and 1: 240 cells of
+    # Multinomial(160000, 1/240), whose chi-square statistic has 239
+    # degrees of freedom (mean 239, sd ~21.9); 350 is ~5 sd.
+    rows = drawn_permutations(160_000, 0xC0FFEE)
+    counts = np.zeros((16, 16))
+    np.add.at(counts, (rows[:, 0], rows[:, 1]), 1)
+    assert (np.diag(counts) == 0).all()
+    expected = len(rows) / 240
+    chi2 = ((counts[~np.eye(16, dtype=bool)] - expected) ** 2 / expected).sum()
+    assert chi2 < 350, chi2
+
+
+@pytest.mark.parametrize("samples", [1, 300, 10_000, analysis.SAMPLE_BLOCK + 5, 160_000])
+def test_valid_lanes_number_exactly_the_samples(samples):
+    blocks = list(analysis._draw_permutations(samples, 0xC0FFEE))
+    assert sum(valid.bit_count() for _, _, valid in blocks) == samples
+    for lanes, wires, valid in blocks:
+        assert 0 < lanes <= analysis.SAMPLE_BLOCK
+        assert 0 < valid < 1 << lanes
+        assert all(p >> lanes == 0 for planes in wires for p in planes)
+    # Some lanes are given up: the draw stops after ROUNDS rounds.
+    assert sum(lanes for lanes, _, _ in blocks) > samples
+
+
+def test_first_lanes_keeps_the_lowest_set_bits():
+    rng = random.Random(0x1A5)
+    for _ in range(500):
+        mask = rng.getrandbits(rng.randrange(200))
+        k = rng.randrange(mask.bit_count() + 3)
+        lowest = [i for i in range(mask.bit_length()) if mask >> i & 1][:k]
+        assert analysis._first_lanes(mask, k) == sum(1 << i for i in lowest), (mask, k)
+
+
+def test_a_seed_draws_one_sample():
+    # Blocks, valid lanes and values repeat for a seed, across blocks too.
+    samples = analysis.SAMPLE_BLOCK + 5
+    first = list(analysis._draw_permutations(samples, 0xB10C))
+    again = list(analysis._draw_permutations(samples, 0xB10C))
+    assert len(first) == 2 and first == again
+    assert (drawn_permutations(samples, 0xB10C) == drawn_permutations(samples, 0xB10C)).all()
+
+
 def test_sampled_counterexample_is_the_first_failing_draw_across_blocks(monkeypatch):
     samples = analysis.SAMPLE_BLOCK + 5
     inputs = drawn_permutations(samples, 0xB10C)
@@ -458,23 +546,36 @@ def test_sampled_counterexample_is_the_first_failing_draw_across_blocks(monkeypa
     assert report.claims == oracle_claims(prefix, inputs)
     assert not report.all_hold
 
-    # Claim a fails only on the fourth draw of the second block, and claim b
-    # on the same draw and on the last draw of the first block.
+    # The first block's valid lanes fall short of the sample, so a second,
+    # smaller block follows, and its last valid lanes are not all it draws.
+    (lanes, _, first), (more, _, second) = analysis._draw_permutations(samples, 0xB10C)
+    assert lanes == analysis.SAMPLE_BLOCK and more < lanes
+    given_up = (1 << lanes) - 1 ^ first
+    assert given_up and first.bit_count() < samples
+    assert second.bit_length() < more  # lanes past the sample
+    # Claim a fails only on the fourth valid draw of the second block, and
+    # claim b on the same draw and on the last valid draw of the first
+    # block.  Claim c fails only on lanes that are not samples: one the
+    # first block gave up, and every such lane of the second.
+    fourth = analysis._first_lanes(second, 4) ^ analysis._first_lanes(second, 3)
+    last = 1 << first.bit_length() - 1
     masks = analysis._sampled_masks
 
     def failing_late(out, full):
         got = masks(out, full)
-        if full.bit_length() == 5:
-            got["a"] &= ~(1 << 3)
-            got["b"] &= ~(1 << 3)
+        if full.bit_length() == analysis.SAMPLE_BLOCK:
+            got["b"] &= ~last
+            got["c"] &= ~(given_up & -given_up)
         else:
-            got["b"] &= ~(1 << analysis.SAMPLE_BLOCK - 1)
+            got["a"] &= ~fourth
+            got["b"] &= ~fourth
+            got["c"] &= second
         return got
 
     monkeypatch.setattr(analysis, "_sampled_masks", failing_late)
     claims = check_observations(mode=SAMPLED, samples=samples, seed=0xB10C).claims
-    assert claims["a"].counterexample == tuple(inputs[analysis.SAMPLE_BLOCK + 3])
-    assert claims["b"].counterexample == tuple(inputs[analysis.SAMPLE_BLOCK - 1])
+    assert claims["a"].counterexample == tuple(inputs[first.bit_count() + 3])
+    assert claims["b"].counterexample == tuple(inputs[first.bit_count() - 1])
     assert claims["c"].holds and claims["d"].holds
 
 

@@ -5,7 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from sortnet16 import Network, batcher_sorter, green16, van_voorhis16
+from sortnet16 import (
+    DegenerateOrderError,
+    Network,
+    batcher_sorter,
+    green16,
+    infer_poset,
+    van_voorhis16,
+)
 from sortnet16 import _bitslice
 from sortnet16._bitslice import BLOCK_BITS, PROBE_BITS
 
@@ -140,52 +147,74 @@ def lane_bits(row, lanes):
 
 
 def swept_blocks(width, pairs):
-    """(input index of each lane, final slices) of each block ``_sweep``
-    yields: the probe's lanes are inputs 0 .. 2**PROBE_BITS - 1, every other
-    block's lanes the vectors its input slices spell out."""
+    """(input index of each lane, final slices, whether it is the probe) of
+    each block ``_sweep`` yields: the probe's lanes are inputs
+    0 .. 2**PROBE_BITS - 1, every other block's lanes the vectors its input
+    slices spell out."""
     out = []
-    for inputs, rows in _bitslice._sweep(width, pairs):
+    for inputs, rows, full in _bitslice._sweep(width, pairs):
+        lanes = full.bit_length()
+        assert full == (1 << lanes) - 1
         if inputs is None:
-            index = np.arange(1 << PROBE_BITS)
+            assert lanes == 1 << PROBE_BITS
+            index = np.arange(lanes)
         else:
             assert len(inputs) == width
-            lanes = max(map(int.bit_length, inputs))
+            assert lanes == max(map(int.bit_length, inputs))
             assert 0 < lanes <= 1 << BLOCK_BITS
             index = np.zeros(lanes, dtype=np.int64)
             for row in inputs:
                 index = index << 1 | lane_bits(row, lanes)
-        assert all(row >> len(index) == 0 for row in rows)
-        out.append((index, rows))
+        assert all(row >> lanes == 0 for row in rows)
+        out.append((index, rows, inputs is None))
     return out
 
 
 @pytest.mark.parametrize("width", range(PROBE_BITS + 1, BLOCK_BITS + 3))
 def test_sweep_rows_equal_the_int_slices(width):
-    # The probe holds the first bits of the whole-input slices.  Every
-    # later block holds, in each lane, the bits of the whole-input slices
-    # at the input that lane stands for; the blocks come in index order,
-    # sweep no input twice, and together cover every input the first layer
-    # leaves unchanged.  A sorter's first layer covers nearly every wire.
+    # Every block holds, in each lane, the bits of the whole-input slices at
+    # the input that lane stands for: the probe those of inputs
+    # 0 .. 2**PROBE_BITS - 1.  The probe comes first exactly when the
+    # first layer's outputs take more than one block or more than twice
+    # its lanes.  The other blocks come in index order, sweep no input
+    # twice, and together cover every input the first layer leaves
+    # unchanged.  A sorter's first layer covers nearly every wire; at 16
+    # wires it covers all of them, and the sorter is one block of 3**8
+    # lanes with no probe.
     rng = random.Random(0x5E1 + width)
-    nets = [Network(width)] if width == PROBE_BITS + 1 else []
+    nets = [Network(width), Network(width, sorter(width))]
     nets += [random_network(rng, width=width, size=s) for s in (width, 6 * width)]
-    nets.append(Network(width, sorter(width)))
+    probed = set()
     for net in nets:
         whole = [lane_bits(row, 1 << width) for row in _bitslice.evaluate(width, net.pairs())]
         blocks = swept_blocks(width, net.pairs())
-        for index, rows in blocks:
+        for index, rows, _ in blocks:
             for row, column in zip(rows, whole):
                 assert np.array_equal(lane_bits(row, len(index)), column[index])
-        probe, *blocks = blocks
-        assert np.array_equal(probe[0], np.arange(1 << PROBE_BITS))
-        swept = np.concatenate([index for index, _ in blocks])
-        assert all(a.max() < b.min() for (a, _), (b, _) in zip(blocks, blocks[1:]))
+        k = len(first_layer(net.pairs()))
+        product = 3**k << width - 2 * k
+        expect_probe = product > 2 << PROBE_BITS
+        probed.add(expect_probe)
+        assert [probe for _, _, probe in blocks] == [expect_probe] + [False] * (
+            len(blocks) - 1
+        )
+        if expect_probe:
+            probe, *blocks = blocks
+            assert np.array_equal(probe[0], np.arange(1 << PROBE_BITS))
+        else:
+            assert [len(index) for index, _, _ in blocks] == [product]
+        swept = np.concatenate([index for index, _, _ in blocks])
+        assert all(a.max() < b.min() for (a, _, _), (b, _, _) in zip(blocks, blocks[1:]))
         assert len(np.unique(swept)) == len(swept)
         v = np.arange(1 << width)
         fixed = np.ones(1 << width, dtype=bool)
         for a, b in first_layer(net.pairs()):
             fixed &= (v >> (width - 1 - a) & 1) <= (v >> (width - 1 - b) & 1)
         assert np.isin(v[fixed], swept).all()
+    # 13 wires never reach the probe, and more than 16 always do.  From 14
+    # to 16 wires the empty network takes it, and the sorter, whose first
+    # layer pairs every wire but the last on odd widths, does not.
+    assert (True in probed, False in probed) == (width > PROBE_BITS + 1, width <= 16)
 
 
 def chained(width, layer):
@@ -201,7 +230,7 @@ def assert_lanes_match_apply(net, sample=None, seed=0):
     # Every lane of every swept block (or ``sample`` lanes of each) holds
     # Network.apply of the input it stands for.
     rng = random.Random(seed)
-    for index, rows in swept_blocks(net.width, net.pairs()):
+    for index, rows, _ in swept_blocks(net.width, net.pairs()):
         lanes = range(len(index))
         if sample is not None and sample < len(index):
             lanes = rng.sample(lanes, sample)
@@ -383,3 +412,66 @@ def test_input_slices_across_the_cached_table(width):
     last = (1 << width) - 1
     for v in [0, 1, last - 1, last] + [rng.randrange(1 << width) for _ in range(200)]:
         assert tuple(slice_bit(row, v) for row in slices) == _bitslice.vector_of(v, width)
+
+
+def paired_network(rng, width, size):
+    """A first layer that pairs every wire (all but one on odd widths) in a
+    random, mostly interleaved matching, then ``size`` random comparators."""
+    wires = rng.sample(range(width), width)
+    layer = tuple(tuple(sorted(wires[i : i + 2])) for i in range(0, width - 1, 2))
+    return Network(width, layer + random_network(rng, width=width, size=size).comparators)
+
+
+def walked_rows(monkeypatch, net):
+    """``leq_masks`` through the pair walk: with the probe forced ahead of
+    the block, the sweep is no longer one block."""
+    with monkeypatch.context() as m:
+        m.setattr(_bitslice, "probe_first", lambda t, lanes: True)
+        return _bitslice.leq_masks(net.width, net.pairs())
+
+
+def one_block(net):
+    return [probe for _, _, probe in swept_blocks(net.width, net.pairs())] == [False]
+
+
+def test_one_block_rows_equal_the_walk_and_the_columns(monkeypatch):
+    # Without a probe the sweep is one block, and leq_masks tests every pair
+    # on it directly.  The prefixes of the 16-wire sorters take that path
+    # once their first layer pairs every wire: from comparator 8 on in the
+    # classic networks and from 26 on in Batcher's.  So does every seeded
+    # network here.
+    nets = [net.prefix(k) for net in (green16(), van_voorhis16(), batcher_sorter(16))
+            for k in range(len(net) + 1)]
+    rng = random.Random(0xD12EC7)
+    nets += [paired_network(rng, width, rng.randint(0, 5 * width))
+             for width in range(PROBE_BITS + 1, 17) for _ in range(6)]
+    direct = 0
+    for net in nets:
+        rows = _bitslice.leq_masks(net.width, net.pairs())
+        assert rows == column_oracle(net)[1], net.comparators
+        if one_block(net):
+            direct += 1
+            assert rows == walked_rows(monkeypatch, net), net.comparators
+    assert direct == 53 + 54 + 38 + 24
+
+
+def test_degenerate_rows_reach_the_poset_on_either_path(monkeypatch):
+    # No comparator network keeps two wires equal on every binary input:
+    # flipping input bits 0 to 1 one at a time flips exactly one output
+    # wire each time.  So a block whose slices 3 and 5 are equal is made up
+    # here, once alone and once behind the probe, and infer_poset must
+    # refuse the relation either way.
+    net = green16().prefix(32)
+    sweep = _bitslice._sweep
+
+    def doctored(width, pairs, probe):
+        for inputs, rows, full in sweep(width, pairs):
+            rows[5] = rows[3]
+            if probe:
+                yield None, rows, full
+            yield inputs, rows, full
+
+    for probe in (False, True):
+        monkeypatch.setattr(_bitslice, "_sweep", lambda w, p: doctored(w, p, probe))
+        with pytest.raises(DegenerateOrderError, match="wires 3 and 5"):
+            infer_poset(net)

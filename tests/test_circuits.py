@@ -150,8 +150,8 @@ def assert_is_threshold_matches_whole_input_slices(circuit):
 
 
 def test_is_threshold_matches_whole_input_slices():
-    # Past PROBE_BITS inputs is_threshold checks the probe, whose top input
-    # rows are constant, then the product blocks of the front pairs.
+    # Where the probe runs, its top input rows are constant; then come the
+    # product blocks of the front pairs.
     rng = random.Random(0x7E5)
     nets = [Network(1), sorter4(), batcher_sorter(16)] + [
         random_network(rng, width, rng.randint(0, 3 * width)) for width in (2, 5, 13, 14)
@@ -194,19 +194,26 @@ def lanes_per_block(monkeypatch, circuit, wire, k):
 
 
 def test_is_threshold_lanes_per_block(monkeypatch):
-    # Past PROBE_BITS inputs the probe's 4096 inputs come first.  Then the
-    # product blocks: 3 lanes per front pair, 2 per other input, in blocks
-    # of at most 2**16 lanes.  The 16-input majority circuit pairs every
-    # input, the pinned 15-input one all but the partner of the pinned one.
+    # The product blocks: 3 lanes per front pair, 2 per other input, in
+    # blocks of at most 2**16 lanes.  The probe's 4096 inputs come first
+    # where the product takes more than one block or more than 8192 lanes.
+    # The 16-input majority circuit pairs every input, the pinned 15-input
+    # one all but the partner of the pinned one: both take one block and no
+    # probe.
     cases = [
-        (*majority_circuit(16), 8, [4096, 3**8]),
-        (*majority_circuit(15, pin_bit=0), 8, [4096, 3**7 * 2]),
-        (*majority_circuit(15, pin_bit=1), 8, [4096, 3**7 * 2]),
+        (*majority_circuit(16), 8, [3**8]),
+        (*majority_circuit(15, pin_bit=0), 8, [3**7 * 2]),
+        (*majority_circuit(15, pin_bit=1), 8, [3**7 * 2]),
     ]
-    blocks = {13: [1 << 13], 16: [1 << 16], 17: [1 << 16] * 2, 20: [1 << 16] * 16}
-    for n, product in blocks.items():
+    blocks = {
+        13: [1 << 13],
+        16: [4096, 1 << 16],
+        17: [4096] + [1 << 16] * 2,
+        20: [4096] + [1 << 16] * 16,
+    }
+    for n, expected in blocks.items():
         # No pairs: the one output is the constant 1, "at least 0 of n".
-        cases.append((MonotoneCircuit(n, (), (1,)), 0, 0, [4096, *product]))
+        cases.append((MonotoneCircuit(n, (), (1,)), 0, 0, expected))
     for circuit, wire, k, expected in cases:
         assert lanes_per_block(monkeypatch, circuit, wire, k) == (True, expected)
 
