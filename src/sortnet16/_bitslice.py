@@ -33,7 +33,9 @@ early is refuted at once (``probe_first``).  A smaller single block is swept
 without it: a refutation then sweeps at most twice the probe's lanes, and a
 pass saves the probe whole.  So no network of 13 wires or fewer takes the
 probe, nor does a 16-wire network whose first layer pairs every wire (3**8 =
-6,561 lanes); every network of more than 16 wires does.
+6,561 lanes); every network of more than 16 wires does (``probe_always``),
+and there the probe goes ahead of finding the first layer and the layout, so
+a network refuted inside it pays for neither.
 
 Each full block fixes the top t wires, t the fewest that leave at most
 2**BLOCK_BITS lanes, and its lanes are a mixed-radix product over the low
@@ -273,6 +275,18 @@ def probe_first(t: int, lanes: int) -> bool:
     return t > 0 or lanes > 2 << PROBE_BITS
 
 
+def probe_always(width: int) -> bool:
+    """Does ``probe_first`` hold whatever the first layer of ``width``
+    wires?  The fewest lanes come from a first layer that pairs all the
+    wires it can; past 16 wires even those are too many for one block
+    without the probe (3**8 * 2 = 13,122 at 17 wires)."""
+    return 3 ** (width // 2) << width % 2 > 2 << PROBE_BITS
+
+
+def _probe(width: int, pairs: Sequence[tuple[int, int]]) -> tuple[None, list[int], int]:
+    return None, evaluate(width, pairs, PROBE_BITS), (1 << (1 << PROBE_BITS)) - 1
+
+
 def _sweep(
     width: int, pairs: Sequence[tuple[int, int]]
 ) -> Iterator[tuple[list[int] | None, list[int], int]]:
@@ -280,14 +294,18 @@ def _sweep(
 
     The probe's lanes are inputs 0 .. 2**PROBE_BITS - 1 in index order, and
     its input slices are None; it comes first where ``probe_first`` says
-    so.  Every other block's lanes are the input vectors its input slices
-    spell out.
+    so, and where ``probe_always`` does, before the first layer and the
+    layout are found.  Every other block's lanes are the input vectors its
+    input slices spell out.
     """
     check_width(width)
+    early = probe_always(width)
+    if early:
+        yield _probe(width, pairs)
     partner, later = _first_layer(width, pairs)
     t, lanes, low, tops = layout(partner)
-    if probe_first(t, lanes):
-        yield None, evaluate(width, pairs, PROBE_BITS), (1 << (1 << PROBE_BITS)) - 1
+    if not early and probe_first(t, lanes):
+        yield _probe(width, pairs)
     full = (1 << lanes) - 1
     # A pair from a top wire to a low one keeps its comparator, ahead of the
     # later ones; a pair inside the top or the low wires is dropped.

@@ -14,6 +14,16 @@ turns them into names (``0``, ``1``, ``x<i>``, ``g<id>``).  A ``Gate`` is a
 plain ``(kind, a, b)`` record; the ``MonotoneCircuit`` that holds it checks
 its kind and operands.
 
+One helper, ``_fold``, holds the constant-folding rules, and both builders
+of folded circuits send every gate through it: ``specialize`` the gates of
+a circuit with one input pinned, and the network conversion each
+comparator's AND and then its OR.  ``majority_circuit(15)`` converts van
+Voorhis's network with its last input pinned.  The conversion meets the
+same gates in the same order, with the operands that ``specialize`` would
+read through its table, so the folded circuit equals
+``specialize(network_to_circuit(van_voorhis16()), 15, pin_bit)`` gate for
+gate, without the 16-input circuit being built and checked first.
+
 Truth tables are slices as in ``_bitslice``.  ``is_threshold`` sweeps only
 what the comparators at the front of the circuit can output.  Such a
 comparator is an input pair (i, j) whose only readers are one AND and one
@@ -23,9 +33,10 @@ check need only cover the inputs on which each pair reads 00, 01 or 11.
 The check sweeps the slice engine's first-layer blocks
 (``_bitslice.layout``), behind the probe of inputs 0 .. 2**PROBE_BITS - 1
 where ``_bitslice.probe_first`` asks for it, as the engine's own sweep
-does: the 16-input majority circuit takes one block of 6,561 lanes and the
-15-input one 4,374, with no probe.  Each value the check holds has at most
-2**BLOCK_BITS bits, whatever the number of inputs.
+does; past 16 inputs the probe always runs, so it comes before the front
+pairs are found.  The 16-input majority circuit takes one block of 6,561
+lanes and the 15-input one 4,374, with no probe.  Each value the check
+holds has at most 2**BLOCK_BITS bits, whatever the number of inputs.
 """
 
 from __future__ import annotations
@@ -76,16 +87,44 @@ class MonotoneCircuit(_Record):
                 raise ValueError(f"bad output reference {ref!r}")
 
 
+_new_gate = tuple.__new__  # a Gate from its fields, as NamedTuple._make does
+
+
+def _fold(gates: list[Gate], base: int, kind: str, a: int, b: int) -> int:
+    """Value index of ``kind`` of the values at ``a`` and ``b`` in a circuit
+    whose gate f has index base + f.  A constant operand folds the gate
+    (x AND 0 = 0, x AND 1 = x, x OR 1 = 1, x OR 0 = x); otherwise the gate
+    is appended to ``gates``."""
+    if a > 1 and b > 1:
+        gates.append(_new_gate(Gate, (kind, a, b)))
+        return base + len(gates) - 1
+    absorbing = 0 if kind == AND else 1
+    if absorbing in (a, b):
+        return absorbing
+    return b if a < 2 else a
+
+
+def _to_circuit(net: Network, pin: int | None = None, bit: int = 0) -> MonotoneCircuit:
+    """The circuit of ``net``, with input ``pin`` (if any) held at ``bit``
+    and the inputs above it shifted down by one: gate for gate what
+    ``specialize(network_to_circuit(net), pin, bit)`` makes."""
+    width = net.width
+    if pin is None:
+        n, refs = width, list(range(2, width + 2))
+    else:
+        n, refs = width - 1, [*range(2, pin + 2), bit, *range(pin + 2, width + 1)]
+    base = n + 2
+    gates: list[Gate] = []
+    for low, high, _ in net.comparators:
+        a, b = refs[low], refs[high]
+        refs[low] = _fold(gates, base, AND, a, b)
+        refs[high] = _fold(gates, base, OR, a, b)
+    return MonotoneCircuit(n, tuple(gates), tuple(refs))
+
+
 def network_to_circuit(net: Network) -> MonotoneCircuit:
     """AND/OR circuit computing exactly what the network computes on bits."""
-    refs = list(range(2, net.width + 2))
-    gates: list[Gate] = []
-    for c in net.comparators:
-        ref = net.width + 2 + len(gates)
-        gates.append(Gate(AND, refs[c.low], refs[c.high]))
-        gates.append(Gate(OR, refs[c.low], refs[c.high]))
-        refs[c.low], refs[c.high] = ref, ref + 1
-    return MonotoneCircuit(net.width, tuple(gates), tuple(refs))
+    return _to_circuit(net)
 
 
 def evaluate_slices(
@@ -114,11 +153,10 @@ def cone_depth(circuit: MonotoneCircuit, wire: int) -> int:
 def specialize(circuit: MonotoneCircuit, input_index: int, bit: int) -> MonotoneCircuit:
     """Pin one input to a constant and simplify.
 
-    Constants are propagated exhaustively (x AND 0 = 0, x AND 1 = x,
-    x OR 1 = 1, x OR 0 = x), and inputs above ``input_index`` shift down
-    by one.  On circuits of networks, pinned any number of times, no gate
-    is left unreachable: a value sits on one wire until a comparator's AND
-    and OR both consume it.
+    Constants are propagated exhaustively through ``_fold``, and inputs
+    above ``input_index`` shift down by one.  On circuits of networks,
+    pinned any number of times, no gate is left unreachable: a value sits
+    on one wire until a comparator's AND and OR both consume it.
     """
     n = circuit.n_inputs
     if not 0 <= input_index < n:
@@ -126,23 +164,11 @@ def specialize(circuit: MonotoneCircuit, input_index: int, bit: int) -> Monotone
     if bit not in (0, 1):
         raise ValueError("pinned value must be 0 or 1")
 
-    # table[r]: what old value r becomes in the folded circuit, whose gate
-    # f has index base + f.
-    base = n + 1
-    table = [0, 1, *range(2, input_index + 2), bit, *range(input_index + 2, base)]
+    # table[r]: what old value r becomes in the folded circuit.
+    table = [0, 1, *range(2, input_index + 2), bit, *range(input_index + 2, n + 1)]
     folded: list[Gate] = []
-    for g in circuit.gates:
-        a, b = table[g.a], table[g.b]
-        absorbing, neutral = (0, 1) if g.kind == AND else (1, 0)
-        if absorbing in (a, b):
-            table.append(absorbing)
-        elif a == neutral:
-            table.append(b)
-        elif b == neutral:
-            table.append(a)
-        else:
-            table.append(base + len(folded))
-            folded.append(Gate(g.kind, a, b))
+    for kind, a, b in circuit.gates:
+        table.append(_fold(folded, n + 1, kind, table[a], table[b]))
     return MonotoneCircuit(n - 1, tuple(folded), tuple(table[r] for r in circuit.outputs))
 
 
@@ -180,15 +206,22 @@ def _layouts(
     """(top wire count, lanes, low input slices, top values) of each sweep:
     the probe of inputs 0 .. 2**PROBE_BITS - 1, whose top wires read 0,
     where ``_bitslice.probe_first`` asks for it, then the product blocks of
-    ``_bitslice.layout``."""
+    ``_bitslice.layout``.  Where the probe always runs
+    (``_bitslice.probe_always``), it goes ahead of finding the front pairs."""
     n = circuit.n_inputs
     _bitslice.check_width(n)
+    early = _bitslice.probe_always(n)
+    if early:
+        yield _probe(n)
     t, lanes, low, tops = _bitslice.layout(_front_pairs(circuit))
-    if _bitslice.probe_first(t, lanes):
-        bits = _bitslice.PROBE_BITS
-        probe = _bitslice.block_inputs(bits, bits, 0, (1 << (1 << bits)) - 1)
-        yield n - bits, 1 << bits, probe, (0,)
+    if not early and _bitslice.probe_first(t, lanes):
+        yield _probe(n)
     yield t, lanes, low, tops
+
+
+def _probe(n: int) -> tuple[int, int, Sequence[int], Iterable[int]]:
+    bits = _bitslice.PROBE_BITS
+    return n - bits, 1 << bits, _bitslice.block_inputs(bits, bits, 0, (1 << (1 << bits)) - 1), (0,)
 
 
 def is_threshold(circuit: MonotoneCircuit, wire: int, k: int) -> bool:
@@ -217,8 +250,9 @@ def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):
 
     Returns ``(circuit, wire)`` where ``wire`` names the output computing
     the k-of-n threshold.  The default k is ceil(n/2).  The 15-variable
-    version pins the last input of the 16-input circuit to ``pin_bit`` and
-    simplifies.
+    version converts the sorter with its last input pinned to ``pin_bit``,
+    folding the constant in as it goes: the circuit ``specialize`` would
+    make of the 16-input one, without building that first.
     """
     if n_vars not in (15, 16):
         raise ValueError("majority circuits are built for 15 or 16 variables")
@@ -226,13 +260,12 @@ def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):
         k = (n_vars + 1) // 2
     if not 1 <= k <= n_vars:
         raise ValueError(f"threshold {k} out of range for {n_vars} variables")
-    full = network_to_circuit(van_voorhis16())
     if n_vars == 16:
-        return full, 16 - k
+        return network_to_circuit(van_voorhis16()), 16 - k
     if pin_bit not in (0, 1):
         raise ValueError("pin_bit must be 0 or 1")
     # Sorter output 16 - j is 1 iff at least j of its 16 inputs are 1, the pinned one included.
-    return specialize(full, 15, pin_bit), 16 - k - pin_bit
+    return _to_circuit(van_voorhis16(), 15, pin_bit), 16 - k - pin_bit
 
 
 def render_gate_list(circuit: MonotoneCircuit) -> str:

@@ -23,9 +23,19 @@ networks differ only in how they sort M:
   comparators, depth 9.
 
 ``batcher_sorter`` provides Batcher's odd-even mergesort as a baseline.
+
+The networks are fixed, so each builder makes its tuple of tagged
+comparators once per builder and size, on first use (``functools.cache``
+on a private table function, never at import).  The builder checks its
+argument before the table is looked up, and every call still returns a
+new ``Network`` that checks each comparator of the table once.  Only
+comparator tables are cached: no ``Network``, poset or verdict outlives a
+call.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .network import Comparator, Network, Phase
 
@@ -56,7 +66,12 @@ def hypercube_phase(n: int) -> Network:
     """
     if not 1 <= n <= 6:
         raise ValueError(f"hypercube phase needs 1 <= n <= 6, got {n}")
-    return Network(1 << n, tuple(_cube_pairs(n)))
+    return Network(1 << n, _cube_table(n))
+
+
+@cache
+def _cube_table(n: int) -> tuple[Comparator, ...]:
+    return tuple(Comparator(a, b) for a, b in _cube_pairs(n))
 
 
 _SORTER4 = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))
@@ -87,19 +102,26 @@ _PAIRS = ((3, 12), (5, 10), (6, 9))
 _FINAL = ((3, 4), (11, 12))
 
 
-def _sorter16(*middle: Comparator) -> Network:
-    """Cube phase, layer sorters, ``middle``, final pair: each 16-wire
-    builder makes this one Network, which checks every comparator once."""
-    return Network(16, (
+@cache
+def _fixed16() -> tuple[tuple[Comparator, ...], tuple[Comparator, ...]]:
+    """The blocks every 16-wire sorter here shares: the cube phase and the
+    layer sorters ahead of the middle blocks, and the final pair after."""
+    head = (
         *_block(Phase.APPROX, _cube_pairs(4)),
         *_block(Phase.LAYER1, _SORTER4, CUBE_LAYER1),
         *_block(Phase.LAYER3, _SORTER4, CUBE_LAYER3),
-        *middle,
-        *_block(Phase.FINAL, _FINAL),
-    ))
+    )
+    return head, tuple(_block(Phase.FINAL, _FINAL))
 
 
-def _green(merge: tuple[tuple[int, int], ...]) -> Network:
+def _sorter16(*middle: Comparator) -> tuple[Comparator, ...]:
+    """Cube phase, layer sorters, ``middle``, final pair."""
+    head, final = _fixed16()
+    return (*head, *middle, *final)
+
+
+@cache
+def _green_table(merge: tuple[tuple[int, int], ...]) -> tuple[Comparator, ...]:
     """Green's network with the three tetrad-merge comparators in the given order."""
     return _sorter16(
         *_block(Phase.PAIRS, _PAIRS),
@@ -117,13 +139,13 @@ def green16() -> Network:
     merge runs (7, 8) first: those two wires settle one layer earlier than
     their neighbours, so leading with them saves a layer overall.
     """
-    return _green(((7, 8), (6, 7), (8, 9)))
+    return Network(16, _green_table(((7, 8), (6, 7), (8, 9))))
 
 
 def green16_naive_merge() -> Network:
     """green16 with the merge done bottom-up; functionally identical but
     deeper, kept as the regression witness for the merge ordering."""
-    return _green(((6, 7), (7, 8), (8, 9)))
+    return Network(16, _green_table(((6, 7), (7, 8), (8, 9))))
 
 
 def van_voorhis16() -> Network:
@@ -135,6 +157,11 @@ def van_voorhis16() -> Network:
     other tetrad, so after sorting both tetrads a single comparison of the
     medial pair (7, 8) finishes M.
     """
+    return Network(16, _van_voorhis_table())
+
+
+@cache
+def _van_voorhis_table() -> tuple[Comparator, ...]:
     return _sorter16(
         *_block(Phase.PAIRS, _PAIRS),
         *_block(Phase.PAIRS2, ((5, 12), (6, 10), (3, 9))),
@@ -152,7 +179,12 @@ def batcher_sorter(n: int) -> Network:
     2..32)."""
     if n not in _BATCHER_SIZES:
         raise ValueError(f"supported sizes: {_BATCHER_SIZES}, got {n}")
-    return Network(n, tuple(_oddeven_sort(0, n - 1)))
+    return Network(n, _batcher_table(n))
+
+
+@cache
+def _batcher_table(n: int) -> tuple[Comparator, ...]:
+    return tuple(Comparator(a, b) for a, b in _oddeven_sort(0, n - 1))
 
 
 def _oddeven_sort(lo, hi):
@@ -183,9 +215,11 @@ def strategy_sorter(m_sorter: Network | None = None) -> Network:
     strategy itself.
     """
     if m_sorter is None:
-        m_comps = [Comparator(*c) for c in _oddeven_sort(0, len(M_WIRES) - 1)]
+        m_comps = _batcher_table(len(M_WIRES))
     elif m_sorter.width != len(M_WIRES):
         raise ValueError(f"M sorter must have width {len(M_WIRES)}")
     else:
         m_comps = m_sorter.comparators
-    return _sorter16(*(Comparator(M_WIRES[c.low], M_WIRES[c.high], c.tag) for c in m_comps))
+    return Network(16, _sorter16(
+        *(Comparator(M_WIRES[low], M_WIRES[high], tag) for low, high, tag in m_comps)
+    ))

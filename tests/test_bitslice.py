@@ -475,3 +475,26 @@ def test_degenerate_rows_reach_the_poset_on_either_path(monkeypatch):
         monkeypatch.setattr(_bitslice, "_sweep", lambda w, p: doctored(w, p, probe))
         with pytest.raises(DegenerateOrderError, match="wires 3 and 5"):
             infer_poset(net)
+
+
+def test_the_probe_always_runs_past_16_wires():
+    for width in range(1, _bitslice.MAX_WIDTH + 1):
+        # The fewest lanes: a first layer that pairs all the wires it can.
+        paired = [i ^ 1 if i ^ 1 < width else -1 for i in range(width)]
+        t, lanes, _, _ = _bitslice.layout(paired)
+        assert _bitslice.probe_always(width) == _bitslice.probe_first(t, lanes) == (width > 16)
+
+
+@pytest.mark.parametrize("width", [17, 18, 20])
+def test_a_refutation_inside_the_probe_finds_no_first_layer(width, monkeypatch):
+    # Past 16 wires the probe goes ahead of the first layer and the layout,
+    # so a network that fails inside it pays for neither.
+    def unreachable(*args):
+        raise AssertionError("first layer or layout found before the probe")
+
+    monkeypatch.setattr(_bitslice, "_first_layer", unreachable)
+    monkeypatch.setattr(_bitslice, "layout", unreachable)
+    # With no comparators, input 2 (wires width-2 and width-1 read 1, 0) is
+    # the least unsorted one.
+    assert _bitslice.first_unsorted(width, []) == 2
+    assert _bitslice.first_unsorted(width, [(0, 1), (width - 2, width - 1)]) == 4

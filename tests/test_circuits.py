@@ -293,6 +293,19 @@ def test_is_threshold_behind_first_layers_against_columns(n, layer, t):
         assert (pairs is sorter) == (sum(verdicts) == n)
 
 
+@pytest.mark.parametrize("n", [17, 20])
+def test_is_threshold_refuted_inside_the_probe_finds_no_front_pairs(n, monkeypatch):
+    # Past 16 inputs the probe goes ahead of the front pairs and the layout.
+    def unreachable(*args):
+        raise AssertionError("front pairs or layout found before the probe")
+
+    monkeypatch.setattr(circuits, "_front_pairs", unreachable)
+    monkeypatch.setattr(_bitslice, "layout", unreachable)
+    # Output n-1 of the empty network is x(n-1), which misses input 2 (only
+    # x(n-2) reads 1) of "at least one input is 1".
+    assert not is_threshold(network_to_circuit(Network(n, [])), n - 1, 1)
+
+
 def test_is_threshold_memory_is_bounded_by_the_block():
     # The 20-wire odd-even transposition sorter: slices of its 380 gate
     # values over all 2**20 inputs would take ~50 MB, over one block of
@@ -345,9 +358,11 @@ def test_specialize_constant_folding():
 
 
 def specializations():
-    """(circuit, index, bit, specialized circuit) for every input index and
-    both bits, on the constructed networks and seeded random networks of
-    widths 2-10."""
+    """(circuit, index, bit, specialized circuit, pinned conversion) for
+    every input index and both bits, on the constructed networks (both
+    classic sorters among them) and seeded random networks of widths 2-10.
+    The pinned conversion is the network converted with the input held at
+    the bit."""
     rng = random.Random(0x5EC)
     nets = constructed_networks() + [
         random_network(rng, width, rng.randint(0, 4 * width))
@@ -358,11 +373,12 @@ def specializations():
         circuit = network_to_circuit(net)
         for index in range(net.width):
             for bit in (0, 1):
-                yield circuit, index, bit, specialize(circuit, index, bit)
+                reduced = specialize(circuit, index, bit)
+                yield circuit, index, bit, reduced, circuits._to_circuit(net, index, bit)
 
 
 def test_specialize_preserves_function():
-    for circuit, index, bit, reduced in specializations():
+    for circuit, index, bit, reduced, converted in specializations():
         n = circuit.n_inputs - 1
         assert reduced.n_inputs == n
         # original circuit driven with the pinned input held constant
@@ -371,6 +387,8 @@ def test_specialize_preserves_function():
         pinned = (1 << nbits) - 1 if bit else 0
         driven = patterns[:index] + [pinned] + patterns[index:]
         assert evaluate_all(reduced) == evaluate_slices(circuit, driven, nbits), (index, bit)
+        # The pinned conversion is the same circuit, gate for gate.
+        assert converted == reduced, (index, bit)
 
 
 def unreachable_gates(circuit):
@@ -386,9 +404,10 @@ def unreachable_gates(circuit):
 def test_specialize_leaves_every_gate_reachable():
     # specialize folds in one sweep with no liveness pass: on the circuits of
     # networks, pinned once or twice, no gate may be left unreachable.
-    for circuit, index, bit, reduced in specializations():
+    for circuit, index, bit, reduced, converted in specializations():
         assert unreachable_gates(circuit) == []
         assert unreachable_gates(reduced) == [], (index, bit)
+        assert unreachable_gates(converted) == [], (index, bit)
         for again_index in range(reduced.n_inputs):
             for again_bit in (0, 1):
                 again = specialize(reduced, again_index, again_bit)
@@ -396,7 +415,7 @@ def test_specialize_leaves_every_gate_reachable():
 
 
 def test_specialize_never_deepens():
-    for circuit, index, bit, reduced in specializations():
+    for circuit, index, bit, reduced, _ in specializations():
         before = [cone_depth(circuit, w) for w in range(len(circuit.outputs))]
         after = [cone_depth(reduced, w) for w in range(len(reduced.outputs))]
         assert all(a <= b for a, b in zip(after, before)), (circuit, index, bit)
@@ -419,8 +438,9 @@ def test_majority_circuit_16():
 
 
 @pytest.mark.parametrize("pin_bit", [0, 1])
-def test_majority_circuit_15(pin_bit):
+def test_majority_circuit_15(pin_bit, vv):
     circuit, wire = majority_circuit(15, pin_bit=pin_bit)
+    assert circuit == specialize(network_to_circuit(vv), 15, pin_bit)
     assert circuit.n_inputs == 15
     assert cone_depth(circuit, wire) <= 9
     assert is_threshold(circuit, wire, 8)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from sortnet16 import constructions
 from sortnet16 import (
     CUBE_LAYER1,
     CUBE_LAYER3,
@@ -307,6 +308,54 @@ def test_builders_equal_the_block_composition():
     assert [c.tag for c in strategy_sorter(tagged_m).comparators].count(Phase.MERGE) == 19
 
 
+def clear_tables():
+    """Empty every comparator-table cache of the builders."""
+    tables = [f for f in vars(constructions).values() if hasattr(f, "cache_clear")]
+    assert tables
+    for table in tables:
+        table.cache_clear()
+
+
+def every_builder_call():
+    """(id, builder call, the parent's construction of the same network) for
+    every valid argument; the parent built each table anew on every call."""
+    for n in range(1, 7):
+        pairs = [(i, i | 1 << k) for k in range(n) for i in range(1 << n) if not i >> k & 1]
+        yield f"hypercube_phase({n})", lambda n=n: hypercube_phase(n), Network(1 << n, pairs)
+    for n in (2, 4, 8, 16, 32):
+        expected = Network(n, tuple(constructions._oddeven_sort(0, n - 1)))
+        yield f"batcher_sorter({n})", lambda n=n: batcher_sorter(n), expected
+    green = parse_text(GREEN16_TEXT)
+    yield "green16", green16, green
+    yield "green16_naive_merge", green16_naive_merge, parse_text(
+        GREEN16_TEXT.replace(GREEN_MERGE, NAIVE_MERGE)
+    )
+    yield "van_voorhis16", van_voorhis16, parse_text(VAN_VOORHIS16_TEXT)
+    layers = green.prefix_through(Phase.LAYER3).comparators
+    final = green.comparators[-2:]
+    batcher8 = Network(8, tuple(constructions._oddeven_sort(0, 7)))
+    on_m = [(M_WIRES[low], M_WIRES[high]) for low, high in batcher8.pairs()]
+    expected = Network(16, (*layers, *on_m, *final))
+    yield "strategy_sorter()", strategy_sorter, expected
+    yield "strategy_sorter(M)", lambda: strategy_sorter(batcher_sorter(8)), expected
+    yield "sorter4", sorter4, Network(4, ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)))
+
+
+BUILDER_CALLS = {name: (build, expected) for name, build, expected in every_builder_call()}
+
+
+@pytest.mark.parametrize("cold", [True, False], ids=["first call", "cached"])
+@pytest.mark.parametrize("name", BUILDER_CALLS)
+def test_every_call_returns_a_new_network_equal_to_the_parent_build(name, cold):
+    build, expected = BUILDER_CALLS[name]
+    if cold:
+        clear_tables()
+    first, second = build(), build()
+    # Equality compares the width and every comparator with its tag.
+    assert first == expected and second == expected
+    assert first is not second
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -317,10 +366,13 @@ def test_builders_equal_the_block_composition():
         # The M sorter is built before the count starts.
         pytest.param(lambda m=batcher_sorter(8): strategy_sorter(m), id="strategy_sorter(M)"),
         pytest.param(lambda: hypercube_phase(4), id="hypercube_phase"),
+        pytest.param(lambda: batcher_sorter(16), id="batcher_sorter"),
         sorter4,
     ],
 )
 def test_each_builder_checks_its_comparators_once(build, monkeypatch):
+    # The first call makes the builder's table too; neither that nor the
+    # cached table of the second call may hide a second Network or check.
     calls = []
     check = Network.__post_init__
 
@@ -328,6 +380,26 @@ def test_each_builder_checks_its_comparators_once(build, monkeypatch):
         calls.append(len(self.comparators))
         check(self)
 
+    clear_tables()
     monkeypatch.setattr(Network, "__post_init__", counted)
-    net = build()
-    assert calls == [len(net)]
+    for _ in range(2):
+        calls.clear()
+        net = build()
+        assert calls == [len(net)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hypercube_phase(0),
+        lambda: hypercube_phase(7),
+        lambda: batcher_sorter(6),
+        lambda: batcher_sorter(64),
+    ],
+)
+def test_a_bad_argument_never_reaches_a_table(call):
+    clear_tables()
+    with pytest.raises(ValueError):
+        call()
+    assert constructions._cube_table.cache_info().currsize == 0
+    assert constructions._batcher_table.cache_info().currsize == 0
