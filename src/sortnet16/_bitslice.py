@@ -10,13 +10,11 @@ A network reaches the engine as its width and one sequence of
 ``(low, high)`` wire pairs, ``Network.pairs()``: ``evaluate(width, pairs)``,
 ``first_unsorted(width, pairs)``, ``leq_masks(width, pairs)``.  ``Network``
 has checked the pairs; the engine checks only the width.  ``evaluate`` runs
-a network on the first 2**bits inputs.  ``analysis`` checks claims a-d on
+a network on every input.  ``analysis`` checks claims a-d on
 the blocks of ``_sweep`` and counts ones on the slices with ``at_least``,
-and ``circuits.is_threshold`` evaluates gates on the input slices of the
-probe and of the blocks of ``layout``.  ``block_inputs`` builds the input
-slices of inputs in index order, for ``evaluate`` and the probe; ``layout``
-builds those of the sweep's other blocks, whose lanes are the vectors they
-spell out.
+and ``circuits.is_threshold`` evaluates gates on the blocks of ``layouts``.
+Every input slice is built by ``_product_inputs``, and the lanes of every
+block are the vectors its input slices spell out.
 
 The two reductions sweep what the network's first layer can output, not
 every input.  The first layer is the comparators whose two wires no earlier
@@ -26,16 +24,16 @@ wires a < b the pair reads 00, 01 or 11, so the full blocks cover
 principle the rest of the network need sort only what the first layer
 outputs.
 
-Where those outputs take more than one block, or one block of more than
-2**(PROBE_BITS + 1) lanes, a probe of inputs 0 .. 2**PROBE_BITS - 1 comes
-first, in index order and through every comparator, so a network that fails
-early is refuted at once (``probe_first``).  A smaller single block is swept
-without it: a refutation then sweeps at most twice the probe's lanes, and a
-pass saves the probe whole.  So no network of 13 wires or fewer takes the
-probe, nor does a 16-wire network whose first layer pairs every wire (3**8 =
-6,561 lanes); every network of more than 16 wires does (``probe_always``),
-and there the probe goes ahead of finding the first layer and the layout, so
-a network refuted inside it pays for neither.
+``layouts`` alone decides how a sweep is cut.  Where the first layer has
+more than 2**(PROBE_BITS + 1) outputs (so in every sweep of more than one
+block), a probe of inputs 0 .. 2**PROBE_BITS - 1 comes first, in index
+order and through every comparator, so a network that fails early is
+refuted at once.  A smaller single block is swept without it: a
+refutation then sweeps at most twice the probe's lanes, and a pass saves the
+probe whole.  So no network of 13 wires or fewer takes the probe, nor does a
+16-wire network whose first layer pairs every wire (3**8 = 6,561 lanes);
+every network of more than 16 wires does, since even a first layer that
+pairs every wire leaves 3**8 * 2 = 13,122 lanes at 17.
 
 Each full block fixes the top t wires, t the fewest that leave at most
 2**BLOCK_BITS lanes, and its lanes are a mixed-radix product over the low
@@ -55,18 +53,16 @@ order is not index order when first-layer pairs interleave, so the failing
 lanes are narrowed through the input slices in wire order, to those where
 the wire reads 0 while any are left.
 
-``leq_masks`` tests every ordered pair of distinct wires on a sweep that is
-one block with no probe.  Otherwise it starts from every ordered pair,
-nearest first.  Every block keeps the pairs that hold on it and skips a pair
-that two pairs already verified on that block imply by transitivity; the
-walk stops once no pair is left.  On a single block that bookkeeping costs
-more than the tests it skips, because no later block re-tests the pairs it
-keeps.
+``leq_masks`` tests every ordered pair of wires on the first block.  If
+another block follows, it walks the pairs that hold there, nearest first:
+every later block keeps the pairs that hold on it and skips a pair that two
+pairs already verified on that block imply by transitivity; the walk stops
+once no pair is left.
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -80,8 +76,8 @@ from typing import Iterable, Iterator, Sequence
 MAX_WIDTH = 26
 
 # The probe: inputs 0 .. 2**PROBE_BITS - 1, swept first where the first
-# layer's outputs are many (``probe_first``), so that a network failing early
-# is refuted in microseconds.
+# layer's outputs are many (``layouts``), so that a network failing early is
+# refuted in microseconds.
 PROBE_BITS = 12
 
 # The full blocks: at most 2**BLOCK_BITS lanes.
@@ -92,10 +88,8 @@ PROBE_BITS = 12
 # in and took 10-25% longer; with the once-per-sweep comparators, 2**17 and
 # 2**18 blocks ran the kernel 3% and 7% slower than 2**16 even without such
 # faults.
-# ``block_inputs`` cuts its input slices from one table of BLOCK_BITS
-# patterns built on first use, and builds wider ones (only a whole-input
-# ``evaluate`` asks for them) per call.  The sweep's product inputs are
-# cached for the last few first layers (``_product_inputs``).
+# The sweep's input slices are cached for the last few first layers and the
+# probe (``_product_inputs``).
 BLOCK_BITS = 16
 
 
@@ -109,41 +103,18 @@ def vector_of(index: int, width: int) -> tuple[int, ...]:
     return tuple((index >> (width - 1 - i)) & 1 for i in range(width))
 
 
-def _pattern(j: int, bits: int) -> int:
-    """Slice of input bit j over inputs 0 .. 2**bits - 1: runs of 2**j
-    zeros, then 2**j ones."""
-    s = ((1 << (1 << j)) - 1) << (1 << j)
-    size = 2 << j
-    while size < 1 << bits:
-        # Doubling, not division: big-int division is quadratic.
-        s |= s << size
-        size <<= 1
-    return s
-
-
-@cache
-def _patterns(bits: int) -> tuple[int, ...]:
-    """Slices of input bits bits-1 .. 0 (the wires they drive, in order)
-    over inputs 0 .. 2**bits - 1, for bits up to BLOCK_BITS."""
-    if bits == BLOCK_BITS:
-        return tuple(_pattern(j, bits) for j in reversed(range(bits)))
-    mask = (1 << (1 << bits)) - 1
-    return tuple(p & mask for p in _patterns(BLOCK_BITS)[BLOCK_BITS - bits :])
-
-
 def lowest(bits: int) -> int:
     """Least input index whose bit is set in the slice ``bits``, or -1."""
     return (bits & -bits).bit_length() - 1
 
 
-def evaluate(width: int, pairs: Iterable[tuple[int, int]], bits: int | None = None) -> list[int]:
-    """Final slices, one int per wire, over inputs 0 .. 2**bits - 1 (all
-    2**width inputs by default)."""
+def evaluate(width: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Final slices, one int per wire, over all 2**width inputs."""
     check_width(width)
-    if bits is None:
-        bits = width
-    full = (1 << (1 << bits)) - 1
-    return _compare(block_inputs(width, bits, 0, full), pairs, full)
+    # The product of radix-2 digits is index order; built per call, not
+    # cached, so a whole-input table never displaces a sweep's inputs.
+    lanes, low = _product_inputs.__wrapped__((0,) * width)
+    return _compare(list(low), pairs, (1 << lanes) - 1)
 
 
 def _compare(rows: list[int], pairs: Iterable[tuple[int, int]], full: int) -> list[int]:
@@ -179,19 +150,6 @@ def at_least(rows: Sequence[int], full: int, k: int | None = None) -> list[int]:
     return counts
 
 
-def block_inputs(width: int, bits: int, start: int, full: int) -> list[int]:
-    """Input slices of the 2**bits inputs from ``start``, one per wire;
-    ``full`` is their all-ones slice."""
-    # Wire i is driven by input bit width-1-i, which is constant over the
-    # block for the top width-bits wires.
-    rows = [full if start >> j & 1 else 0 for j in range(width - 1, bits - 1, -1)]
-    if bits > BLOCK_BITS:
-        rows += [_pattern(j, bits) for j in reversed(range(bits))]
-    else:
-        rows += _patterns(bits)
-    return rows
-
-
 def _first_layer(
     width: int, pairs: Iterable[tuple[int, int]]
 ) -> tuple[list[int], list[tuple[int, int]]]:
@@ -203,25 +161,24 @@ def _first_layer(
     """
     partner = [-1] * width
     touched = [False] * width
+    untouched = width
     later = []
-    for a, b in pairs:
+    rest = iter(pairs)
+    for a, b in rest:
         if touched[a] or touched[b]:
             later.append((a, b))
+            if touched[a] and touched[b]:
+                continue
+            untouched -= 1
         else:
             partner[a], partner[b] = b, a
+            untouched -= 2
         touched[a] = touched[b] = True
+        if not untouched:
+            # Every wire is touched: the rest are later comparators.
+            later.extend(rest)
+            break
     return partner, later
-
-
-def _top_wires(width: int, partner: Sequence[int]) -> int:
-    """Fewest top wires t that leave at most 2**BLOCK_BITS lanes to the
-    product over wires t .. width-1."""
-    t = 0
-    while True:
-        k = sum(1 for i in range(t, width) if partner[i] > i)
-        if 3**k << (width - t - 2 * k) <= 1 << BLOCK_BITS:
-            return t
-        t += 1
 
 
 @lru_cache(maxsize=8)
@@ -250,87 +207,75 @@ def _product_inputs(links: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return lanes, tuple(rows)
 
 
-def layout(partner: Sequence[int]) -> tuple[int, int, tuple[int, ...], Iterator[int]]:
-    """Full blocks of a sweep over what the first layer ``partner`` outputs:
-    the number t of top wires, the lane count, the input slices of the low
-    wires, and the top wire values of each block to sweep, as an int whose
-    most significant of t bits is wire 0.
+def layouts(
+    partner: Sequence[int],
+) -> Iterator[tuple[bool, int, int, tuple[int, ...], Iterable[int]]]:
+    """Parts of a sweep over what the first layer ``partner`` outputs: the
+    probe where it is needed, then the full blocks.  Each part is (is it
+    the probe, the number t of top wires, the lane count, the input slices
+    of the low wires, the top wire values of each block to sweep as an int
+    whose most significant of t bits is wire 0).
 
-    The top values come in order and skip those where a pair inside the top
-    wires reads 1, 0.
+    The probe's top wires read 0 and its low wires are PROBE_BITS radix-2
+    digits, which is index order.  The full blocks' top values come in
+    order and skip those where a pair inside the top wires reads 1, 0.
     """
     width = len(partner)
-    t = _top_wires(width, partner)
+    k = sum(1 for i, p in enumerate(partner) if p > i)
+    lanes = 3**k << (width - 2 * k)
+    if lanes > 2 << PROBE_BITS:
+        yield (True, width - PROBE_BITS, *_product_inputs((0,) * PROBE_BITS), (0,))
+    # Found only once the probe has passed: a network refuted inside it
+    # pays for neither the top wires nor the product.  t is the fewest top
+    # wires that leave at most 2**BLOCK_BITS lanes; a wire that turns top
+    # takes a radix-3 digit down to its partner's radix-2 one, or a radix-2
+    # digit away.
+    t = 0
+    while lanes > 1 << BLOCK_BITS:
+        lanes = lanes // 3 * 2 if partner[t] > t else lanes >> 1
+        t += 1
     links = tuple(p - i if p >= t else 0 for i, p in enumerate(partner[t:], t))
-    lanes, low = _product_inputs(links)
     skip = [(t - 1 - a, t - 1 - partner[a]) for a in range(t) if a < partner[a] < t]
     tops = (top for top in range(1 << t) if not any(top >> a & 1 > top >> b & 1 for a, b in skip))
-    return t, lanes, low, tops
-
-
-def probe_first(t: int, lanes: int) -> bool:
-    """Does the probe go ahead of a sweep whose layout has ``t`` top wires
-    and ``lanes`` lanes per block?  Only where the sweep is more than one
-    block or one of more than twice the probe's lanes."""
-    return t > 0 or lanes > 2 << PROBE_BITS
-
-
-def probe_always(width: int) -> bool:
-    """Does ``probe_first`` hold whatever the first layer of ``width``
-    wires?  The fewest lanes come from a first layer that pairs all the
-    wires it can; past 16 wires even those are too many for one block
-    without the probe (3**8 * 2 = 13,122 at 17 wires)."""
-    return 3 ** (width // 2) << width % 2 > 2 << PROBE_BITS
-
-
-def _probe(width: int, pairs: Sequence[tuple[int, int]]) -> tuple[None, list[int], int]:
-    return None, evaluate(width, pairs, PROBE_BITS), (1 << (1 << PROBE_BITS)) - 1
+    yield (False, t, *_product_inputs(links), tops)
 
 
 def _sweep(
     width: int, pairs: Sequence[tuple[int, int]]
-) -> Iterator[tuple[list[int] | None, list[int], int]]:
-    """(input slices, final slices, all-ones slice) of each block.
-
-    The probe's lanes are inputs 0 .. 2**PROBE_BITS - 1 in index order, and
-    its input slices are None; it comes first where ``probe_first`` says
-    so, and where ``probe_always`` does, before the first layer and the
-    layout are found.  Every other block's lanes are the input vectors its
-    input slices spell out.
-    """
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """(input slices, final slices, all-ones slice) of each block of the
+    parts of ``layouts``.  A block's lanes are the input vectors its input
+    slices spell out."""
     check_width(width)
-    early = probe_always(width)
-    if early:
-        yield _probe(width, pairs)
     partner, later = _first_layer(width, pairs)
-    t, lanes, low, tops = layout(partner)
-    if not early and probe_first(t, lanes):
-        yield _probe(width, pairs)
-    full = (1 << lanes) - 1
-    # A pair from a top wire to a low one keeps its comparator, ahead of the
-    # later ones; a pair inside the top or the low wires is dropped.
-    # Comparators no top wire reaches compute the same slices in every
-    # block: run them once.
-    crossing = [(a, partner[a]) for a in range(t) if partner[a] >= t]
-    reached = [i < t for i in range(width)]
-    once, each = [], []
-    for a, b in crossing + later:
-        if reached[a] or reached[b]:
-            reached[a] = reached[b] = True
-            each.append((a, b))
+    for probe, t, lanes, low, tops in layouts(partner):
+        full = (1 << lanes) - 1
+        # The probe runs every comparator.  Elsewhere a pair from a top wire
+        # to a low one keeps its comparator, ahead of the later ones, and a
+        # pair inside the top or the low wires is dropped.  Comparators no
+        # top wire reaches compute the same slices in every block: run them
+        # once.
+        once, each = [], []
+        if probe:
+            each = pairs
         else:
-            once.append((a, b))
-    swept = _compare([0] * t + list(low), once, full)[t:]
-    for top in tops:
-        rows = [full if top >> j & 1 else 0 for j in range(t - 1, -1, -1)]
-        yield rows + list(low), _compare(rows + swept, each, full), full
+            crossing = [(a, partner[a]) for a in range(t) if partner[a] >= t]
+            reached = [i < t for i in range(width)]
+            for a, b in crossing + later:
+                if reached[a] or reached[b]:
+                    reached[a] = reached[b] = True
+                    each.append((a, b))
+                else:
+                    once.append((a, b))
+        swept = _compare([0] * t + list(low), once, full)[t:]
+        for top in tops:
+            rows = [full if top >> j & 1 else 0 for j in range(t - 1, -1, -1)]
+            yield rows + list(low), _compare(rows + swept, each, full), full
 
 
-def _least(inputs: Sequence[int] | None, lanes: int) -> int:
+def _least(inputs: Sequence[int], lanes: int) -> int:
     """Least input index among the set ``lanes`` of a block: narrow them
     wire by wire, to the lanes where the wire reads 0 while any remain."""
-    if inputs is None:
-        return lowest(lanes)
     index = 0
     for s in inputs:
         zero = lanes ^ (lanes & s)
@@ -360,10 +305,12 @@ def leq_masks(width: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
     Bit b of row a is set iff no binary input yields wire a = 1, wire b = 0.
     """
     blocks = _sweep(width, pairs)
-    inputs, rows, _ = next(blocks)
-    if inputs is not None:
-        # No probe: this block is the whole sweep, so test every pair on it.
-        return [sum(1 << b for b, y in enumerate(rows) if x & y == x) for x in rows]
+    _, rows, _ = next(blocks)
+    masks = [sum(1 << b for b, y in enumerate(rows) if x & y == x) for x in rows]
+    # A later block can only refute pairs that hold on this one.
+    second = None if masks == [1 << a for a in range(width)] else next(blocks, None)
+    if second is None:
+        return masks
     # Nearest first, ties by (a, b), so the two shorter pairs through a wire
     # between a and b are tested before (a, b) and may settle it.  The order
     # affects only how many pairs are tested.
@@ -372,9 +319,9 @@ def leq_masks(width: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
         for d in range(1, width)
         for a in range(width)
         for b in (a - d, a + d)
-        if 0 <= b < width
+        if 0 <= b < width and masks[a] >> b & 1
     ]
-    for rows in chain([rows], (rows for _, rows, _ in blocks)):
+    for _, rows, _ in chain([second], blocks):
         above = [0] * width  # pairs verified on this block, by row and by column
         below = [0] * width
         kept = []

@@ -30,19 +30,17 @@ comparator is an input pair (i, j) whose only readers are one AND and one
 OR gate of x_i and x_j, and which no output names.  Swapping x_i and x_j
 changes no gate's value, and a threshold function is symmetric, so the
 check need only cover the inputs on which each pair reads 00, 01 or 11.
-The check sweeps the slice engine's first-layer blocks
-(``_bitslice.layout``), behind the probe of inputs 0 .. 2**PROBE_BITS - 1
-where ``_bitslice.probe_first`` asks for it, as the engine's own sweep
-does; past 16 inputs the probe always runs, so it comes before the front
-pairs are found.  The 16-input majority circuit takes one block of 6,561
-lanes and the 15-input one 4,374, with no probe.  Each value the check
-holds has at most 2**BLOCK_BITS bits, whatever the number of inputs.
+The check sweeps the parts of the slice engine's ``_bitslice.layouts``,
+whose module docstring states where the probe runs.  The 16-input majority
+circuit takes one block of 6,561 lanes and the 15-input one 4,374, with no
+probe.  Each value the check holds has at most 2**BLOCK_BITS bits, whatever
+the number of inputs.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import _bitslice
 from .constructions import van_voorhis16
@@ -200,37 +198,14 @@ def _front_pairs(circuit: MonotoneCircuit) -> list[int]:
     return partner
 
 
-def _layouts(
-    circuit: MonotoneCircuit,
-) -> Iterator[tuple[int, int, Sequence[int], Iterable[int]]]:
-    """(top wire count, lanes, low input slices, top values) of each sweep:
-    the probe of inputs 0 .. 2**PROBE_BITS - 1, whose top wires read 0,
-    where ``_bitslice.probe_first`` asks for it, then the product blocks of
-    ``_bitslice.layout``.  Where the probe always runs
-    (``_bitslice.probe_always``), it goes ahead of finding the front pairs."""
-    n = circuit.n_inputs
-    _bitslice.check_width(n)
-    early = _bitslice.probe_always(n)
-    if early:
-        yield _probe(n)
-    t, lanes, low, tops = _bitslice.layout(_front_pairs(circuit))
-    if not early and _bitslice.probe_first(t, lanes):
-        yield _probe(n)
-    yield t, lanes, low, tops
-
-
-def _probe(n: int) -> tuple[int, int, Sequence[int], Iterable[int]]:
-    bits = _bitslice.PROBE_BITS
-    return n - bits, 1 << bits, _bitslice.block_inputs(bits, bits, 0, (1 << (1 << bits)) - 1), (0,)
-
-
 def is_threshold(circuit: MonotoneCircuit, wire: int, k: int) -> bool:
     """Compare one output against the k-of-n threshold on every input the
     circuit's front comparators can output, one block at a time; the first
     block that differs ends the check."""
     if not 0 <= wire < len(circuit.outputs):
         raise ValueError(f"no output wire {wire}")
-    for t, lanes, low, tops in _layouts(circuit):
+    _bitslice.check_width(circuit.n_inputs)
+    for _, t, lanes, low, tops in _bitslice.layouts(_front_pairs(circuit)):
         full = (1 << lanes) - 1
         # Counting slices of the low inputs; each block takes the entry for
         # the ones its top inputs lack.
@@ -252,7 +227,8 @@ def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):
     the k-of-n threshold.  The default k is ceil(n/2).  The 15-variable
     version converts the sorter with its last input pinned to ``pin_bit``,
     folding the constant in as it goes: the circuit ``specialize`` would
-    make of the 16-input one, without building that first.
+    make of the 16-input one, without building that first.  At 16
+    variables no input is pinned, and ``pin_bit`` must be 0.
     """
     if n_vars not in (15, 16):
         raise ValueError("majority circuits are built for 15 or 16 variables")
@@ -260,10 +236,12 @@ def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):
         k = (n_vars + 1) // 2
     if not 1 <= k <= n_vars:
         raise ValueError(f"threshold {k} out of range for {n_vars} variables")
-    if n_vars == 16:
-        return network_to_circuit(van_voorhis16()), 16 - k
-    if pin_bit not in (0, 1):
+    if not isinstance(pin_bit, int) or pin_bit not in (0, 1):
         raise ValueError("pin_bit must be 0 or 1")
+    if n_vars == 16:
+        if pin_bit:
+            raise ValueError("no input is pinned at 16 variables: pin_bit must be 0")
+        return network_to_circuit(van_voorhis16()), 16 - k
     # Sorter output 16 - j is 1 iff at least j of its 16 inputs are 1, the pinned one included.
     return _to_circuit(van_voorhis16(), 15, pin_bit), 16 - k - pin_bit
 

@@ -413,10 +413,8 @@ def test_exhaustive_observations_behind_interleaved_first_layers():
     # is narrowed out of lanes that do not come in index order.
     verdicts = []
     for prefix in interleaved_prefixes(60, seed=0x1A7E):
-        blocks = []
-        for inputs, _, full in _bitslice._sweep(16, prefix.pairs()):
-            blocks.append((inputs is None, full.bit_length()))
-        assert blocks == [(False, 3**8)]
+        blocks = [full.bit_length() for _, _, full in _bitslice._sweep(16, prefix.pairs())]
+        assert blocks == [3**8]
         expected = oracle_claims(prefix)
         assert check_observations(prefix).claims == expected, prefix.comparators
         verdicts.append(expected)

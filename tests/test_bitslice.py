@@ -1,6 +1,7 @@
 """The slice engine against per-vector ``Network.apply``, in every environment."""
 
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -120,16 +121,6 @@ def assert_engine_matches_columns(net):
     assert _bitslice.leq_masks(net.width, net.pairs()) == rows
 
 
-def test_probe_rows_are_the_first_columns_of_the_slices():
-    rng = random.Random(0x9B0)
-    for width in range(1, 17):
-        bits = min(width, PROBE_BITS)
-        for size in (0, 3 * width if width > 1 else 0):
-            pairs = random_network(rng, width=width, size=size).pairs()
-            first = [row % (1 << (1 << bits)) for row in _bitslice.evaluate(width, pairs)]
-            assert _bitslice.evaluate(width, pairs, bits) == first
-
-
 def first_layer(pairs):
     """Comparators whose two wires no earlier comparator touches."""
     touched, layer = set(), []
@@ -148,25 +139,22 @@ def lane_bits(row, lanes):
 
 def swept_blocks(width, pairs):
     """(input index of each lane, final slices, whether it is the probe) of
-    each block ``_sweep`` yields: the probe's lanes are inputs
-    0 .. 2**PROBE_BITS - 1, every other block's lanes the vectors its input
-    slices spell out."""
+    each block ``_sweep`` yields: every block's lanes are the vectors its
+    input slices spell out, and the probe is the first block where the
+    first part of ``layouts`` is the probe."""
+    probed = next(_bitslice.layouts(_bitslice._first_layer(width, pairs)[0]))[0]
     out = []
     for inputs, rows, full in _bitslice._sweep(width, pairs):
         lanes = full.bit_length()
         assert full == (1 << lanes) - 1
-        if inputs is None:
-            assert lanes == 1 << PROBE_BITS
-            index = np.arange(lanes)
-        else:
-            assert len(inputs) == width
-            assert lanes == max(map(int.bit_length, inputs))
-            assert 0 < lanes <= 1 << BLOCK_BITS
-            index = np.zeros(lanes, dtype=np.int64)
-            for row in inputs:
-                index = index << 1 | lane_bits(row, lanes)
+        assert len(inputs) == width
+        assert lanes == max(map(int.bit_length, inputs))
+        assert 0 < lanes <= 1 << BLOCK_BITS
+        index = np.zeros(lanes, dtype=np.int64)
+        for row in inputs:
+            index = index << 1 | lane_bits(row, lanes)
         assert all(row >> lanes == 0 for row in rows)
-        out.append((index, rows, inputs is None))
+        out.append((index, rows, probed and not out))
     return out
 
 
@@ -281,7 +269,7 @@ def test_first_layer_pairs_across_the_top_wires(width):
         suffix = whole[:cut] + whole[cut + 1 :] if cut is not None else whole
         net = Network(width, chained(width, layer) + suffix)
         assert first_layer(net.pairs()) == layer
-        top = _bitslice._top_wires(width, _bitslice._first_layer(width, net.pairs())[0])
+        *_, (_, top, *_) = _bitslice.layouts(_bitslice._first_layer(width, net.pairs())[0])
         assert 0 < top <= width - 2
         assert_engine_matches_columns(net)
 
@@ -403,15 +391,24 @@ def test_at_least_counts_ones_per_input(k):
 
 
 @pytest.mark.parametrize("width", range(BLOCK_BITS - 3, BLOCK_BITS + 3))
-def test_input_slices_across_the_cached_table(width):
-    # Up to BLOCK_BITS input bits the slices are cut from one cached table,
-    # above it they are built per call: both follow vector_of.
+def test_input_slices_follow_vector_of(width):
     slices = _bitslice.evaluate(width, [])
     assert all(row >> (1 << width) == 0 for row in slices)
     rng = random.Random(width)
     last = (1 << width) - 1
     for v in [0, 1, last - 1, last] + [rng.randrange(1 << width) for _ in range(200)]:
         assert tuple(slice_bit(row, v) for row in slices) == _bitslice.vector_of(v, width)
+
+
+def test_evaluate_leaves_the_sweep_cache_alone():
+    # evaluate builds its input slices per call, so a whole-input table
+    # never takes a first layer's place in the sweep's cache.
+    before = _bitslice._product_inputs.cache_info()
+    slices = _bitslice.evaluate(20, [])
+    assert _bitslice._product_inputs.cache_info() == before  # currsize, hits, misses
+    rng = random.Random(20)
+    for v in [0, 1, (1 << 20) - 1] + [rng.randrange(1 << 20) for _ in range(200)]:
+        assert tuple(slice_bit(row, v) for row in slices) == _bitslice.vector_of(v, 20)
 
 
 def paired_network(rng, width, size):
@@ -423,10 +420,13 @@ def paired_network(rng, width, size):
 
 
 def walked_rows(monkeypatch, net):
-    """``leq_masks`` through the pair walk: with the probe forced ahead of
-    the block, the sweep is no longer one block."""
+    """``leq_masks`` through the pair walk: with ``layouts`` patched to put
+    the probe ahead of the block, the sweep is no longer one block."""
+    layouts = _bitslice.layouts
+    lanes, low = _bitslice._product_inputs((0,) * PROBE_BITS)
+    probe = (True, net.width - PROBE_BITS, lanes, low, (0,))
     with monkeypatch.context() as m:
-        m.setattr(_bitslice, "probe_first", lambda t, lanes: True)
+        m.setattr(_bitslice, "layouts", lambda partner: chain([probe], layouts(partner)))
         return _bitslice.leq_masks(net.width, net.pairs())
 
 
@@ -459,20 +459,20 @@ def test_degenerate_rows_reach_the_poset_on_either_path(monkeypatch):
     # No comparator network keeps two wires equal on every binary input:
     # flipping input bits 0 to 1 one at a time flips exactly one output
     # wire each time.  So a block whose slices 3 and 5 are equal is made up
-    # here, once alone and once behind the probe, and infer_poset must
-    # refuse the relation either way.
+    # here, once as the whole sweep and once twice in a row, so that the
+    # pair walk runs on the second, and infer_poset must refuse the relation
+    # either way.
     net = green16().prefix(32)
     sweep = _bitslice._sweep
 
-    def doctored(width, pairs, probe):
+    def doctored(width, pairs, copies):
         for inputs, rows, full in sweep(width, pairs):
             rows[5] = rows[3]
-            if probe:
-                yield None, rows, full
-            yield inputs, rows, full
+            for _ in range(copies):
+                yield inputs, rows, full
 
-    for probe in (False, True):
-        monkeypatch.setattr(_bitslice, "_sweep", lambda w, p: doctored(w, p, probe))
+    for copies in (1, 2):
+        monkeypatch.setattr(_bitslice, "_sweep", lambda w, p: doctored(w, p, copies))
         with pytest.raises(DegenerateOrderError, match="wires 3 and 5"):
             infer_poset(net)
 
@@ -481,20 +481,24 @@ def test_the_probe_always_runs_past_16_wires():
     for width in range(1, _bitslice.MAX_WIDTH + 1):
         # The fewest lanes: a first layer that pairs all the wires it can.
         paired = [i ^ 1 if i ^ 1 < width else -1 for i in range(width)]
-        t, lanes, _, _ = _bitslice.layout(paired)
-        assert _bitslice.probe_always(width) == _bitslice.probe_first(t, lanes) == (width > 16)
+        parts = list(_bitslice.layouts(paired))
+        assert [probe for probe, *_ in parts] == [True] * (width > 16) + [False]
+        if width > 16:
+            probe, t, lanes, low, tops = parts[0]
+            assert (t, lanes, list(tops)) == (width - PROBE_BITS, 1 << PROBE_BITS, [0])
+            assert list(low) == _bitslice.evaluate(PROBE_BITS, [])
 
 
-@pytest.mark.parametrize("width", [17, 18, 20])
-def test_a_refutation_inside_the_probe_finds_no_first_layer(width, monkeypatch):
-    # Past 16 wires the probe goes ahead of the first layer and the layout,
-    # so a network that fails inside it pays for neither.
-    def unreachable(*args):
-        raise AssertionError("first layer or layout found before the probe")
-
-    monkeypatch.setattr(_bitslice, "_first_layer", unreachable)
-    monkeypatch.setattr(_bitslice, "layout", unreachable)
-    # With no comparators, input 2 (wires width-2 and width-1 read 1, 0) is
-    # the least unsorted one.
-    assert _bitslice.first_unsorted(width, []) == 2
-    assert _bitslice.first_unsorted(width, [(0, 1), (width - 2, width - 1)]) == 4
+def test_a_refutation_inside_the_probe_builds_no_product(monkeypatch):
+    # The probe is decided from the lane count alone, and the first layer's
+    # product is built only once the probe has passed.
+    built = []
+    product = _bitslice._product_inputs
+    monkeypatch.setattr(_bitslice, "_product_inputs", lambda links: built.append(links) or product(links))
+    for width in (17, 18, 20):
+        # With no comparators, input 2 (the last two wires read 1, 0) is
+        # the least unsorted one; behind two pairs, input 4.
+        for pairs, least in (([], 2), ([(0, 1), (width - 2, width - 1)], 4)):
+            built.clear()
+            assert _bitslice.first_unsorted(width, pairs) == least
+            assert built == [(0,) * PROBE_BITS]

@@ -138,6 +138,10 @@ def test_is_threshold_examples(vv):
     assert is_threshold(vv_circuit, 8, 8)
     assert is_threshold(vv_circuit, 7, 9)
     assert not is_threshold(vv_circuit, 8, 7)
+    # Refuted inside the probe: output n-1 of the empty network is x(n-1),
+    # which misses input 2 (only x(n-2) reads 1) of "at least one input is 1".
+    for n in (17, 20):
+        assert not is_threshold(network_to_circuit(Network(n, [])), n - 1, 1)
 
 
 def assert_is_threshold_matches_whole_input_slices(circuit):
@@ -218,6 +222,17 @@ def test_is_threshold_lanes_per_block(monkeypatch):
         assert lanes_per_block(monkeypatch, circuit, wire, k) == (True, expected)
 
 
+def test_majority_circuit_checks_pin_bit():
+    for n in (15, 16):
+        for bad in ("x", 2, -1, None, 1.0):
+            with pytest.raises(ValueError, match="pin_bit"):
+                majority_circuit(n, pin_bit=bad)
+    # At 16 variables no input is pinned: pin_bit=1 would be silently ignored.
+    with pytest.raises(ValueError, match="16 variables"):
+        majority_circuit(16, pin_bit=1)
+    assert majority_circuit(16, pin_bit=0) == majority_circuit(16)
+
+
 def test_front_pairs_are_and_or_pairs_read_by_nothing_else():
     # Each circuit fails only on x0 = 1, x1 = 0, the input that pairing x0
     # with x1 would leave out; none of them may pair.
@@ -283,7 +298,7 @@ def test_is_threshold_behind_first_layers_against_columns(n, layer, t):
         for a, b in layer:
             partner[a], partner[b] = b, a
         assert _front_pairs(circuit) == partner
-        assert _bitslice.layout(partner)[0] == t
+        assert list(_bitslice.layouts(partner))[-1][1] == t
         verdicts = []
         for wire, column in enumerate(output_columns(net)):
             for k in (n - wire - 1, n - wire, n - wire + 1):
@@ -291,19 +306,6 @@ def test_is_threshold_behind_first_layers_against_columns(n, layer, t):
                 assert is_threshold(circuit, wire, k) == expected, (pairs is sorter, wire, k)
                 verdicts.append(expected)
         assert (pairs is sorter) == (sum(verdicts) == n)
-
-
-@pytest.mark.parametrize("n", [17, 20])
-def test_is_threshold_refuted_inside_the_probe_finds_no_front_pairs(n, monkeypatch):
-    # Past 16 inputs the probe goes ahead of the front pairs and the layout.
-    def unreachable(*args):
-        raise AssertionError("front pairs or layout found before the probe")
-
-    monkeypatch.setattr(circuits, "_front_pairs", unreachable)
-    monkeypatch.setattr(_bitslice, "layout", unreachable)
-    # Output n-1 of the empty network is x(n-1), which misses input 2 (only
-    # x(n-2) reads 1) of "at least one input is 1".
-    assert not is_threshold(network_to_circuit(Network(n, [])), n - 1, 1)
 
 
 def test_is_threshold_memory_is_bounded_by_the_block():

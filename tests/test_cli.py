@@ -270,6 +270,12 @@ def test_majority_prints_the_reference_gate_list(capsys, variables):
     assert out == (REFERENCE / f"majority{variables}.out").read_text()
 
 
+def test_majority_16_refuses_a_pin(capsys):
+    code, out, err = run(capsys, "majority", "16", "--pin", "1")
+    assert (code, out) == (2, "")
+    assert "pin_bit" in err
+
+
 def test_majority_bad_threshold(capsys):
     code, _, err = run(capsys, "majority", "16", "--threshold", "40")
     assert code == 2

@@ -4,7 +4,9 @@ Every 16-wire check of the paper runs on a network whose first layer pairs
 all 16 wires, so the slice engine sweeps the 3**8 = 6,561 vectors that
 layer can output, in one block and with no probe ahead of it.  Wider
 networks keep the probe of inputs 0 .. 2**PROBE_BITS - 1 first.  A change
-to the schedule fails here rather than only in a benchmark row.
+to the schedule fails here rather than only in a benchmark row, and so
+does a threshold check of a circuit that sweeps other blocks than the
+check of the network it comes from.
 """
 
 import random
@@ -22,6 +24,7 @@ from sortnet16 import (
     green16,
     hypercube_phase,
     infer_poset,
+    network_to_circuit,
     strategy_sorter,
     van_voorhis16,
     verify_sorts_binary,
@@ -29,6 +32,7 @@ from sortnet16 import (
 from sortnet16 import _bitslice
 from sortnet16._bitslice import PROBE_BITS
 
+from test_circuits import lanes_per_block, transposition_sorter
 from test_network import random_network
 
 ONE_BLOCK = [("block", 3**8)]
@@ -37,16 +41,21 @@ ONE_BLOCK = [("block", 3**8)]
 @pytest.fixture
 def swept(monkeypatch):
     """The (kind, lanes) of every block the slice engine sweeps, in order;
-    kind is "probe" or "block"."""
+    kind is "probe" or "block", as the part of ``layouts`` it comes from
+    says."""
     blocks = []
-    sweep = _bitslice._sweep
+    layouts = _bitslice.layouts
 
-    def recorded(width, pairs):
-        for inputs, rows, full in sweep(width, pairs):
-            blocks.append(("probe" if inputs is None else "block", full.bit_length()))
-            yield inputs, rows, full
+    def drawn(kind, lanes, tops):
+        for top in tops:
+            blocks.append((kind, lanes))
+            yield top
 
-    monkeypatch.setattr(_bitslice, "_sweep", recorded)
+    def recorded(partner):
+        for probe, t, lanes, low, tops in layouts(partner):
+            yield probe, t, lanes, low, drawn("probe" if probe else "block", lanes, tops)
+
+    monkeypatch.setattr(_bitslice, "layouts", recorded)
     return blocks
 
 
@@ -91,3 +100,26 @@ def test_wider_networks_take_the_probe_first(swept):
     swept.clear()
     infer_poset(net)
     assert swept[0] == ("probe", 1 << PROBE_BITS)
+
+
+@pytest.mark.parametrize("width", [*range(13, 21), "batcher16"])
+def test_networks_and_circuits_sweep_one_schedule(width, monkeypatch):
+    # The lanes of each block first_unsorted sweeps on a sorter, and of each
+    # block is_threshold evaluates on one of its circuit's outputs: the same
+    # list, the probe first past 16 wires, then the first layer's product.
+    net = batcher_sorter(16) if width == "batcher16" else Network(width, transposition_sorter(width))
+    width = net.width
+    sweep = _bitslice._sweep
+    swept = []
+
+    def swept_lanes(width, pairs):
+        for inputs, rows, full in sweep(width, pairs):
+            swept.append(full.bit_length())
+            yield inputs, rows, full
+
+    monkeypatch.setattr(_bitslice, "_sweep", swept_lanes)
+    assert verify_sorts_binary(net).sorts
+    probe = [1 << PROBE_BITS] if width > 16 else []
+    assert swept == probe + [3 ** (width // 2) << width % 2]
+    wire = width // 2
+    assert lanes_per_block(monkeypatch, network_to_circuit(net), wire, width - wire) == (True, swept)
