@@ -10,11 +10,10 @@ A network reaches the engine as its width and one sequence of
 ``(low, high)`` wire pairs, ``Network.pairs()``: ``evaluate(width, pairs)``,
 ``first_unsorted(width, pairs)``, ``leq_masks(width, pairs)``.  ``Network``
 has checked the pairs; the engine checks only the width.  ``evaluate`` runs
-a network on every input.  ``analysis`` checks claims a-d on
-the blocks of ``_sweep`` and counts ones on the slices with ``at_least``,
-and ``circuits.is_threshold`` evaluates gates on the blocks of ``layouts``.
-Every input slice is built by ``_product_inputs``, and the lanes of every
-block are the vectors its input slices spell out.
+a network on every input.  Only ``_sweep`` reads ``layouts``; ``analysis``
+(claims a-d) and ``circuits.is_threshold`` read its blocks and count ones
+with ``at_least``.  Every input slice is built by ``_product_inputs``, and
+a block's lanes are the vectors its input slices spell out.
 
 The two reductions sweep what the network's first layer can output, not
 every input.  The first layer is the comparators whose two wires no earlier

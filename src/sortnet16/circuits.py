@@ -25,16 +25,14 @@ read through its table, so the folded circuit equals
 gate, without the 16-input circuit being built and checked first.
 
 Truth tables are slices as in ``_bitslice``.  ``is_threshold`` sweeps only
-what the comparators at the front of the circuit can output.  Such a
-comparator is an input pair (i, j) whose only readers are one AND and one
-OR gate of x_i and x_j, and which no output names.  Swapping x_i and x_j
-changes no gate's value, and a threshold function is symmetric, so the
-check need only cover the inputs on which each pair reads 00, 01 or 11.
-The check sweeps the parts of the slice engine's ``_bitslice.layouts``,
-whose module docstring states where the probe runs.  The 16-input majority
-circuit takes one block of 6,561 lanes and the 15-input one 4,374, with no
-probe.  Each value the check holds has at most 2**BLOCK_BITS bits, whatever
-the number of inputs.
+what the comparators at the front of the circuit can output: input pairs
+(i, j) whose only readers are one AND and one OR gate of x_i and x_j, and
+which no output names.  Swapping x_i and x_j changes no gate's value, and a
+threshold function is symmetric, so the check need only cover the inputs on
+which each pair reads 00, 01 or 11.  Those are the blocks ``_bitslice``
+sweeps for a network whose first layer is these pairs, so a circuit of a
+network sweeps the network's blocks (that module's docstring states them,
+and where the probe runs), and no value it holds exceeds one block's bits.
 """
 
 from __future__ import annotations
@@ -74,12 +72,13 @@ class MonotoneCircuit(_Record):
 
     def __post_init__(self):
         base = self.n_inputs + 2
-        for gid, (kind, a, b) in enumerate(self.gates):
-            if kind not in (AND, OR):
-                raise ValueError(f"gate kind must be AND or OR, got {kind!r}")
-            for ref in (a, b):
-                if not 0 <= operator.index(ref) < base + gid:
-                    raise ValueError(f"gate g{gid} has bad operand {ref!r}")
+        index = operator.index
+        for top, (kind, a, b) in enumerate(self.gates, base):
+            if kind not in (AND, OR) or not (0 <= index(a) < top and 0 <= index(b) < top):
+                if kind not in (AND, OR):
+                    raise ValueError(f"gate kind must be AND or OR, got {kind!r}")
+                bad = a if not 0 <= a < top else b
+                raise ValueError(f"gate g{top - base} has bad operand {bad!r}")
         for ref in self.outputs:
             if not 0 <= operator.index(ref) < base + len(self.gates):
                 raise ValueError(f"bad output reference {ref!r}")
@@ -170,13 +169,12 @@ def specialize(circuit: MonotoneCircuit, input_index: int, bit: int) -> Monotone
     return MonotoneCircuit(n - 1, tuple(folded), tuple(table[r] for r in circuit.outputs))
 
 
-def _front_pairs(circuit: MonotoneCircuit) -> list[int]:
-    """Partner of each input in a comparator at the front of the circuit,
-    -1 if none: inputs i and j pair when their only readers are one AND and
+def _front_pairs(circuit: MonotoneCircuit) -> list[tuple[int, int]]:
+    """The comparators at the front of the circuit, as input pairs (i, j)
+    with i < j: inputs i and j pair when their only readers are one AND and
     one OR gate of the two, and no output names either."""
-    n = circuit.n_inputs
     gates = circuit.gates
-    m = n + 2  # value indices below m are the constants and the inputs
+    m = circuit.n_inputs + 2  # value indices below m are the constants and the inputs
     readers: list[list[int]] = [[] for _ in range(m)]
     for gid, (_, a, b) in enumerate(gates):
         if a < m:
@@ -184,7 +182,7 @@ def _front_pairs(circuit: MonotoneCircuit) -> list[int]:
         if b < m:
             readers[b].append(gid)
     named = set(circuit.outputs)
-    partner = [-1] * n
+    pairs = []
     for i in range(2, m):
         r = readers[i]
         if len(r) != 2 or i in named:
@@ -193,29 +191,22 @@ def _front_pairs(circuit: MonotoneCircuit) -> list[int]:
         j = a + b - i
         # Two gates of different kinds read i, both read j, and nothing else
         # reads j: the second is the other of AND and OR of i and j.
-        if kind != gates[r[1]].kind and 2 <= j < m and j not in named and readers[j] == r:
-            partner[i - 2] = j - 2
-    return partner
+        if kind != gates[r[1]].kind and i < j < m and j not in named and readers[j] == r:
+            pairs.append((i - 2, j - 2))
+    return pairs
 
 
 def is_threshold(circuit: MonotoneCircuit, wire: int, k: int) -> bool:
-    """Compare one output against the k-of-n threshold on every input the
-    circuit's front comparators can output, one block at a time; the first
-    block that differs ends the check."""
+    """Compare one output against the k-of-n threshold on each block of the
+    sweep of the circuit's front comparators, up to the first that differs."""
     if not 0 <= wire < len(circuit.outputs):
         raise ValueError(f"no output wire {wire}")
-    _bitslice.check_width(circuit.n_inputs)
-    for _, t, lanes, low, tops in _bitslice.layouts(_front_pairs(circuit)):
-        full = (1 << lanes) - 1
-        # Counting slices of the low inputs; each block takes the entry for
-        # the ones its top inputs lack.
-        counts = _bitslice.at_least(low, full, min(max(k, 0), len(low)))
-        for top in tops:
-            need = k - top.bit_count()
-            want = full if need <= 0 else counts[need] if need < len(counts) else 0
-            rows = [full if top >> j & 1 else 0 for j in range(t - 1, -1, -1)]
-            if evaluate_slices(circuit, rows + list(low), lanes)[wire] != want:
-                return False
+    n = circuit.n_inputs
+    _bitslice.check_width(n)
+    for inputs, _, full in _bitslice._sweep(n, _front_pairs(circuit)):
+        want = full if k <= 0 else 0 if k > n else _bitslice.at_least(inputs, full, k)[k]
+        if evaluate_slices(circuit, inputs, full.bit_length())[wire] != want:
+            return False
     return True
 
 

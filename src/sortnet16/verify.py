@@ -87,8 +87,8 @@ class Poset(_Record):
 
     ``rows[a]`` is a bitmask with bit b set iff wire a's value is at most
     wire b's value on every binary input.  The relation is reflexive and
-    transitive by construction; construction refuses a relation that is
-    not antisymmetric.
+    transitive by construction; construction refuses rows other than one
+    per wire within the width, and a relation that is not antisymmetric.
     """
 
     __slots__ = ("width", "rows")
@@ -99,10 +99,14 @@ class Poset(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        rows = self.rows
-        for a in range(self.width):
-            for b in range(a + 1, self.width):
-                if (rows[a] >> b) & 1 and (rows[b] >> a) & 1:
+        width, rows = self.width, self.rows
+        if len(rows) != width:
+            raise ValueError(f"{len(rows)} rows for width {width}")
+        for a, row in enumerate(rows):
+            if row >> width:
+                raise ValueError(f"row {a} names a wire outside 0..{width - 1}")
+            for b in range(a + 1, width):
+                if (row >> b) & 1 and (rows[b] >> a) & 1:
                     raise DegenerateOrderError(
                         f"wires {a} and {b} are forced equal on all binary inputs"
                     )
@@ -112,9 +116,14 @@ class Poset(_Record):
 
     def covers(self, elements: Sequence[int] | None = None) -> list[tuple[int, int]]:
         """Cover pairs (transitive reduction) of the order, optionally
-        restricted to a subset of wires, in (a, b) order."""
+        restricted to a subset of wires, each named once, in (a, b) order."""
         elems = sorted(elements) if elements is not None else range(self.width)
-        keep = sum(1 << e for e in set(elems))
+        keep = 0
+        for e in elems:
+            if not 0 <= e < self.width or keep >> e & 1:
+                why = "named twice" if 0 <= e < self.width else f"outside 0..{self.width - 1}"
+                raise ValueError(f"wire {e} is {why}")
+            keep |= 1 << e
         # up[a]: the kept wires strictly above a.  b covers a unless b is
         # also above some c in up[a].
         up = {a: self.rows[a] & keep & ~(1 << a) for a in elems}

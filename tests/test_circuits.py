@@ -247,24 +247,24 @@ def test_front_pairs_are_and_or_pairs_read_by_nothing_else():
         (MonotoneCircuit(2, (and01, Gate("OR", 2, 2)), (5,)), 2),
     ]
     for circuit, k in hiding:
-        assert _front_pairs(circuit) == [-1, -1], circuit
+        assert _front_pairs(circuit) == [], circuit
         assert not is_threshold(circuit, 0, k), circuit
         assert_is_threshold_matches_whole_input_slices(circuit)
     # The partner of a front pair is an input, not a constant or a gate.
     constant = MonotoneCircuit(1, (Gate("AND", 2, 0), Gate("OR", 0, 2)), (3, 4))
     gate = MonotoneCircuit(2, (Gate("AND", 3, 3), Gate("AND", 2, 4), Gate("OR", 4, 2)), (5, 6))
-    assert _front_pairs(constant) == [-1] and _front_pairs(gate) == [-1, -1]
+    assert _front_pairs(constant) == [] and _front_pairs(gate) == []
     assert_is_threshold_matches_whole_input_slices(constant)
     assert_is_threshold_matches_whole_input_slices(gate)
     # Two ANDs and no OR do not pair either, though AND is symmetric too.
     two_ands = MonotoneCircuit(2, (and01, Gate("AND", 3, 2)), (4, 5))
-    assert _front_pairs(two_ands) == [-1, -1]
+    assert _front_pairs(two_ands) == []
     assert_is_threshold_matches_whole_input_slices(two_ands)
     # OR(x1, x0) with swapped operands pairs, here ahead of the 3-input
     # transposition sorter's other comparators.
     sorter3 = network_to_circuit(Network(3, ((0, 1), (1, 2), (0, 1))))
     swapped = MonotoneCircuit(3, (and01, Gate("OR", 3, 2), *sorter3.gates[2:]), sorter3.outputs)
-    assert _front_pairs(swapped) == [1, 0, -1]
+    assert _front_pairs(swapped) == [(0, 1)]
     assert_is_threshold_matches_whole_input_slices(swapped)
     for wire in range(3):
         assert is_threshold(swapped, wire, 3 - wire)
@@ -294,10 +294,8 @@ def test_is_threshold_behind_first_layers_against_columns(n, layer, t):
     for pairs in (sorter, sorter[:cut] + sorter[cut + 1 :]):
         net = Network(n, chained(n, layer) + pairs)
         circuit = network_to_circuit(net)
-        partner = [-1] * n
-        for a, b in layer:
-            partner[a], partner[b] = b, a
-        assert _front_pairs(circuit) == partner
+        assert _front_pairs(circuit) == layer
+        partner, _ = _bitslice._first_layer(n, layer)
         assert list(_bitslice.layouts(partner))[-1][1] == t
         verdicts = []
         for wire, column in enumerate(output_columns(net)):
@@ -472,15 +470,29 @@ def test_is_threshold_cap():
         is_threshold(circuit, 0, 1)
 
 
+def test_is_threshold_checks_the_width_before_reading_gates():
+    # Finding the front pairs first would build one reader list per input.
+    circuit = MonotoneCircuit(1 << 20, (), (2,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="slice engine"):
+            is_threshold(circuit, 0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_circuit_reference_validation():
-    with pytest.raises(ValueError):
-        MonotoneCircuit(2, (Gate("AND", 2, 7),), (4,))
-    with pytest.raises(ValueError):
-        MonotoneCircuit(2, (Gate("AND", 2, 4),), (4,))
-    with pytest.raises(ValueError):
+    # A gate's operands are tested together; the message names the bad one.
+    for gate, bad in ((Gate("AND", 2, 7), 7), (Gate("AND", 2, 4), 4), (Gate("OR", 4, 3), 4)):
+        with pytest.raises(ValueError, match=f"gate g0 has bad operand {bad}$"):
+            MonotoneCircuit(2, (gate,), (4,))
+    with pytest.raises(ValueError, match="bad output reference 7"):
         MonotoneCircuit(2, (), (7,))
-    with pytest.raises(ValueError, match="gate kind must be AND or OR, got 'XOR'"):
-        MonotoneCircuit(2, (Gate("XOR", 2, 3),), (4,))
+    for gate in (Gate("XOR", 2, 3), Gate("XOR", 2, 9)):
+        with pytest.raises(ValueError, match="gate kind must be AND or OR, got 'XOR'"):
+            MonotoneCircuit(2, (gate,), (4,))
     for gates, outputs in (
         ((Gate("AND", -1, 2),), (4,)),  # would wrap to the last value
         ((Gate("AND", 2, 3),), (-1,)),
@@ -490,7 +502,12 @@ def test_circuit_reference_validation():
         with pytest.raises(ValueError):
             MonotoneCircuit(2, gates, outputs)
     # Operands are indices only; no names are read.
-    for gates, outputs in (((Gate("AND", "x0", "x1"),), (4,)), ((), ("x0",)), ((), (2.0,))):
+    for gates, outputs in (
+        ((Gate("AND", "x0", "x1"),), (4,)),
+        ((Gate("AND", 2, 3.0),), (4,)),
+        ((), ("x0",)),
+        ((), (2.0,)),
+    ):
         with pytest.raises(TypeError):
             MonotoneCircuit(2, gates, outputs)
 

@@ -342,6 +342,9 @@ def test_dot_restriction(green):
     dot = render_poset_dot(poset, restrict=(3, 5, 6, 7, 8, 9, 10, 12))
     assert len(re.findall(r"n\d+ -> n\d+;", dot)) == 9
     assert "n0 " not in dot
+    # Each wire once: a repeated one would draw its node and edges twice.
+    with pytest.raises(ValueError, match="wire 0 is named twice"):
+        render_poset_dot(poset, restrict=[0, 0, 1])
 
 
 def test_dot_rejects_degenerate_relation():

@@ -104,22 +104,27 @@ def test_wider_networks_take_the_probe_first(swept):
 
 @pytest.mark.parametrize("width", [*range(13, 21), "batcher16"])
 def test_networks_and_circuits_sweep_one_schedule(width, monkeypatch):
-    # The lanes of each block first_unsorted sweeps on a sorter, and of each
-    # block is_threshold evaluates on one of its circuit's outputs: the same
-    # list, the probe first past 16 wires, then the first layer's product.
+    # The lanes of each block of each _bitslice._sweep call: first_unsorted
+    # on a sorter, then is_threshold on one of its circuit's outputs, which
+    # evaluates the circuit on every block of its own call.  Both calls
+    # sweep the same list, the probe first past 16 wires, then the first
+    # layer's product.
     net = batcher_sorter(16) if width == "batcher16" else Network(width, transposition_sorter(width))
     width = net.width
     sweep = _bitslice._sweep
-    swept = []
+    calls = []
 
-    def swept_lanes(width, pairs):
+    def recorded(width, pairs):
+        calls.append(lanes := [])
         for inputs, rows, full in sweep(width, pairs):
-            swept.append(full.bit_length())
+            lanes.append(full.bit_length())
             yield inputs, rows, full
 
-    monkeypatch.setattr(_bitslice, "_sweep", swept_lanes)
+    monkeypatch.setattr(_bitslice, "_sweep", recorded)
     assert verify_sorts_binary(net).sorts
-    probe = [1 << PROBE_BITS] if width > 16 else []
-    assert swept == probe + [3 ** (width // 2) << width % 2]
     wire = width // 2
-    assert lanes_per_block(monkeypatch, network_to_circuit(net), wire, width - wire) == (True, swept)
+    verdict = lanes_per_block(monkeypatch, network_to_circuit(net), wire, width - wire)
+    network, circuit = calls
+    probe = [1 << PROBE_BITS] if width > 16 else []
+    assert network == probe + [3 ** (width // 2) << width % 2]
+    assert circuit == network and verdict == (True, network)

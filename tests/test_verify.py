@@ -18,7 +18,7 @@ from sortnet16 import (
     van_voorhis16,
     verify_sorts_binary,
 )
-from sortnet16.verify import poset_from_rows
+from sortnet16.verify import Poset, poset_from_rows
 
 from test_bitslice import bits_of, brute_force_poset_pairs, column_oracle, least_failing_index
 from test_network import random_network
@@ -245,6 +245,30 @@ def test_degenerate_relation_rejected():
     # rows force wires 0 and 1 equal
     with pytest.raises(DegenerateOrderError):
         poset_from_rows(2, [0b11, 0b11])
+
+
+def test_poset_wants_one_row_per_wire_within_the_width():
+    for width, rows, message in (
+        (2, (1,), "1 rows for width 2"),
+        (1, (1, 2), "2 rows for width 1"),
+        (2, (7, 2), "row 0 names a wire outside 0..1"),
+        (2, (1, -2), "row 1 names a wire outside 0..1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Poset(width, rows)
+    assert Poset(0, ()).covers() == []
+
+
+def test_covers_wants_each_wire_once_within_the_width():
+    poset = infer_poset(green16().prefix(45))
+    for elements, message in (
+        ([0, 0, 1, 1], "wire 0 is named twice"),
+        ([-1, 3], "wire -1 is outside 0..15"),
+        ([16], "wire 16 is outside 0..15"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            poset.covers(elements)
+    assert poset.covers([1, 0]) == poset.covers([0, 1]) == [(0, 1)]
 
 
 def test_covers_reduction_closure_identity():
