@@ -298,6 +298,21 @@ def first_unsorted(width: int, pairs: Sequence[tuple[int, int]]) -> int:
     return -1
 
 
+@lru_cache(maxsize=None)
+def _nearest_first(width: int) -> tuple[tuple[int, int], ...]:
+    """Every ordered pair of distinct wires, nearest first, ties by (a, b),
+    so the two shorter pairs through a wire between a and b come before
+    (a, b) and may settle it.  The order affects only how many pairs
+    ``leq_masks`` tests."""
+    return tuple(
+        (a, b)
+        for d in range(1, width)
+        for a in range(width)
+        for b in (a - d, a + d)
+        if 0 <= b < width
+    )
+
+
 def leq_masks(width: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
     """Per-wire bitmask rows of the always-at-most relation.
 
@@ -310,16 +325,7 @@ def leq_masks(width: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
     second = None if masks == [1 << a for a in range(width)] else next(blocks, None)
     if second is None:
         return masks
-    # Nearest first, ties by (a, b), so the two shorter pairs through a wire
-    # between a and b are tested before (a, b) and may settle it.  The order
-    # affects only how many pairs are tested.
-    leq = [
-        (a, b)
-        for d in range(1, width)
-        for a in range(width)
-        for b in (a - d, a + d)
-        if 0 <= b < width and masks[a] >> b & 1
-    ]
+    leq = [(a, b) for a, b in _nearest_first(width) if masks[a] >> b & 1]
     for _, rows, _ in chain([second], blocks):
         above = [0] * width  # pairs verified on this block, by row and by column
         below = [0] * width

@@ -24,6 +24,13 @@ read through its table, so the folded circuit equals
 ``specialize(network_to_circuit(van_voorhis16()), 15, pin_bit)`` gate for
 gate, without the 16-input circuit being built and checked first.
 
+The majority circuits are fixed, so, like the builders in ``constructions``,
+``majority_circuit`` composes the gates and output references of each size
+and pin once per process, on first use (``functools.cache`` on a private
+table function, never at import); the threshold only picks the output wire.
+Every call still returns a new ``MonotoneCircuit`` that checks each gate of
+the table, and no circuit, depth or verdict outlives a call.
+
 Truth tables are slices as in ``_bitslice``.  ``is_threshold`` sweeps only
 what the comparators at the front of the circuit can output: input pairs
 (i, j) whose only readers are one AND and one OR gate of x_i and x_j, and
@@ -38,6 +45,7 @@ and where the probe runs), and no value it holds exceeds one block's bits.
 from __future__ import annotations
 
 import operator
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from . import _bitslice
@@ -101,10 +109,13 @@ def _fold(gates: list[Gate], base: int, kind: str, a: int, b: int) -> int:
     return b if a < 2 else a
 
 
-def _to_circuit(net: Network, pin: int | None = None, bit: int = 0) -> MonotoneCircuit:
-    """The circuit of ``net``, with input ``pin`` (if any) held at ``bit``
-    and the inputs above it shifted down by one: gate for gate what
-    ``specialize(network_to_circuit(net), pin, bit)`` makes."""
+def _compose(
+    net: Network, pin: int | None = None, bit: int = 0
+) -> tuple[int, tuple[Gate, ...], tuple[int, ...]]:
+    """Input count, gates and output references of the circuit of ``net``,
+    with input ``pin`` (if any) held at ``bit`` and the inputs above it
+    shifted down by one: gate for gate what
+    ``specialize(network_to_circuit(net), pin, bit)`` makes, unchecked."""
     width = net.width
     if pin is None:
         n, refs = width, list(range(2, width + 2))
@@ -116,7 +127,12 @@ def _to_circuit(net: Network, pin: int | None = None, bit: int = 0) -> MonotoneC
         a, b = refs[low], refs[high]
         refs[low] = _fold(gates, base, AND, a, b)
         refs[high] = _fold(gates, base, OR, a, b)
-    return MonotoneCircuit(n, tuple(gates), tuple(refs))
+    return n, tuple(gates), tuple(refs)
+
+
+def _to_circuit(net: Network, pin: int | None = None, bit: int = 0) -> MonotoneCircuit:
+    """The checked circuit of ``_compose``."""
+    return MonotoneCircuit(*_compose(net, pin, bit))
 
 
 def network_to_circuit(net: Network) -> MonotoneCircuit:
@@ -132,8 +148,9 @@ def evaluate_slices(
     if len(input_slices) != circuit.n_inputs:
         raise ValueError(f"{len(input_slices)} input slices for {circuit.n_inputs} inputs")
     vals = [0, (1 << nbits) - 1, *input_slices]
+    append = vals.append
     for kind, a, b in circuit.gates:
-        vals.append(vals[a] & vals[b] if kind == AND else vals[a] | vals[b])
+        append(vals[a] & vals[b] if kind == AND else vals[a] | vals[b])
     return [vals[r] for r in circuit.outputs]
 
 
@@ -142,8 +159,10 @@ def cone_depth(circuit: MonotoneCircuit, wire: int) -> int:
     if not 0 <= wire < len(circuit.outputs):
         raise ValueError(f"no output wire {wire}")
     depths = [0] * (circuit.n_inputs + 2)
+    append = depths.append
     for _, a, b in circuit.gates:
-        depths.append(1 + max(depths[a], depths[b]))
+        x, y = depths[a], depths[b]
+        append(x + 1 if x > y else y + 1)
     return depths[circuit.outputs[wire]]
 
 
@@ -219,7 +238,8 @@ def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):
     version converts the sorter with its last input pinned to ``pin_bit``,
     folding the constant in as it goes: the circuit ``specialize`` would
     make of the 16-input one, without building that first.  At 16
-    variables no input is pinned, and ``pin_bit`` must be 0.
+    variables no input is pinned, and ``pin_bit`` must be 0.  The arguments
+    are checked before the gate table of the size and pin is looked up.
     """
     if n_vars not in (15, 16):
         raise ValueError("majority circuits are built for 15 or 16 variables")
@@ -229,12 +249,18 @@ def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):
         raise ValueError(f"threshold {k} out of range for {n_vars} variables")
     if not isinstance(pin_bit, int) or pin_bit not in (0, 1):
         raise ValueError("pin_bit must be 0 or 1")
-    if n_vars == 16:
-        if pin_bit:
-            raise ValueError("no input is pinned at 16 variables: pin_bit must be 0")
-        return network_to_circuit(van_voorhis16()), 16 - k
+    if n_vars == 16 and pin_bit:
+        raise ValueError("no input is pinned at 16 variables: pin_bit must be 0")
     # Sorter output 16 - j is 1 iff at least j of its 16 inputs are 1, the pinned one included.
-    return _to_circuit(van_voorhis16(), 15, pin_bit), 16 - k - pin_bit
+    return MonotoneCircuit(*_majority_table(n_vars, pin_bit)), 16 - k - pin_bit
+
+
+@cache
+def _majority_table(n_vars: int, pin_bit: int) -> tuple[int, tuple[Gate, ...], tuple[int, ...]]:
+    """The fields of a majority circuit, composed on first use."""
+    if n_vars == 16:
+        return _compose(van_voorhis16())
+    return _compose(van_voorhis16(), 15, pin_bit)
 
 
 def render_gate_list(circuit: MonotoneCircuit) -> str:

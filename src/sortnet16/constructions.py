@@ -28,9 +28,9 @@ The networks are fixed, so each builder makes its tuple of tagged
 comparators once per builder and size, on first use (``functools.cache``
 on a private table function, never at import).  The builder checks its
 argument before the table is looked up, and every call still returns a
-new ``Network`` that checks each comparator of the table once.  Only
-comparator tables are cached: no ``Network``, poset or verdict outlives a
-call.
+new ``Network`` that checks each comparator of the table once.
+``circuits.majority_circuit`` keeps its gate tables the same way, and no
+``Network``, circuit, poset or verdict outlives a call.
 """
 
 from __future__ import annotations

@@ -455,6 +455,15 @@ def test_one_block_rows_equal_the_walk_and_the_columns(monkeypatch):
     assert direct == 53 + 54 + 38 + 24
 
 
+def test_the_pair_walk_goes_nearest_first():
+    # Every ordered pair of distinct wires, by distance and then by (a, b):
+    # the two shorter pairs through a wire between a and b come first.
+    for width in range(2, _bitslice.MAX_WIDTH + 1):
+        pairs = [(a, b) for a in range(width) for b in range(width) if a != b]
+        pairs.sort(key=lambda p: (abs(p[0] - p[1]), p))
+        assert _bitslice._nearest_first(width) == tuple(pairs)
+
+
 def test_degenerate_rows_reach_the_poset_on_either_path(monkeypatch):
     # No comparator network keeps two wires equal on every binary input:
     # flipping input bits 0 to 1 one at a time flips exactly one output

@@ -3,11 +3,12 @@
 Each builder makes its comparator table once, on first use, and then only
 constructs and checks one ``Network`` per call (pinned per builder by
 ``test_constructions.py::test_each_builder_checks_its_comparators_once``).
-A majority circuit is one ``Network`` and one ``MonotoneCircuit``, with no
-``specialize`` pass: the 15-input circuit is folded while the network is
-converted.  Importing the package, or running its CLI for the version,
-builds no table.  A change to the construction layer fails here rather
-than only in a benchmark row.
+``majority_circuit`` makes its gate table once per size and pin the same
+way: the first call is one ``Network`` and one ``MonotoneCircuit``, with no
+``specialize`` pass (the 15-input circuit is folded while the network is
+converted), and every later call is one ``MonotoneCircuit``.  Importing the
+package, or running its CLI for the version, builds no table.  A change to
+the construction layer fails here rather than only in a benchmark row.
 """
 
 import json
@@ -20,7 +21,14 @@ from pathlib import Path
 import pytest
 
 import sortnet16
-from sortnet16 import MonotoneCircuit, Network, circuits, constructions, majority_circuit
+from sortnet16 import (
+    MonotoneCircuit,
+    Network,
+    circuits,
+    constructions,
+    majority_circuit,
+    van_voorhis16,
+)
 
 
 @pytest.fixture
@@ -50,27 +58,53 @@ def built(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("cold", [True, False], ids=["first call", "cached"])
-@pytest.mark.parametrize("n_vars, pin_bit", [(16, 0), (15, 0), (15, 1)])
-def test_a_majority_circuit_is_one_network_and_one_circuit(built, n_vars, pin_bit, cold):
+MAJORITY = [(16, 0), (15, 0), (15, 1)]
+
+
+@pytest.mark.parametrize("cold", [True, False], ids=["first call", "warm"])
+@pytest.mark.parametrize("n_vars, pin_bit", MAJORITY)
+def test_a_majority_circuit_is_one_network_and_one_circuit_then_one_circuit(
+    built, n_vars, pin_bit, cold
+):
     if cold:
+        circuits._majority_table.cache_clear()
         constructions._van_voorhis_table.cache_clear()
         constructions._fixed16.cache_clear()
+    else:
+        majority_circuit(n_vars, pin_bit=pin_bit)
+        built.clear()
     circuit, _ = majority_circuit(n_vars, pin_bit=pin_bit)
     assert circuit.n_inputs == n_vars
-    assert built == {"Network": 1, "MonotoneCircuit": 1}
-    assert built["specialize"] == 0
+    assert built == ({"Network": 1, "MonotoneCircuit": 1} if cold else {"MonotoneCircuit": 1})
+
+
+@pytest.mark.parametrize("n_vars, pin_bit", MAJORITY)
+def test_every_majority_call_returns_a_new_circuit_of_the_same_gates(n_vars, pin_bit):
+    pin = None if n_vars == 16 else 15
+    converted = circuits._to_circuit(van_voorhis16(), pin, pin_bit)
+    wires = set()
+    for k in range(1, n_vars + 1):
+        first, wire = majority_circuit(n_vars, k, pin_bit=pin_bit)
+        second, again = majority_circuit(n_vars, k, pin_bit=pin_bit)
+        assert first == second == converted
+        assert first is not second
+        assert wire == again
+        wires.add(wire)
+    # Each threshold picks its own output of the one table.
+    assert len(wires) == n_vars
 
 
 _TABLE_PROBE = """
 import contextlib, io, json, runpy, sys
 import sortnet16
+import sortnet16.circuits as circuits
 import sortnet16.constructions as constructions
 
 def filled():
     return {
-        name: f.cache_info().currsize
-        for name, f in sorted(vars(constructions).items())
+        f"{module.__name__.rsplit('.', 1)[1]}.{name}": f.cache_info().currsize
+        for module in (circuits, constructions)
+        for name, f in sorted(vars(module).items())
         if hasattr(f, "cache_info")
     }
 
@@ -84,6 +118,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 report.append(filled())
 constructions.green16()
 report.append(filled())
+circuits.majority_circuit(15, pin_bit=1)
+report.append(filled())
 print(json.dumps([code, report]))
 """
 
@@ -96,9 +132,20 @@ def test_import_and_version_build_no_table():
         [sys.executable, "-c", _TABLE_PROBE], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    code, (imported, after_version, after_green) = json.loads(proc.stdout)
+    code, (imported, after_version, after_green, after_majority) = json.loads(proc.stdout)
     assert code == 0
-    tables = ["_batcher_table", "_cube_table", "_fixed16", "_green_table", "_van_voorhis_table"]
+    tables = [
+        "circuits._majority_table",
+        "constructions._batcher_table",
+        "constructions._cube_table",
+        "constructions._fixed16",
+        "constructions._green_table",
+        "constructions._van_voorhis_table",
+    ]
     assert imported == after_version == dict.fromkeys(tables, 0)
     # The probe sees a table once a builder has made it.
-    assert after_green == {**imported, "_fixed16": 1, "_green_table": 1}
+    green = {"constructions._fixed16": 1, "constructions._green_table": 1}
+    assert after_green == {**imported, **green}
+    assert after_majority == {
+        **after_green, "circuits._majority_table": 1, "constructions._van_voorhis_table": 1
+    }
