@@ -7,13 +7,13 @@ lexicographic order of input vectors.  A slice is a Python int, and a
 comparator is one AND (the minimum) plus one OR (the maximum) of two slices.
 
 A network reaches the engine as its width and one sequence of
-``(low, high)`` wire pairs, ``Network.pairs()``: ``evaluate(width, pairs)``,
-``first_unsorted(width, pairs)``, ``leq_masks(width, pairs)``.  ``Network``
-has checked the pairs; the engine checks only the width.  ``evaluate`` runs
-a network on every input.  Only ``_sweep`` reads ``layouts``; ``analysis``
-(claims a-d) and ``circuits.is_threshold`` read its blocks and count ones
-with ``at_least``.  Every input slice is built by ``_product_inputs``, and
-a block's lanes are the vectors its input slices spell out.
+``(low, high)`` wire pairs, ``Network.pairs()``: ``first_unsorted(width,
+pairs)`` and ``leq_masks(width, pairs)``.  ``Network`` has checked the
+pairs; the engine checks only the width.  Only ``_sweep`` reads
+``layouts``; ``analysis`` (claims a-d) and ``circuits.is_threshold`` read
+its blocks and count ones with ``at_least``.  Every input slice is built by
+``_product_inputs``, and a block's lanes are the vectors its input slices
+spell out.
 
 The two reductions sweep what the network's first layer can output, not
 every input.  The first layer is the comparators whose two wires no earlier
@@ -105,15 +105,6 @@ def vector_of(index: int, width: int) -> tuple[int, ...]:
 def lowest(bits: int) -> int:
     """Least input index whose bit is set in the slice ``bits``, or -1."""
     return (bits & -bits).bit_length() - 1
-
-
-def evaluate(width: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Final slices, one int per wire, over all 2**width inputs."""
-    check_width(width)
-    # The product of radix-2 digits is index order; built per call, not
-    # cached, so a whole-input table never displaces a sweep's inputs.
-    lanes, low = _product_inputs.__wrapped__((0,) * width)
-    return _compare(list(low), pairs, (1 << lanes) - 1)
 
 
 def _compare(rows: list[int], pairs: Iterable[tuple[int, int]], full: int) -> list[int]:

@@ -87,11 +87,11 @@ from .constructions import (
     M_WIRES,
     MIDDLE_LAYER,
     UPPER_TETRAD,
+    _SORTER4,
     batcher_sorter,
     green16,
     green16_naive_merge,
     hypercube_phase,
-    sorter4,
     strategy_sorter,
     van_voorhis16,
 )
@@ -105,10 +105,12 @@ DEFAULT_SEED = 0xC0FFEE
 
 CLAIM_NAMES = ("a", "b", "c", "d")
 
-_SORTER4 = sorter4()  # sorts the four wires of layer I or III in sampled mode
-
 # Sampled mode: permutations are drawn and checked this many at a time.
 SAMPLE_BLOCK = 1 << 16
+# Largest sample, the input count of the widest exhaustive sweep
+# (``_bitslice.MAX_WIDTH``).  A budget of time: 2**26 samples took 6.5-7.4 s
+# (two runs, 2-vCPU VM), ~16 MB peak, and the time grows with the count.
+MAX_SAMPLES = 1 << 26
 # Rounds of random bits a step of the draw takes before it gives a lane up.
 ROUNDS = 4
 
@@ -298,9 +300,9 @@ def _lane_values(wires: Sequence[Planes], k: int) -> tuple[int, ...]:
 def _sampled_masks(out: list[Planes], full: int) -> dict[str, int]:
     """Per-lane verdicts of claims a-d on outputs of permutations of 0..15,
     on which rank r is the value r (see the module docstring)."""
-    pairs4 = _SORTER4.pairs()
-    l1 = _compare_planes([out[w] for w in CUBE_LAYER1], pairs4)
-    l3 = _compare_planes([out[w] for w in CUBE_LAYER3], pairs4)
+    # Layers I and III sorted by the pairs of ``sorter4``.
+    l1 = _compare_planes([out[w] for w in CUBE_LAYER1], _SORTER4)
+    l3 = _compare_planes([out[w] for w in CUBE_LAYER3], _SORTER4)
     m = [*(out[w] for w in MIDDLE_LAYER), l3[0], l1[3]]
 
     def ge(v, c):
@@ -356,11 +358,13 @@ def check_observations(
     bit-slice engine; ``mode=SAMPLED`` spot-checks ``samples`` permutations
     of 0..15 drawn from ``seed``.  A failing claim carries its least
     counterexample: the lexicographically least binary input vector, or the
-    first failing permutation of the sample.  ``samples`` must be at least 1
-    in either mode.
+    first failing permutation of the sample.  ``samples`` must lie in
+    1 .. MAX_SAMPLES in either mode.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     if prefix is None:
         prefix = hypercube_phase(4)
     if prefix.width != 16:

@@ -14,15 +14,11 @@ turns them into names (``0``, ``1``, ``x<i>``, ``g<id>``).  A ``Gate`` is a
 plain ``(kind, a, b)`` record; the ``MonotoneCircuit`` that holds it checks
 its kind and operands.
 
-One helper, ``_fold``, holds the constant-folding rules, and both builders
-of folded circuits send every gate through it: ``specialize`` the gates of
-a circuit with one input pinned, and the network conversion each
-comparator's AND and then its OR.  ``majority_circuit(15)`` converts van
-Voorhis's network with its last input pinned.  The conversion meets the
-same gates in the same order, with the operands that ``specialize`` would
-read through its table, so the folded circuit equals
-``specialize(network_to_circuit(van_voorhis16()), 15, pin_bit)`` gate for
-gate, without the 16-input circuit being built and checked first.
+A network's circuit has no constants, so ``network_to_circuit`` appends
+each comparator's AND and then its OR as they are.  ``specialize`` is the one
+code that pins an input: it sends every gate through ``_fold``, which holds
+the constant-folding rules.  ``majority_circuit(15)`` is van Voorhis's
+circuit with its last input pinned by ``specialize``.
 
 The majority circuits are fixed, so, like the builders in ``constructions``,
 ``majority_circuit`` composes the gates and output references of each size
@@ -109,35 +105,16 @@ def _fold(gates: list[Gate], base: int, kind: str, a: int, b: int) -> int:
     return b if a < 2 else a
 
 
-def _compose(
-    net: Network, pin: int | None = None, bit: int = 0
-) -> tuple[int, tuple[Gate, ...], tuple[int, ...]]:
-    """Input count, gates and output references of the circuit of ``net``,
-    with input ``pin`` (if any) held at ``bit`` and the inputs above it
-    shifted down by one: gate for gate what
-    ``specialize(network_to_circuit(net), pin, bit)`` makes, unchecked."""
-    width = net.width
-    if pin is None:
-        n, refs = width, list(range(2, width + 2))
-    else:
-        n, refs = width - 1, [*range(2, pin + 2), bit, *range(pin + 2, width + 1)]
-    base = n + 2
+def network_to_circuit(net: Network) -> MonotoneCircuit:
+    """AND/OR circuit computing exactly what the network computes on bits."""
+    n = net.width
+    refs = list(range(2, n + 2))
     gates: list[Gate] = []
     for low, high, _ in net.comparators:
         a, b = refs[low], refs[high]
-        refs[low] = _fold(gates, base, AND, a, b)
-        refs[high] = _fold(gates, base, OR, a, b)
-    return n, tuple(gates), tuple(refs)
-
-
-def _to_circuit(net: Network, pin: int | None = None, bit: int = 0) -> MonotoneCircuit:
-    """The checked circuit of ``_compose``."""
-    return MonotoneCircuit(*_compose(net, pin, bit))
-
-
-def network_to_circuit(net: Network) -> MonotoneCircuit:
-    """AND/OR circuit computing exactly what the network computes on bits."""
-    return _to_circuit(net)
+        refs[low], refs[high] = n + 2 + len(gates), n + 3 + len(gates)
+        gates += (_new_gate(Gate, (AND, a, b)), _new_gate(Gate, (OR, a, b)))
+    return MonotoneCircuit(n, tuple(gates), tuple(refs))
 
 
 def evaluate_slices(
@@ -235,16 +212,16 @@ def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):
 
     Returns ``(circuit, wire)`` where ``wire`` names the output computing
     the k-of-n threshold.  The default k is ceil(n/2).  The 15-variable
-    version converts the sorter with its last input pinned to ``pin_bit``,
-    folding the constant in as it goes: the circuit ``specialize`` would
-    make of the 16-input one, without building that first.  At 16
-    variables no input is pinned, and ``pin_bit`` must be 0.  The arguments
-    are checked before the gate table of the size and pin is looked up.
+    version is ``specialize`` of the 16-input circuit with its last input
+    pinned to ``pin_bit``; at 16 variables no input is pinned, and
+    ``pin_bit`` must be 0.  ``n_vars`` and ``k`` are read as integers, and
+    the arguments are checked before the gate table of the size and pin is
+    looked up.
     """
+    n_vars = operator.index(n_vars)
     if n_vars not in (15, 16):
         raise ValueError("majority circuits are built for 15 or 16 variables")
-    if k is None:
-        k = (n_vars + 1) // 2
+    k = (n_vars + 1) // 2 if k is None else operator.index(k)
     if not 1 <= k <= n_vars:
         raise ValueError(f"threshold {k} out of range for {n_vars} variables")
     if not isinstance(pin_bit, int) or pin_bit not in (0, 1):
@@ -258,9 +235,10 @@ def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):
 @cache
 def _majority_table(n_vars: int, pin_bit: int) -> tuple[int, tuple[Gate, ...], tuple[int, ...]]:
     """The fields of a majority circuit, composed on first use."""
-    if n_vars == 16:
-        return _compose(van_voorhis16())
-    return _compose(van_voorhis16(), 15, pin_bit)
+    circuit = network_to_circuit(van_voorhis16())
+    if n_vars == 15:
+        circuit = specialize(circuit, 15, pin_bit)
+    return circuit.n_inputs, circuit.gates, circuit.outputs
 
 
 def render_gate_list(circuit: MonotoneCircuit) -> str:

@@ -116,14 +116,15 @@ def test_observations_reject_bad_inputs():
 
 
 @pytest.mark.parametrize("mode", [EXHAUSTIVE, SAMPLED])
-@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("samples", [0, -1, analysis.MAX_SAMPLES + 1, 10**20])
 def test_observations_refuse_bad_sample_counts(monkeypatch, mode, samples):
     def evaluated(*args):
         raise AssertionError("evaluated before the sample count was checked")
 
     monkeypatch.setattr(analysis, "_exhaustive_claims", evaluated)
     monkeypatch.setattr(analysis, "_draw_permutations", evaluated)
-    with pytest.raises(ValueError, match="samples must be at least 1"):
+    bound = "at least 1" if samples < 1 else f"at most {1 << 26}"
+    with pytest.raises(ValueError, match=f"samples must be {bound}, got {samples}"):
         check_observations(mode=mode, samples=samples)
 
 

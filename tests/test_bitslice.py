@@ -1,6 +1,7 @@
 """The slice engine against per-vector ``Network.apply``, in every environment."""
 
 import random
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -79,6 +80,31 @@ def slice_bit(row, index):
     return (row >> index) & 1
 
 
+@cache
+def whole_inputs(width):
+    """Slice of each wire over all 2**width inputs, from the definition of
+    the input order alone: bit v of wire i is bit width - 1 - i of v, so
+    wire i reads runs of 2**(width - 1 - i) zeros and as many ones."""
+    rows = []
+    for i in range(width):
+        run = 1 << (width - 1 - i)
+        row, period = ((1 << run) - 1) << run, 2 * run
+        while period < 1 << width:
+            row |= row << period
+            period *= 2
+        rows.append(row)
+    return tuple(rows)
+
+
+def whole_outputs(pairs, inputs):
+    """Output slices of the comparators ``pairs`` run on the input slices
+    ``inputs``."""
+    rows = list(inputs)
+    for a, b in pairs:
+        rows[a], rows[b] = rows[a] & rows[b], rows[a] | rows[b]
+    return rows
+
+
 def assert_slices_match_apply(net, slices, inputs):
     for v in inputs:
         assert [slice_bit(row, v) for row in slices] == net.apply(bits_of(v, net.width))
@@ -93,7 +119,7 @@ def assert_engine_matches_apply(net):
 def test_empty_networks(width):
     net = Network(width)
     assert_engine_matches_apply(net)
-    slices = _bitslice.evaluate(width, [])
+    slices = whole_inputs(width)
     assert len(slices) == width
     assert_slices_match_apply(net, slices, range(1 << width))
     # No bit is set past the last input.
@@ -174,7 +200,7 @@ def test_sweep_rows_equal_the_int_slices(width):
     nets += [random_network(rng, width=width, size=s) for s in (width, 6 * width)]
     probed = set()
     for net in nets:
-        whole = [lane_bits(row, 1 << width) for row in _bitslice.evaluate(width, net.pairs())]
+        whole = [lane_bits(row, 1 << width) for row in whole_outputs(net.pairs(), whole_inputs(width))]
         blocks = swept_blocks(width, net.pairs())
         for index, rows, _ in blocks:
             for row, column in zip(rows, whole):
@@ -351,11 +377,11 @@ def test_random_sorters_and_non_sorters_past_the_probe(width):
     assert_engine_matches_apply(Network(width, prefix + tuple(suffix)))
 
 
-def test_evaluate_matches_apply_bit_for_bit():
+def test_whole_input_slices_match_apply_bit_for_bit():
     rng = random.Random(0xB17)
     for _ in range(40):
         net = random_network(rng, width=rng.randint(2, 9))
-        slices = _bitslice.evaluate(net.width, net.pairs())
+        slices = whole_outputs(net.pairs(), whole_inputs(net.width))
         assert_slices_match_apply(net, slices, range(1 << net.width))
 
 
@@ -366,12 +392,12 @@ def test_the_classics(build):
     # A sorter's outputs form one chain: wire a is at most every wire above it.
     chain = [sum(1 << b for b in range(a, 16)) for a in range(16)]
     assert _bitslice.leq_masks(16, net.pairs()) == chain
-    slices = _bitslice.evaluate(16, net.pairs())
+    slices = whole_outputs(net.pairs(), whole_inputs(16))
     assert_slices_match_apply(net, slices, random.Random(0xC1A5).sample(range(1 << 16), 2000))
 
 
 def test_width_ceiling():
-    for fn in (_bitslice.first_unsorted, _bitslice.leq_masks, _bitslice.evaluate):
+    for fn in (_bitslice.first_unsorted, _bitslice.leq_masks):
         with pytest.raises(ValueError):
             fn(_bitslice.MAX_WIDTH + 1, [])
 
@@ -392,23 +418,12 @@ def test_at_least_counts_ones_per_input(k):
 
 @pytest.mark.parametrize("width", range(BLOCK_BITS - 3, BLOCK_BITS + 3))
 def test_input_slices_follow_vector_of(width):
-    slices = _bitslice.evaluate(width, [])
+    slices = whole_inputs(width)
     assert all(row >> (1 << width) == 0 for row in slices)
     rng = random.Random(width)
     last = (1 << width) - 1
     for v in [0, 1, last - 1, last] + [rng.randrange(1 << width) for _ in range(200)]:
         assert tuple(slice_bit(row, v) for row in slices) == _bitslice.vector_of(v, width)
-
-
-def test_evaluate_leaves_the_sweep_cache_alone():
-    # evaluate builds its input slices per call, so a whole-input table
-    # never takes a first layer's place in the sweep's cache.
-    before = _bitslice._product_inputs.cache_info()
-    slices = _bitslice.evaluate(20, [])
-    assert _bitslice._product_inputs.cache_info() == before  # currsize, hits, misses
-    rng = random.Random(20)
-    for v in [0, 1, (1 << 20) - 1] + [rng.randrange(1 << 20) for _ in range(200)]:
-        assert tuple(slice_bit(row, v) for row in slices) == _bitslice.vector_of(v, 20)
 
 
 def paired_network(rng, width, size):
@@ -495,7 +510,7 @@ def test_the_probe_always_runs_past_16_wires():
         if width > 16:
             probe, t, lanes, low, tops = parts[0]
             assert (t, lanes, list(tops)) == (width - PROBE_BITS, 1 << PROBE_BITS, [0])
-            assert list(low) == _bitslice.evaluate(PROBE_BITS, [])
+            assert low == whole_inputs(PROBE_BITS)
 
 
 def test_a_refutation_inside_the_probe_builds_no_product(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,8 +26,16 @@ from sortnet16 import (
 from sortnet16 import _bitslice, circuits
 from sortnet16.circuits import _front_pairs, evaluate_slices
 
-from test_bitslice import bits_of, chained, output_columns, slice_bit
+from test_bitslice import (
+    bits_of,
+    chained,
+    output_columns,
+    slice_bit,
+    whole_inputs,
+    whole_outputs,
+)
 from test_network import random_network
+from test_small_blocks import cases
 
 
 def constructed_networks():
@@ -47,13 +56,13 @@ def constructed_networks():
 
 
 def network_slices(net):
-    return _bitslice.evaluate(net.width, net.pairs())
+    return whole_outputs(net.pairs(), whole_inputs(net.width))
 
 
 def evaluate_all(circuit):
     """Output slices over all 2**n_inputs binary inputs at once."""
     n = circuit.n_inputs
-    return evaluate_slices(circuit, _bitslice.evaluate(n, []), 1 << n)
+    return evaluate_slices(circuit, whole_inputs(n), 1 << n)
 
 
 def threshold_slice(n, k):
@@ -61,7 +70,7 @@ def threshold_slice(n, k):
     full = (1 << (1 << n)) - 1
     if k <= 0:
         return full
-    return _bitslice.at_least(_bitslice.evaluate(n, []), full, k)[k]
+    return _bitslice.at_least(whole_inputs(n), full, k)[k]
 
 
 def test_single_comparator_circuit():
@@ -358,11 +367,9 @@ def test_specialize_constant_folding():
 
 
 def specializations():
-    """(circuit, index, bit, specialized circuit, pinned conversion) for
-    every input index and both bits, on the constructed networks (both
-    classic sorters among them) and seeded random networks of widths 2-10.
-    The pinned conversion is the network converted with the input held at
-    the bit."""
+    """(circuit, index, bit, specialized circuit) for every input index and
+    both bits, on the constructed networks (both classic sorters among them)
+    and seeded random networks of widths 2-10."""
     rng = random.Random(0x5EC)
     nets = constructed_networks() + [
         random_network(rng, width, rng.randint(0, 4 * width))
@@ -374,21 +381,43 @@ def specializations():
         for index in range(net.width):
             for bit in (0, 1):
                 reduced = specialize(circuit, index, bit)
-                yield circuit, index, bit, reduced, circuits._to_circuit(net, index, bit)
+                yield circuit, index, bit, reduced
+
+
+def pinned_inputs(width, held):
+    """Input slices of ``width`` wires over all inputs of the wires not in
+    ``held``, each wire in ``held`` fixed at its bit."""
+    free = [i for i in range(width) if i not in held]
+    inputs = iter(whole_inputs(len(free)))
+    full = (1 << (1 << len(free))) - 1
+    return [full * held[i] if i in held else next(inputs) for i in range(width)]
 
 
 def test_specialize_preserves_function():
-    for circuit, index, bit, reduced, converted in specializations():
+    for circuit, index, bit, reduced in specializations():
         n = circuit.n_inputs - 1
         assert reduced.n_inputs == n
         # original circuit driven with the pinned input held constant
-        patterns = _bitslice.evaluate(n, [])
-        nbits = 1 << n
-        pinned = (1 << nbits) - 1 if bit else 0
-        driven = patterns[:index] + [pinned] + patterns[index:]
-        assert evaluate_all(reduced) == evaluate_slices(circuit, driven, nbits), (index, bit)
-        # The pinned conversion is the same circuit, gate for gate.
-        assert converted == reduced, (index, bit)
+        driven = pinned_inputs(circuit.n_inputs, {index: bit})
+        assert evaluate_all(reduced) == evaluate_slices(circuit, driven, 1 << n), (index, bit)
+
+
+def test_specialize_pinned_twice_on_every_small_network():
+    # specialize is the only code that folds a constant.  Every network of
+    # at most 3 comparators on 4 wires, pinned at each input to 0 and to 1,
+    # then once more, against the network's whole-input slices with the
+    # pinned wires held constant.
+    for pairs, *_ in cases(4, 3):
+        circuit = network_to_circuit(Network(4, pairs))
+        for index, bit in product(range(4), (0, 1)):
+            once = specialize(circuit, index, bit)
+            held = {index: bit}
+            assert evaluate_all(once) == whole_outputs(pairs, pinned_inputs(4, held))
+            free = [i for i in range(4) if i != index]
+            for again, again_bit in product(range(3), (0, 1)):
+                twice = specialize(once, again, again_bit)
+                want = whole_outputs(pairs, pinned_inputs(4, {**held, free[again]: again_bit}))
+                assert evaluate_all(twice) == want, (pairs, index, bit, again, again_bit)
 
 
 def unreachable_gates(circuit):
@@ -404,10 +433,9 @@ def unreachable_gates(circuit):
 def test_specialize_leaves_every_gate_reachable():
     # specialize folds in one sweep with no liveness pass: on the circuits of
     # networks, pinned once or twice, no gate may be left unreachable.
-    for circuit, index, bit, reduced, converted in specializations():
+    for circuit, index, bit, reduced in specializations():
         assert unreachable_gates(circuit) == []
         assert unreachable_gates(reduced) == [], (index, bit)
-        assert unreachable_gates(converted) == [], (index, bit)
         for again_index in range(reduced.n_inputs):
             for again_bit in (0, 1):
                 again = specialize(reduced, again_index, again_bit)
@@ -415,7 +443,7 @@ def test_specialize_leaves_every_gate_reachable():
 
 
 def test_specialize_never_deepens():
-    for circuit, index, bit, reduced, _ in specializations():
+    for circuit, index, bit, reduced in specializations():
         before = [cone_depth(circuit, w) for w in range(len(circuit.outputs))]
         after = [cone_depth(reduced, w) for w in range(len(reduced.outputs))]
         assert all(a <= b for a, b in zip(after, before)), (circuit, index, bit)
@@ -461,6 +489,18 @@ def test_majority_circuit_validation():
         majority_circuit(16, 17)
     with pytest.raises(ValueError):
         majority_circuit(15, pin_bit=2)
+
+
+@pytest.mark.parametrize("args", [(15.0,), (16, 8.5), (16.0, 8)])
+def test_majority_circuit_wants_integer_sizes_and_thresholds(args):
+    # Refused before any gate table is looked up.
+    circuits._majority_table.cache_clear()
+    with pytest.raises(TypeError):
+        majority_circuit(*args)
+    assert circuits._majority_table.cache_info() == (0, 0, None, 0)  # hits, misses, maxsize, size
+    circuit, wire = majority_circuit(np.int64(16), np.int8(9))
+    assert wire == 7 and type(wire) is int
+    assert is_threshold(circuit, wire, 9)
 
 
 def test_is_threshold_cap():

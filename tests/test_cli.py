@@ -213,12 +213,19 @@ def test_observations_command(capsys):
     assert out.count("holds") == 8
 
 
-@pytest.mark.parametrize("samples", ["0", "-1"])
-def test_observations_bad_sample_count_prints_nothing(capsys, samples):
+@pytest.mark.parametrize("samples", ["0", "-1", "100000000000000000000"])
+def test_observations_bad_sample_count_prints_nothing(capsys, monkeypatch, samples):
+    from sortnet16 import analysis
+
+    def drawn(*args):
+        raise AssertionError("the sample was drawn")
+
+    monkeypatch.setattr(analysis, "_draw_permutations", drawn)
     code, out, err = run(capsys, "observations", "--samples", samples)
     assert code == 2
     assert out == ""
-    assert err == f"error: samples must be at least 1, got {samples}\n"
+    bound = "at least 1" if int(samples) < 1 else f"at most {1 << 26}"
+    assert err == f"error: samples must be {bound}, got {samples}\n"
 
 
 @pytest.mark.parametrize("seed", ["0x", "12.5", "seven"])

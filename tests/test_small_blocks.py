@@ -6,10 +6,10 @@ probe, several top wires, skipped blocks, the once-per-sweep comparators and
 the pair walk of ``leq_masks``, which the real constants reach only past 12
 or 16 wires.  Every network of at most 4 comparators on 4 wires and at most
 3 on 5 and 6 wires (6,282 networks) is compared with whole-input slices
-built here from the definition of the input order, with no block, probe or
-first layer.  The circuits of all but the 3-comparator networks on 6 wires
-(2,907 networks) are checked on every output and threshold; the others
-would triple the test's time.
+built from the definition of the input order (``test_bitslice``), with no
+block, probe or first layer.  The circuits of all but the 3-comparator
+networks on 6 wires (2,907 networks) are checked on every output and
+threshold; the others would triple the test's time.
 """
 
 from functools import cache
@@ -18,6 +18,8 @@ from itertools import combinations, product
 import pytest
 
 from sortnet16 import Network, _bitslice, circuits, is_threshold, network_to_circuit
+
+from test_bitslice import whole_inputs, whole_outputs
 
 CONFIGS = [(probe, block) for probe in (1, 2) for block in (2, 3, 4)]
 # (wires, most comparators, most comparators whose circuits are checked)
@@ -32,18 +34,9 @@ def cases(width, most):
     found = []
     for size in range(most + 1):
         for pairs in product(comparators, repeat=size):
-            rows = outputs(width, pairs)
+            rows = whole_outputs(pairs, whole_inputs(width))
             found.append((pairs, rows, *oracle(width, rows)))
     return found
-
-
-@cache
-def whole_inputs(width):
-    """Slice of each wire over all inputs: bit v of wire i is bit
-    width - 1 - i of v."""
-    return tuple(
-        sum(1 << v for v in range(1 << width) if v >> (width - 1 - i) & 1) for i in range(width)
-    )
 
 
 @cache
@@ -53,14 +46,6 @@ def thresholds(width):
         k: sum(1 << v for v in range(1 << width) if v.bit_count() >= k)
         for k in range(-1, width + 2)
     }
-
-
-def outputs(width, pairs):
-    rows = list(whole_inputs(width))
-    for a, b in pairs:
-        x, y = rows[a], rows[b]
-        rows[a], rows[b] = x & y, x | y
-    return rows
 
 
 def oracle(width, rows):
@@ -122,7 +107,7 @@ def test_circuits_that_sweep_several_blocks(shrunk, width):
         circuit = network_to_circuit(Network(width, pairs))
         assert circuits._front_pairs(circuit) == [(0, 1)]
         assert len(list(_bitslice._sweep(width, [(0, 1)]))) >= 2
-        rows = outputs(width, pairs)
+        rows = whole_outputs(pairs, whole_inputs(width))
         assert_thresholds(circuit, rows)
         assert _bitslice.first_unsorted(width, pairs) == oracle(width, rows)[0]
     assert all(is_threshold(network_to_circuit(Network(width, sorter)), w, width - w)
