@@ -41,9 +41,7 @@ wires.  A first-layer pair with both wires low is one radix-3 digit (00, 01,
 digit, and a pair from a top wire to a low one keeps its comparator.  A
 block in which a pair inside the top wires reads 1, 0 is skipped: the block
 with the pair swapped has the same outputs.  Blocks come in index order of
-their top wires.  Comparators no top wire reaches compute the same slices in
-every block, so they run once per sweep.  An evaluation holds at most
-width * 2**BLOCK_BITS bits.
+their top wires.  An evaluation holds at most width * 2**BLOCK_BITS bits.
 
 ``first_unsorted`` stops at the first block with a failing lane.  The least
 failing input is a fixed point of the first layer (turning 1, 0 into 0, 1 on
@@ -67,11 +65,11 @@ from typing import Iterable, Iterator, Sequence
 
 # Widest input space the engine evaluates.  A budget of time, not memory.
 # The slowest sweep is of a network whose first layer is one comparator, 3/4
-# of all inputs: the 26-wire odd-even transposition sorter behind a chain
-# (0, 1), (1, 2), .. (24, 25), or (24, 25), (23, 24), .. (0, 1), takes
-# 0.16-0.26 s to verify and 0.21-0.43 s for its poset (three runs each,
-# 2-vCPU VM, which runs up to ~1.6x slower in its slow spells), and each
-# wire more doubles that.  The sorter alone takes 4-7 ms.
+# of all inputs: behind a chain (0, 1), (1, 2), .. (24, 25), or the same
+# chain from the bottom, the 26-wire odd-even transposition sorter takes
+# 0.16-0.22 s to verify and 0.21-0.30 s for its poset (nine runs each, one
+# sitting, 2-vCPU VM, up to ~1.6x slower in its slow spells); each wire more
+# doubles that.  The sorter alone takes 6-11 ms.
 MAX_WIDTH = 26
 
 # The probe: inputs 0 .. 2**PROBE_BITS - 1, swept first where the first
@@ -84,9 +82,8 @@ PROBE_BITS = 12
 # and 20 wires.  Smaller blocks pay more interpreter overhead (2**15 took
 # ~19% longer than 2**16).  At 2**17 the C allocator handed the slices a
 # call frees back to the system, so each later call faulted ~100 fresh pages
-# in and took 10-25% longer; with the once-per-sweep comparators, 2**17 and
-# 2**18 blocks ran the kernel 3% and 7% slower than 2**16 even without such
-# faults.
+# in and took 10-25% longer; 2**17 and 2**18 blocks also ran the kernel 3%
+# and 7% slower than 2**16 even without such faults.
 # The sweep's input slices are cached for the last few first layers and the
 # probe (``_product_inputs``).
 BLOCK_BITS = 16
@@ -242,25 +239,13 @@ def _sweep(
         full = (1 << lanes) - 1
         # The probe runs every comparator.  Elsewhere a pair from a top wire
         # to a low one keeps its comparator, ahead of the later ones, and a
-        # pair inside the top or the low wires is dropped.  Comparators no
-        # top wire reaches compute the same slices in every block: run them
-        # once.
-        once, each = [], []
-        if probe:
-            each = pairs
-        else:
-            crossing = [(a, partner[a]) for a in range(t) if partner[a] >= t]
-            reached = [i < t for i in range(width)]
-            for a, b in crossing + later:
-                if reached[a] or reached[b]:
-                    reached[a] = reached[b] = True
-                    each.append((a, b))
-                else:
-                    once.append((a, b))
-        swept = _compare([0] * t + list(low), once, full)[t:]
+        # pair inside the top or the low wires is dropped.
+        if not probe:
+            pairs = [(a, partner[a]) for a in range(t) if partner[a] >= t] + later
         for top in tops:
             rows = [full if top >> j & 1 else 0 for j in range(t - 1, -1, -1)]
-            yield rows + list(low), _compare(rows + swept, each, full), full
+            rows += low
+            yield rows, _compare(rows[:], pairs, full), full
 
 
 def _least(inputs: Sequence[int], lanes: int) -> int:

@@ -75,6 +75,7 @@ regression for the merge ordering.
 
 from __future__ import annotations
 
+import operator
 import random
 from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -358,9 +359,10 @@ def check_observations(
     bit-slice engine; ``mode=SAMPLED`` spot-checks ``samples`` permutations
     of 0..15 drawn from ``seed``.  A failing claim carries its least
     counterexample: the lexicographically least binary input vector, or the
-    first failing permutation of the sample.  ``samples`` must lie in
-    1 .. MAX_SAMPLES in either mode.
+    first failing permutation of the sample.  In either mode ``samples`` and
+    ``seed`` are read as integers, and ``samples`` must lie in 1 .. MAX_SAMPLES.
     """
+    samples, seed = operator.index(samples), operator.index(seed)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if samples > MAX_SAMPLES:

@@ -88,16 +88,13 @@ class MonotoneCircuit(_Record):
                 raise ValueError(f"bad output reference {ref!r}")
 
 
-_new_gate = tuple.__new__  # a Gate from its fields, as NamedTuple._make does
-
-
 def _fold(gates: list[Gate], base: int, kind: str, a: int, b: int) -> int:
     """Value index of ``kind`` of the values at ``a`` and ``b`` in a circuit
     whose gate f has index base + f.  A constant operand folds the gate
     (x AND 0 = 0, x AND 1 = x, x OR 1 = 1, x OR 0 = x); otherwise the gate
     is appended to ``gates``."""
     if a > 1 and b > 1:
-        gates.append(_new_gate(Gate, (kind, a, b)))
+        gates.append(Gate(kind, a, b))
         return base + len(gates) - 1
     absorbing = 0 if kind == AND else 1
     if absorbing in (a, b):
@@ -113,7 +110,7 @@ def network_to_circuit(net: Network) -> MonotoneCircuit:
     for low, high, _ in net.comparators:
         a, b = refs[low], refs[high]
         refs[low], refs[high] = n + 2 + len(gates), n + 3 + len(gates)
-        gates += (_new_gate(Gate, (AND, a, b)), _new_gate(Gate, (OR, a, b)))
+        gates += (Gate(AND, a, b), Gate(OR, a, b))
     return MonotoneCircuit(n, tuple(gates), tuple(refs))
 
 
@@ -214,9 +211,9 @@ def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):
     the k-of-n threshold.  The default k is ceil(n/2).  The 15-variable
     version is ``specialize`` of the 16-input circuit with its last input
     pinned to ``pin_bit``; at 16 variables no input is pinned, and
-    ``pin_bit`` must be 0.  ``n_vars`` and ``k`` are read as integers, and
-    the arguments are checked before the gate table of the size and pin is
-    looked up.
+    ``pin_bit`` must be 0.  ``n_vars``, ``k`` and ``pin_bit`` are read as
+    integers, and the arguments are checked before the gate table of the
+    size and pin is looked up.
     """
     n_vars = operator.index(n_vars)
     if n_vars not in (15, 16):
@@ -224,7 +221,8 @@ def majority_circuit(n_vars: int, k: int | None = None, *, pin_bit: int = 0):
     k = (n_vars + 1) // 2 if k is None else operator.index(k)
     if not 1 <= k <= n_vars:
         raise ValueError(f"threshold {k} out of range for {n_vars} variables")
-    if not isinstance(pin_bit, int) or pin_bit not in (0, 1):
+    pin_bit = operator.index(pin_bit)
+    if pin_bit not in (0, 1):
         raise ValueError("pin_bit must be 0 or 1")
     if n_vars == 16 and pin_bit:
         raise ValueError("no input is pinned at 16 variables: pin_bit must be 0")

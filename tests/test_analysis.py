@@ -128,6 +128,31 @@ def test_observations_refuse_bad_sample_counts(monkeypatch, mode, samples):
         check_observations(mode=mode, samples=samples)
 
 
+@pytest.mark.parametrize("mode", [EXHAUSTIVE, SAMPLED])
+@pytest.mark.parametrize("arg", ["samples", "seed"])
+@pytest.mark.parametrize("bad", [float("nan"), 10.5, 1.5, 100.0])
+def test_observations_want_integer_sample_counts_and_seeds(monkeypatch, mode, arg, bad):
+    # A NaN count passed both range checks and drew without end; a float
+    # seed gave a report whose lines could not be written.
+    def evaluated(*args):
+        raise AssertionError("evaluated before the arguments were read")
+
+    monkeypatch.setattr(analysis, "_exhaustive_claims", evaluated)
+    monkeypatch.setattr(analysis, "_draw_permutations", evaluated)
+    with pytest.raises(TypeError):
+        check_observations(mode=mode, **{arg: bad})
+
+
+def test_observations_read_bools_and_numpy_integers_as_ints():
+    report = check_observations(mode=SAMPLED, samples=True, seed=np.int64(7))
+    assert (report.inputs_checked, report.seed) == (1, 7)
+    assert type(report.inputs_checked) is int and type(report.seed) is int
+    assert report.to_lines()[0].endswith("inputs=1 seed=0x7")
+    assert report == check_observations(mode=SAMPLED, samples=1, seed=7)
+    exhaustive = check_observations(samples=np.int32(10), seed=False)
+    assert exhaustive == check_observations()
+
+
 def test_observation_report_lines():
     lines = check_observations(mode=SAMPLED, samples=100, seed=7).to_lines()
     assert lines[0].startswith("observations mode=sampled-permutations")

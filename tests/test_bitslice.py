@@ -312,8 +312,12 @@ def test_first_layers_of_every_wire_and_of_one_comparator(width):
     # One comparator: the rest chain from it, so blocks of top wires skip
     # the tops where it reads 1, 0.
     one = chained(width, [(0, 1)])
+    # The same one comparator at the bottom, (w-2, w-1), with the chain up
+    # from it: past BLOCK_BITS its early comparators never reach a top wire.
+    bottom = [(i, i + 1) for i in reversed(range(width - 1))]
     noise = list(random_network(rng, width=width, size=3 * width).pairs())
-    for pairs in (every + whole, every + cut, every + noise, one + whole, one + cut):
+    for pairs in (every + whole, every + cut, every + noise, one + whole, one + cut,
+                  bottom + whole, bottom + cut):
         assert_engine_matches_columns(Network(width, pairs))
 
 

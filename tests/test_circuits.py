@@ -233,9 +233,14 @@ def test_is_threshold_lanes_per_block(monkeypatch):
 
 def test_majority_circuit_checks_pin_bit():
     for n in (15, 16):
-        for bad in ("x", 2, -1, None, 1.0):
+        for bad in (2, -1, np.int64(2)):
             with pytest.raises(ValueError, match="pin_bit"):
                 majority_circuit(n, pin_bit=bad)
+        # pin_bit is read as an integer, like n_vars and k.
+        for bad in ("x", None, 1.0):
+            with pytest.raises(TypeError):
+                majority_circuit(n, pin_bit=bad)
+    assert majority_circuit(15, pin_bit=np.int64(1)) == majority_circuit(15, pin_bit=1)
     # At 16 variables no input is pinned: pin_bit=1 would be silently ignored.
     with pytest.raises(ValueError, match="16 variables"):
         majority_circuit(16, pin_bit=1)

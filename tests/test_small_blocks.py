@@ -2,14 +2,14 @@
 
 ``_bitslice.layouts`` reads ``PROBE_BITS`` and ``BLOCK_BITS`` on each call,
 so with them at 1-2 and 2-4 a network of 4 to 6 wires already takes the
-probe, several top wires, skipped blocks, the once-per-sweep comparators and
-the pair walk of ``leq_masks``, which the real constants reach only past 12
-or 16 wires.  Every network of at most 4 comparators on 4 wires and at most
-3 on 5 and 6 wires (6,282 networks) is compared with whole-input slices
-built from the definition of the input order (``test_bitslice``), with no
-block, probe or first layer.  The circuits of all but the 3-comparator
-networks on 6 wires (2,907 networks) are checked on every output and
-threshold; the others would triple the test's time.
+probe, several top wires, skipped blocks and the pair walk of ``leq_masks``,
+which the real constants reach only past 12 or 16 wires.  Every network of
+at most 4 comparators on 4 wires and at most 3 on 5 and 6 wires (6,282
+networks) is compared with whole-input slices built from the definition of
+the input order (``test_bitslice``), with no block, probe or first layer.
+The circuits of all but the 3-comparator networks on 6 wires (2,907
+networks) are checked on every output and threshold; the others would
+triple the test's time.
 """
 
 from functools import cache
@@ -96,19 +96,23 @@ def transposition_sorter(n):
 
 @pytest.mark.parametrize("width", [4, 5, 6])
 def test_circuits_that_sweep_several_blocks(shrunk, width):
-    # A sorter behind a chain (0, 1), (1, 2), ..: one front pair, so the
-    # sweep is cut into many blocks.  Each output is a threshold function
-    # of its own k; with any comparator of the sorter dropped some output
-    # is not, and the check may only fail on a late block.
-    chain = [(i, i + 1) for i in range(width - 1)]
-    sorter = chain + transposition_sorter(width)
-    cut = [sorter[:i] + sorter[i + 1 :] for i in range(len(chain), len(sorter))]
-    for pairs in [sorter, *cut]:
-        circuit = network_to_circuit(Network(width, pairs))
-        assert circuits._front_pairs(circuit) == [(0, 1)]
-        assert len(list(_bitslice._sweep(width, [(0, 1)]))) >= 2
-        rows = whole_outputs(pairs, whole_inputs(width))
-        assert_thresholds(circuit, rows)
-        assert _bitslice.first_unsorted(width, pairs) == oracle(width, rows)[0]
-    assert all(is_threshold(network_to_circuit(Network(width, sorter)), w, width - w)
-               for w in range(width))
+    # A sorter behind a chain (0, 1), (1, 2), .., or (w-2, w-1), (w-3, w-2),
+    # .. (0, 1): one front pair, so the sweep is cut into many blocks, and
+    # from the bottom the chain's early comparators may reach no top wire.
+    # Each output is a threshold function of its own k; with any comparator
+    # of the sorter dropped some output is not, and the check may only fail
+    # on a late block.
+    up = [(i, i + 1) for i in range(width - 1)]
+    for chain in (up, up[::-1]):
+        front = chain[0]
+        sorter = chain + transposition_sorter(width)
+        cut = [sorter[:i] + sorter[i + 1 :] for i in range(len(chain), len(sorter))]
+        for pairs in [sorter, *cut]:
+            circuit = network_to_circuit(Network(width, pairs))
+            assert circuits._front_pairs(circuit) == [front]
+            assert len(list(_bitslice._sweep(width, [front]))) >= 2
+            rows = whole_outputs(pairs, whole_inputs(width))
+            assert_thresholds(circuit, rows)
+            assert _bitslice.first_unsorted(width, pairs) == oracle(width, rows)[0]
+        assert all(is_threshold(network_to_circuit(Network(width, sorter)), w, width - w)
+                   for w in range(width))
