@@ -50,17 +50,15 @@ order is not index order when first-layer pairs interleave, so the failing
 lanes are narrowed through the input slices in wire order, to those where
 the wire reads 0 while any are left.
 
-``leq_masks`` tests every ordered pair of wires on the first block.  If
-another block follows, it walks the pairs that hold there, nearest first:
-every later block keeps the pairs that hold on it and skips a pair that two
-pairs already verified on that block imply by transitivity; the walk stops
-once no pair is left.
+``leq_masks`` walks the ordered pairs of wires nearest first, on every
+block from the first: each block keeps the pairs that hold on it and skips a
+pair that two pairs already verified on that block imply by transitivity;
+the walk stops once no pair is left.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 # Widest input space the engine evaluates.  A budget of time, not memory.
@@ -294,17 +292,13 @@ def leq_masks(width: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
 
     Bit b of row a is set iff no binary input yields wire a = 1, wire b = 0.
     """
-    blocks = _sweep(width, pairs)
-    _, rows, _ = next(blocks)
-    masks = [sum(1 << b for b, y in enumerate(rows) if x & y == x) for x in rows]
-    # A later block can only refute pairs that hold on this one.
-    second = None if masks == [1 << a for a in range(width)] else next(blocks, None)
-    if second is None:
-        return masks
-    leq = [(a, b) for a, b in _nearest_first(width) if masks[a] >> b & 1]
-    for _, rows, _ in chain([second], blocks):
-        above = [0] * width  # pairs verified on this block, by row and by column
-        below = [0] * width
+    check_width(width)
+    leq = _nearest_first(width)
+    for _, rows, _ in _sweep(width, pairs):
+        # Pairs verified on this block, by row and by column.  A block visits
+        # each pair once, so a wire's own bit never makes a pair look implied.
+        above = [1 << a for a in range(width)]
+        below = above[:]
         kept = []
         for a, b in leq:
             if above[a] & below[b] or rows[a] & rows[b] == rows[a]:
@@ -314,7 +308,4 @@ def leq_masks(width: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
         leq = kept
         if not leq:
             break
-    masks = [1 << a for a in range(width)]
-    for a, b in leq:
-        masks[a] |= 1 << b
-    return masks
+    return above

@@ -108,10 +108,10 @@ CLAIM_NAMES = ("a", "b", "c", "d")
 
 # Sampled mode: permutations are drawn and checked this many at a time.
 SAMPLE_BLOCK = 1 << 16
-# Largest sample, the input count of the widest exhaustive sweep
-# (``_bitslice.MAX_WIDTH``).  A budget of time: 2**26 samples took 6.5-7.4 s
-# (two runs, 2-vCPU VM), ~16 MB peak, and the time grows with the count.
-MAX_SAMPLES = 1 << 26
+# Largest sample, the input count of the widest exhaustive sweep.  A budget
+# of time: 2**26 samples took 6.5-7.4 s (two runs, 2-vCPU VM), ~16 MB peak,
+# and the time grows with the count.
+MAX_SAMPLES = 1 << _bitslice.MAX_WIDTH
 # Rounds of random bits a step of the draw takes before it gives a lane up.
 ROUNDS = 4
 
@@ -403,6 +403,8 @@ def check_green_m_poset(prefix: Network | None = None) -> bool:
     """
     if prefix is None:
         prefix = green16().prefix_through(Phase.TETRAD_B)
+    if prefix.width != 16:
+        raise ValueError("M-poset checks are defined for width 16")
     poset = infer_poset(prefix)
     if not all(_dominates(poset, u) >= 2 for u in UPPER_TETRAD):
         return False
@@ -426,6 +428,8 @@ def check_vv_m_poset(prefix: Network | None = None) -> bool:
     three to the lower, and leaves (7, 8) as the medial pair."""
     if prefix is None:
         prefix = van_voorhis16().prefix_through(Phase.PAIRS2)
+    if prefix.width != 16:
+        raise ValueError("M-poset checks are defined for width 16")
     poset = infer_poset(prefix)
     return all(_dominates(poset, u) >= 3 for u in UPPER_TETRAD) and all(
         _dominated_by(poset, low) >= 3 for low in LOWER_TETRAD

@@ -250,6 +250,16 @@ def test_full_vv_m_wires_form_chain(vv):
     assert infer_poset(vv).covers(M_WIRES) == list(zip(M_WIRES, M_WIRES[1:]))
 
 
+@pytest.mark.parametrize("check", [check_green_m_poset, check_vv_m_poset])
+def test_m_poset_checks_refuse_other_widths(monkeypatch, green, check):
+    # Without the width check, 4 wires raised IndexError, 12 returned False
+    # and Green's 60 comparators on 20 wires returned True.
+    monkeypatch.setattr(analysis, "infer_poset", lambda prefix: pytest.fail("swept"))
+    for prefix in (Network(4), Network(12), Network(20, green.comparators)):
+        with pytest.raises(ValueError, match="width 16"):
+            check(prefix)
+
+
 def test_strategy_completeness():
     assert check_strategy_completeness()
 

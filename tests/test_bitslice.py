@@ -406,6 +406,14 @@ def test_width_ceiling():
             fn(_bitslice.MAX_WIDTH + 1, [])
 
 
+def test_leq_masks_checks_the_width_before_the_pair_order(monkeypatch):
+    # The pair order is cached per width, and the CLI passes any width on.
+    monkeypatch.setattr(_bitslice, "_nearest_first", lambda width: pytest.fail("ordered"))
+    for width in (_bitslice.MAX_WIDTH + 1, 10**12):
+        with pytest.raises(ValueError, match="outside the slice engine's range"):
+            _bitslice.leq_masks(width, [])
+
+
 @pytest.mark.parametrize("k", [None, 0, 2, 9])
 def test_at_least_counts_ones_per_input(k):
     rng = random.Random(7)
@@ -438,9 +446,9 @@ def paired_network(rng, width, size):
     return Network(width, layer + random_network(rng, width=width, size=size).comparators)
 
 
-def walked_rows(monkeypatch, net):
-    """``leq_masks`` through the pair walk: with ``layouts`` patched to put
-    the probe ahead of the block, the sweep is no longer one block."""
+def probed_rows(monkeypatch, net):
+    """``leq_masks`` with ``layouts`` patched to put the probe ahead of the
+    block, so that the sweep is no longer one block."""
     layouts = _bitslice.layouts
     lanes, low = _bitslice._product_inputs((0,) * PROBE_BITS)
     probe = (True, net.width - PROBE_BITS, lanes, low, (0,))
@@ -453,25 +461,25 @@ def one_block(net):
     return [probe for _, _, probe in swept_blocks(net.width, net.pairs())] == [False]
 
 
-def test_one_block_rows_equal_the_walk_and_the_columns(monkeypatch):
-    # Without a probe the sweep is one block, and leq_masks tests every pair
-    # on it directly.  The prefixes of the 16-wire sorters take that path
-    # once their first layer pairs every wire: from comparator 8 on in the
-    # classic networks and from 26 on in Batcher's.  So does every seeded
+def test_one_block_rows_equal_the_probed_rows_and_the_columns(monkeypatch):
+    # Without a probe the sweep is one block, and the walk keeps what holds
+    # on it alone.  The prefixes of the 16-wire sorters are swept so once
+    # their first layer pairs every wire: from comparator 8 on in the
+    # classic networks and from 26 on in Batcher's.  So is every seeded
     # network here.
     nets = [net.prefix(k) for net in (green16(), van_voorhis16(), batcher_sorter(16))
             for k in range(len(net) + 1)]
     rng = random.Random(0xD12EC7)
     nets += [paired_network(rng, width, rng.randint(0, 5 * width))
              for width in range(PROBE_BITS + 1, 17) for _ in range(6)]
-    direct = 0
+    single = 0
     for net in nets:
         rows = _bitslice.leq_masks(net.width, net.pairs())
         assert rows == column_oracle(net)[1], net.comparators
         if one_block(net):
-            direct += 1
-            assert rows == walked_rows(monkeypatch, net), net.comparators
-    assert direct == 53 + 54 + 38 + 24
+            single += 1
+            assert rows == probed_rows(monkeypatch, net), net.comparators
+    assert single == 53 + 54 + 38 + 24
 
 
 def test_the_pair_walk_goes_nearest_first():
@@ -488,8 +496,8 @@ def test_degenerate_rows_reach_the_poset_on_either_path(monkeypatch):
     # flipping input bits 0 to 1 one at a time flips exactly one output
     # wire each time.  So a block whose slices 3 and 5 are equal is made up
     # here, once as the whole sweep and once twice in a row, so that the
-    # pair walk runs on the second, and infer_poset must refuse the relation
-    # either way.
+    # walk carries the pairs through a later block, and infer_poset must
+    # refuse the relation either way.
     net = green16().prefix(32)
     sweep = _bitslice._sweep
 

@@ -2,14 +2,15 @@
 
 ``_bitslice.layouts`` reads ``PROBE_BITS`` and ``BLOCK_BITS`` on each call,
 so with them at 1-2 and 2-4 a network of 4 to 6 wires already takes the
-probe, several top wires, skipped blocks and the pair walk of ``leq_masks``,
-which the real constants reach only past 12 or 16 wires.  Every network of
-at most 4 comparators on 4 wires and at most 3 on 5 and 6 wires (6,282
-networks) is compared with whole-input slices built from the definition of
-the input order (``test_bitslice``), with no block, probe or first layer.
+probe, several top wires and skipped blocks, which the real constants reach
+only past 13 or 16 wires.  Every network of at most 4 comparators on 4
+wires and at most 3 on 5 and 6 wires (6,282 networks) is compared with
+whole-input slices built from the definition of the input order
+(``test_bitslice``), with no block, probe or first layer.
 The circuits of all but the 3-comparator networks on 6 wires (2,907
 networks) are checked on every output and threshold; the others would
-triple the test's time.
+triple the test's time.  Claims a-d of a few 16-wire prefixes, swept in up
+to 16,385 blocks, are compared with the column oracle of ``test_analysis``.
 """
 
 from functools import cache
@@ -17,8 +18,17 @@ from itertools import combinations, product
 
 import pytest
 
-from sortnet16 import Network, _bitslice, circuits, is_threshold, network_to_circuit
+from sortnet16 import (
+    Network,
+    _bitslice,
+    check_observations,
+    circuits,
+    hypercube_phase,
+    is_threshold,
+    network_to_circuit,
+)
 
+from test_analysis import interleaved_prefixes, oracle_claims
 from test_bitslice import whole_inputs, whole_outputs
 
 CONFIGS = [(probe, block) for probe in (1, 2) for block in (2, 3, 4)]
@@ -88,6 +98,25 @@ def test_every_small_network_against_whole_input_slices(shrunk):
                 if turn % len(CONFIGS) == shrunk:
                     assert_thresholds(network_to_circuit(Network(width, pairs)), rows)
                 turn += 1
+
+
+@cache
+def claim_cases():
+    """16-wire prefixes and their claim verdicts from the column oracle: no
+    comparator (every claim fails, 65,536 lanes), the cube phase by layers
+    (the last passes) and random comparators behind an interleaved first
+    layer (lanes out of index order)."""
+    cube = hypercube_phase(4)
+    prefixes = [Network(16), *(cube.prefix(k) for k in (8, 16, 24, 32))]
+    prefixes += interleaved_prefixes(1, seed=0x1A7E)[-1:]
+    return [(prefix, oracle_claims(prefix)) for prefix in prefixes]
+
+
+def test_claims_against_the_column_oracle(shrunk):
+    # Each claim's verdict comes from its first failing block, the probe
+    # included, and its counterexample is the least failing input there.
+    for prefix, claims in claim_cases():
+        assert check_observations(prefix).claims == claims, prefix.comparators
 
 
 def transposition_sorter(n):
