@@ -7,9 +7,9 @@ lexicographic order of input vectors.  A slice is a Python int, and a
 comparator is one AND (the minimum) plus one OR (the maximum) of two slices.
 
 A network reaches the engine as its width and one sequence of
-``(low, high)`` wire pairs, ``Network.pairs()``: ``first_unsorted(width,
-pairs)`` and ``leq_masks(width, pairs)``.  ``Network`` has checked the
-pairs; the engine checks only the width.  Only ``_sweep`` reads
+``(low, high)`` wire pairs, those ``Network`` checked and kept on
+construction: ``first_unsorted(width, pairs)`` and ``leq_masks(width,
+pairs)``.  The engine checks only the width.  Only ``_sweep`` reads
 ``layouts``; ``analysis`` (claims a-d) and ``circuits.is_threshold`` read
 its blocks and count ones with ``at_least``.  Every input slice is built by
 ``_product_inputs``, and a block's lanes are the vectors its input slices

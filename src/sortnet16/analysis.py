@@ -190,7 +190,7 @@ def _exhaustive_claims(prefix: Network) -> dict[str, ClaimVerdict]:
     input, found in the first block that fails it (see the module
     docstring)."""
     claims = {}
-    for inputs, out, full in _bitslice._sweep(16, prefix.pairs()):
+    for inputs, out, full in _bitslice._sweep(16, prefix._pairs):
         for name, ok in _binary_masks(out, full).items():
             if name not in claims and ok != full:
                 bad = _bitslice._least(inputs, full ^ ok)
@@ -334,7 +334,7 @@ def _sampled_masks(out: list[Planes], full: int) -> dict[str, int]:
 def _sampled_claims(prefix: Network, samples: int, seed: int) -> dict[str, ClaimVerdict]:
     """Claims a-d over ``samples`` permutations drawn from ``seed``; a
     failing claim carries the first permutation it fails on."""
-    pairs = prefix.pairs()
+    pairs = prefix._pairs
     claims = {}
     for lanes, inputs, valid in _draw_permutations(samples, seed):
         masks = _sampled_masks(_compare_planes(list(inputs), pairs), (1 << lanes) - 1)

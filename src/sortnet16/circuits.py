@@ -66,7 +66,7 @@ class MonotoneCircuit(_Record):
     earlier gates (indices below n_inputs + 2 + g), so acyclicity holds by
     construction.  Construction checks every gate's kind and operands."""
 
-    __slots__ = ("n_inputs", "gates", "outputs")
+    __slots__ = _fields = ("n_inputs", "gates", "outputs")
 
     def __init__(self, n_inputs: int, gates: tuple[Gate, ...], outputs: tuple[int, ...]):
         _set_field(self, "n_inputs", n_inputs)
@@ -107,7 +107,7 @@ def network_to_circuit(net: Network) -> MonotoneCircuit:
     n = net.width
     refs = list(range(2, n + 2))
     gates: list[Gate] = []
-    for low, high, _ in net.comparators:
+    for low, high in net._pairs:
         a, b = refs[low], refs[high]
         refs[low], refs[high] = n + 2 + len(gates), n + 3 + len(gates)
         gates += (Gate(AND, a, b), Gate(OR, a, b))

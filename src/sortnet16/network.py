@@ -40,17 +40,17 @@ class Comparator(NamedTuple):
 
 
 class _Record:
-    """Base of the records that check their fields: the fields are the
-    ``__slots__``, stored by ``__init__`` before ``__post_init__`` checks
-    them.  Equality, hash and repr go by the fields, assignment raises
-    AttributeError, and pickling calls the constructor, checks included.
-    Plain classes keep ``inspect``, ``ast`` and ``dis`` out of every CLI
-    process, which ``tests/test_cli.py`` pins."""
+    """Base of the records that check their fields: the fields, named in
+    ``_fields``, are stored by ``__init__`` before ``__post_init__`` checks
+    them.  Equality, hash, repr and pickling go by the fields alone, not by
+    other slots; assignment raises AttributeError, and pickling calls the
+    constructor, checks included.  Plain classes keep ``inspect``, ``ast``
+    and ``dis`` out of every CLI process, which ``tests/test_cli.py`` pins."""
 
-    __slots__ = ()
+    __slots__ = _fields = ()
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -61,7 +61,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):
@@ -77,6 +77,12 @@ class _Record:
 _set_field = object.__setattr__  # how __init__ and __post_init__ store a field
 
 
+# Untagged records of bare exact-int pairs, shared by every network that
+# names the pair; the table holds at most _SHARED_MAX of them.
+_SHARED_MAX = 4096
+_shared: dict[tuple[int, int], Comparator] = {}
+
+
 class Network(_Record):
     """An ordered sequence of comparators on ``width`` wires.
 
@@ -86,10 +92,11 @@ class Network(_Record):
     through ``operator.index`` and stored as the int it returns) with
     ``0 <= low < high < width``, and a tag other than None is read through
     ``Phase``, so "approx" is stored as ``Phase.APPROX`` and an unknown tag
-    raises ValueError.
+    raises ValueError.  The check runs once; the pairs it passed are kept.
     """
 
-    __slots__ = ("width", "comparators")
+    _fields = ("width", "comparators")
+    __slots__ = _fields + ("_pairs",)
 
     def __init__(self, width: int, comparators: Sequence = ()):
         _set_field(self, "width", width)
@@ -101,11 +108,27 @@ class Network(_Record):
         width = index(self.width)
         if width < 1:
             raise ValueError("network width must be at least 1")
-        comps = []
+        comps, pairs = [], []
         for c in self.comparators:
-            if type(c) is not Comparator:
-                c = Comparator(*c)
-            low, high, tag = c
+            # Exact-int wires in range, with no tag or a Phase, are normal as
+            # they stand: no operator.index, and a bare pair's record is shared.
+            if type(c) is tuple and len(c) == 2:
+                low, high = c
+                if type(low) is int and type(high) is int and 0 <= low < high < width:
+                    rec = _shared.get(c)
+                    if rec is None and len(_shared) < _SHARED_MAX:
+                        rec = _shared[c] = Comparator(low, high)
+                    comps.append(rec or Comparator(low, high))
+                    pairs.append(c)
+                    continue
+            elif type(c) is Comparator:
+                low, high, tag = c
+                if (type(low) is int and type(high) is int and 0 <= low < high < width
+                        and (tag is None or type(tag) is Phase)):
+                    comps.append(c)
+                    pairs.append((low, high))
+                    continue
+            low, high, tag = c if type(c) is Comparator else Comparator(*c)
             lo, hi = index(low), index(high)
             if not 0 <= lo < hi:
                 raise ValueError(f"comparator ({low}, {high}) needs 0 <= low < high")
@@ -114,11 +137,11 @@ class Network(_Record):
             # Wires are stored as plain ints (not bools or numpy ints) and tags
             # as Phase members, so the network renders as text that parse_text
             # reads back.
-            if lo is not low or hi is not high or tag is not None and type(tag) is not Phase:
-                c = Comparator(lo, hi, None if tag is None else Phase(tag))
-            comps.append(c)
+            comps.append(Comparator(lo, hi, None if tag is None else Phase(tag)))
+            pairs.append((lo, hi))
         _set_field(self, "width", width)
         _set_field(self, "comparators", tuple(comps))
+        _set_field(self, "_pairs", tuple(pairs))
 
     def __len__(self) -> int:
         return len(self.comparators)
@@ -131,10 +154,10 @@ class Network(_Record):
         if len(values) != self.width:
             raise ValueError(f"expected {self.width} values, got {len(values)}")
         out = list(values)
-        for c in self.comparators:
-            a, b = out[c.low], out[c.high]
+        for low, high in self._pairs:
+            a, b = out[low], out[high]
             if b < a:
-                out[c.low], out[c.high] = b, a
+                out[low], out[high] = b, a
         return out
 
     def prefix(self, count: int) -> Network:
@@ -160,8 +183,8 @@ class Network(_Record):
 
     def pairs(self) -> list[tuple[int, int]]:
         """The comparators as bare ``(low, high)`` pairs, the slice engine's
-        input."""
-        return [(low, high) for low, high, _ in self.comparators]
+        input: a new list on each call."""
+        return list(self._pairs)
 
 
 def asap_schedule(net: Network) -> tuple[int, ...]:
@@ -175,10 +198,10 @@ def asap_schedule(net: Network) -> tuple[int, ...]:
     # Keyed by the wires comparators touch: the declared width costs nothing.
     last: defaultdict[int, int] = defaultdict(int)
     layers = []
-    for c in net.comparators:
-        layer = 1 + max(last[c.low], last[c.high])
+    for low, high in net._pairs:
+        layer = 1 + max(last[low], last[high])
         layers.append(layer)
-        last[c.low] = last[c.high] = layer
+        last[low] = last[high] = layer
     return tuple(layers)
 
 

@@ -49,7 +49,7 @@ def verify_sorts_binary(net: Network) -> SortVerdict:
     order of the top wires, and the first block with a failing input ends
     the sweep.
     """
-    bad = _backend.first_unsorted(net.width, net.pairs())
+    bad = _backend.first_unsorted(net.width, net._pairs)
     if bad < 0:
         return SortVerdict(True)
     return SortVerdict(False, _backend.vector_of(bad, net.width))
@@ -91,7 +91,7 @@ class Poset(_Record):
     per wire within the width, and a relation that is not antisymmetric.
     """
 
-    __slots__ = ("width", "rows")
+    __slots__ = _fields = ("width", "rows")
 
     def __init__(self, width: int, rows: tuple[int, ...]):
         _set_field(self, "width", width)
@@ -146,5 +146,5 @@ def poset_from_rows(width: int, rows: Sequence[int]) -> Poset:
 
 def infer_poset(net: Network) -> Poset:
     """Infer the known-at-most relation over all binary inputs."""
-    rows = _backend.leq_masks(net.width, net.pairs())
+    rows = _backend.leq_masks(net.width, net._pairs)
     return poset_from_rows(net.width, rows)
