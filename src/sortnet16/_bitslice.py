@@ -11,9 +11,10 @@ A network reaches the engine as its width and one sequence of
 construction: ``first_unsorted(width, pairs)`` and ``leq_masks(width,
 pairs)``.  The engine checks only the width.  Only ``_sweep`` reads
 ``layouts``; ``analysis`` (claims a-d) and ``circuits.is_threshold`` read
-its blocks and count ones with ``at_least``.  Every input slice is built by
-``_product_inputs``, and a block's lanes are the vectors its input slices
-spell out.
+its blocks.  They count with one pair: ``count`` adds slices up into the bit
+planes of each lane's number of ones, and ``at_least`` compares such
+numbers with a constant.  Every input slice is built by ``_product_inputs``,
+and a block's lanes are the vectors its input slices spell out.
 
 The two reductions sweep what the network's first layer can output, not
 every input.  The first layer is the comparators whose two wires no earlier
@@ -120,19 +121,53 @@ def _compare(rows: list[int], pairs: Iterable[tuple[int, int]], full: int) -> li
     return rows
 
 
-def at_least(rows: Sequence[int], full: int, k: int | None = None) -> list[int]:
-    """Counting slices: entry j marks the inputs on which at least j of
-    ``rows`` are 1, for j = 0..k (default: all of them).
+def count(rows: Iterable[int]) -> list[int]:
+    """Bit planes, least significant first, of the number of ``rows`` that
+    read 1 on each lane: bit v of plane t is bit t of that number on lane v.
 
-    ``full`` is the all-ones slice and is returned as entry 0.
+    Full adders, as in a carry-save (Wallace) tree: at each weight a running
+    sum takes the rows two at a time, each full adder passing its carry on
+    to the next weight, and a half adder takes a row left over; the sum left
+    is that weight's plane.  n rows give n.bit_length() planes in about 4n
+    operations (63 for 16 rows).
     """
-    if k is None:
-        k = len(rows)
-    counts = [full] + [0] * k
-    for seen, x in enumerate(rows, start=1):
-        for j in range(min(k, seen), 0, -1):
-            counts[j] |= counts[j - 1] & x
-    return counts
+    planes = []
+    column = list(rows)
+    while column:
+        rest = iter(column)
+        s = next(rest)
+        carries = []
+        for a, b in zip(rest, rest):
+            t = a ^ b
+            carries.append(a & b | s & t)
+            s ^= t
+        if not len(column) & 1:
+            # One row is left over: a half adder.
+            b = column[-1]
+            carries.append(s & b)
+            s ^= b
+        planes.append(s)
+        column = carries
+    return planes
+
+
+def at_least(planes: Sequence[int], c: int, full: int) -> int:
+    """Lanes whose number, bit t in ``planes[t]`` (as ``count`` gives it),
+    is at least ``c``; ``full`` is the all-ones slice.
+
+    From the lowest set bit of ``c`` up, ``ge`` marks the lanes whose bits
+    so far read at least those of ``c``: where ``c`` has a 1 a lane needs
+    that bit and ``ge``, where it has a 0 either one.
+    """
+    if c <= 0:
+        return full
+    if c >> len(planes):
+        return 0
+    low = (c & -c).bit_length() - 1
+    ge = planes[low]  # below bit low, c reads 0
+    for t in range(low + 1, len(planes)):
+        ge = planes[t] & ge if c >> t & 1 else planes[t] | ge
+    return ge
 
 
 def _first_layer(

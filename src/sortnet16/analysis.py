@@ -17,10 +17,12 @@ statistics (the r-th smallest of all outputs, of a layer, or of M), and on
 0/1 values an order statistic is a threshold: the r-th smallest (from 0) of
 s values is 1 exactly when at least s - r of them are 1.  So the exhaustive
 mode runs the prefix on the slice engine's sweep (``_bitslice._sweep``),
-builds the "at least j ones" slices over all outputs, layer I, layer III and
-M of each block with ``_bitslice.at_least``, and states each claim as
-bitwise identities of those slices; a 6-of-8 multiset inclusion, for
-instance, is "at most as many ones and at most as many zeros".  This is the
+counts the ones of all outputs, of layer I, of layer III and of M on each
+lane of a block (``_bitslice.count``), compares each count with every
+constant j to get the "at least j ones" slices (``_bitslice.at_least``),
+and states each claim as bitwise identities of those slices; a 6-of-8
+multiset inclusion, for instance, is "at most as many ones and at most as
+many zeros".  This is the
 matrix check (sort every input's outputs, compare columns) with the sort
 replaced by its value on 0/1 inputs, so the verdict per input and hence the
 lexicographically least counterexample are the same;
@@ -44,8 +46,10 @@ bit k of plane t is bit t of lane k's value.  The permutations are drawn
 by Fisher-Yates, a comparator is a bit-sliced 4-bit "greater than" and a
 swap in the lanes where it holds, layers I and III are sorted the same
 way, and each claim is a per-lane identity: a value equal to a constant,
-six of M's eight values in 5..10 (counted with ``_bitslice.at_least``), or
-bounds on the minimum and maximum of M.
+six of M's eight values in 5..10, or bounds on the minimum and maximum of M.
+Every bound is one ``_bitslice.at_least`` compare of a value's planes with
+a constant, and claim c compares with 6 the ``_bitslice.count`` of the
+eight "lies in 5..10" slices.
 
 The draw's cost depends on the number of samples, not on its unluckiest
 lane.  Each Fisher-Yates step draws its index by rejection, random bits
@@ -161,10 +165,15 @@ def _binary_masks(out: list[int], full: int) -> dict[str, int]:
     """Per-lane verdicts of claims a-d on the output slices ``out`` of a
     block of binary inputs whose all-ones slice is ``full`` (see the module
     docstring)."""
-    t = _bitslice.at_least(out, full)  # rank r is t[16 - r]
-    l1 = _bitslice.at_least([out[w] for w in CUBE_LAYER1], full)
-    l3 = _bitslice.at_least([out[w] for w in CUBE_LAYER3], full)
-    m = _bitslice.at_least([*(out[w] for w in MIDDLE_LAYER), l3[4], l1[1]], full)
+    count, at_least = _bitslice.count, _bitslice.at_least
+    ones = count(out)
+    t = [at_least(ones, j, full) for j in range(17)]  # rank r is t[16 - r]
+    ones = count([out[w] for w in CUBE_LAYER1])
+    l1 = [at_least(ones, j, full) for j in range(5)]
+    ones = count([out[w] for w in CUBE_LAYER3])
+    l3 = [at_least(ones, j, full) for j in range(5)]
+    ones = count([*(out[w] for w in MIDDLE_LAYER), l3[4], l1[1]])
+    m = [at_least(ones, j, full) for j in range(9)]
 
     def same(x, y):
         return full ^ x ^ y
@@ -198,28 +207,18 @@ def _exhaustive_claims(prefix: Network) -> dict[str, ClaimVerdict]:
     return {name: claims.get(name, ClaimVerdict(True)) for name in CLAIM_NAMES}
 
 
-def _at_least_value(planes: Sequence[int], c: int, full: int) -> int:
-    """Lanes whose value (bit t in ``planes[t]``) is at least ``c``."""
-    if c >> len(planes):
-        return 0
-    ge = full  # every value is at least c on zero bits
-    for t, p in enumerate(planes):
-        ge = p & ge if c >> t & 1 else p | ge
-    return ge
-
-
 def _below(getrandbits, n: int, lanes: int, full: int) -> tuple[list[int], int]:
     """Planes of one uniform draw from 0 .. n-1 per lane, and the lanes it
     failed in: random bits, drawn again in the lanes where they read n or
     more, for at most ROUNDS rounds in all."""
     planes = [getrandbits(lanes) for _ in range((n - 1).bit_length())]
-    redraw = _at_least_value(planes, n, full)
+    redraw = _bitslice.at_least(planes, n, full)
     for _ in range(ROUNDS - 1):
         if not redraw:
             break
         for t, p in enumerate(planes):
             planes[t] = p ^ ((p ^ getrandbits(lanes)) & redraw)
-        redraw &= _at_least_value(planes, n, full)
+        redraw &= _bitslice.at_least(planes, n, full)
     return planes, redraw
 
 
@@ -307,7 +306,7 @@ def _sampled_masks(out: list[Planes], full: int) -> dict[str, int]:
     m = [*(out[w] for w in MIDDLE_LAYER), l3[0], l1[3]]
 
     def ge(v, c):
-        return _at_least_value(v, c, full)
+        return _bitslice.at_least(v, c, full)
 
     def within(v, lo, hi):
         return ge(v, lo) & ~ge(v, hi + 1)
@@ -318,7 +317,7 @@ def _sampled_masks(out: list[Planes], full: int) -> dict[str, int]:
     a = equals(out[15], 15) & equals(out[0], 0)
     b = equals(l3[3], 14) & equals(l3[2], 13) & equals(l1[0], 1) & equals(l1[1], 2)
     # M holds distinct values, so it contains ranks 5..10 iff six of them lie there.
-    c = _bitslice.at_least([within(v, 5, 10) for v in m], full, 6)[6]
+    c = ge(_bitslice.count([within(v, 5, 10) for v in m]), 6)
     # Claim d: {l3[1], max M} = {11, 12} and {l1[2], min M} = {3, 4}.  The
     # values are distinct, so this holds iff l3[1] lies in 11..12, l1[2] in
     # 3..4, and every value of M in 3..12.  For if no value of M were 11 or

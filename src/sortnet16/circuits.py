@@ -36,6 +36,9 @@ which each pair reads 00, 01 or 11.  Those are the blocks ``_bitslice``
 sweeps for a network whose first layer is these pairs, so a circuit of a
 network sweeps the network's blocks (that module's docstring states them,
 and where the probe runs), and no value it holds exceeds one block's bits.
+On each block the threshold's slice is one compare with k
+(``_bitslice.at_least``) of the lanes' numbers of ones
+(``_bitslice.count``), the same pair that counts the claims of ``analysis``.
 """
 
 from __future__ import annotations
@@ -64,7 +67,9 @@ class MonotoneCircuit(_Record):
     """Acyclic gate list over ``n_inputs`` inputs with one value index per
     output wire.  Gate g may only reference the constants, the inputs and
     earlier gates (indices below n_inputs + 2 + g), so acyclicity holds by
-    construction.  Construction checks every gate's kind and operands."""
+    construction.  Construction checks every gate's kind and operands and
+    every output reference; exact ints in range pass on type and range tests
+    alone, anything else is read through ``operator.index``."""
 
     __slots__ = _fields = ("n_inputs", "gates", "outputs")
 
@@ -78,13 +83,19 @@ class MonotoneCircuit(_Record):
         base = self.n_inputs + 2
         index = operator.index
         for top, (kind, a, b) in enumerate(self.gates, base):
+            # An AND or OR gate of exact-int operands in range passes on these
+            # tests alone: no operator.index.
+            if type(a) is int and type(b) is int and 0 <= a < top and 0 <= b < top:
+                if kind == AND or kind == OR:
+                    continue
             if kind not in (AND, OR) or not (0 <= index(a) < top and 0 <= index(b) < top):
                 if kind not in (AND, OR):
                     raise ValueError(f"gate kind must be AND or OR, got {kind!r}")
                 bad = a if not 0 <= a < top else b
                 raise ValueError(f"gate g{top - base} has bad operand {bad!r}")
+        top = base + len(self.gates)
         for ref in self.outputs:
-            if not 0 <= operator.index(ref) < base + len(self.gates):
+            if not (type(ref) is int and 0 <= ref < top or 0 <= index(ref) < top):
                 raise ValueError(f"bad output reference {ref!r}")
 
 
@@ -129,7 +140,9 @@ def evaluate_slices(
 
 
 def cone_depth(circuit: MonotoneCircuit, wire: int) -> int:
-    """Longest gate path from any input or constant to the named output."""
+    """Longest gate path from any input or constant to the named output,
+    ``wire`` read as an integer."""
+    wire = operator.index(wire)
     if not 0 <= wire < len(circuit.outputs):
         raise ValueError(f"no output wire {wire}")
     depths = [0] * (circuit.n_inputs + 2)
@@ -191,13 +204,18 @@ def _front_pairs(circuit: MonotoneCircuit) -> list[tuple[int, int]]:
 
 def is_threshold(circuit: MonotoneCircuit, wire: int, k: int) -> bool:
     """Compare one output against the k-of-n threshold on each block of the
-    sweep of the circuit's front comparators, up to the first that differs."""
+    sweep of the circuit's front comparators, up to the first that differs.
+
+    ``wire`` and ``k`` are read as integers before anything is swept.  On
+    each block ``_bitslice.count`` adds up the input slices, top wires
+    included, and ``_bitslice.at_least`` compares the count with k."""
+    wire, k = operator.index(wire), operator.index(k)
     if not 0 <= wire < len(circuit.outputs):
         raise ValueError(f"no output wire {wire}")
     n = circuit.n_inputs
     _bitslice.check_width(n)
     for inputs, _, full in _bitslice._sweep(n, _front_pairs(circuit)):
-        want = full if k <= 0 else 0 if k > n else _bitslice.at_least(inputs, full, k)[k]
+        want = _bitslice.at_least(_bitslice.count(inputs), k, full)
         if evaluate_slices(circuit, inputs, full.bit_length())[wire] != want:
             return False
     return True

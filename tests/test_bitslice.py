@@ -6,6 +6,8 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sortnet16 import (
     DegenerateOrderError,
@@ -414,18 +416,25 @@ def test_leq_masks_checks_the_width_before_the_pair_order(monkeypatch):
             _bitslice.leq_masks(width, [])
 
 
-@pytest.mark.parametrize("k", [None, 0, 2, 9])
-def test_at_least_counts_ones_per_input(k):
-    rng = random.Random(7)
-    nbits = 3 * 64
-    rows = [rng.getrandbits(nbits) for _ in range(6)]
-    counts = _bitslice.at_least(rows, (1 << nbits) - 1, k)
-    assert len(counts) == (len(rows) if k is None else k) + 1
-    for index in range(nbits):
-        ones = sum(slice_bit(row, index) for row in rows)
-        assert [slice_bit(c, index) for c in counts] == [
-            int(ones >= j) for j in range(len(counts))
-        ]
+LANES = 48
+
+
+@pytest.mark.parametrize("n", range(_bitslice.MAX_WIDTH + 1))
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(data=st.data())
+def test_count_and_at_least_match_a_popcount_per_lane(n, data):
+    # Rows of random lanes and the constant rows 0 and all-ones, which the
+    # sweep's top wires take; every threshold from -1 to n + 1.
+    full = (1 << LANES) - 1
+    row = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    rows = data.draw(st.lists(row, min_size=n, max_size=n))
+    ones = [sum(r >> v & 1 for r in rows) for v in range(LANES)]
+    planes = _bitslice.count(rows)
+    assert len(planes) == n.bit_length()
+    assert [sum((p >> v & 1) << t for t, p in enumerate(planes)) for v in range(LANES)] == ones
+    for c in range(-1, n + 2):
+        want = sum(1 << v for v in range(LANES) if ones[v] >= c)
+        assert _bitslice.at_least(planes, c, full) == want, c
 
 
 @pytest.mark.parametrize("width", range(BLOCK_BITS - 3, BLOCK_BITS + 3))

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -65,12 +66,11 @@ def evaluate_all(circuit):
     return evaluate_slices(circuit, whole_inputs(n), 1 << n)
 
 
+@cache
 def threshold_slice(n, k):
-    """Slice of the k-of-n threshold function over all 2**n inputs."""
-    full = (1 << (1 << n)) - 1
-    if k <= 0:
-        return full
-    return _bitslice.at_least(whole_inputs(n), full, k)[k]
+    """Slice of the k-of-n threshold function over all 2**n inputs, from
+    each input's number of ones: bit v is 1 iff v has at least k one bits."""
+    return int("".join("01"[v.bit_count() >= k] for v in reversed(range(1 << n))), 2)
 
 
 def test_single_comparator_circuit():
@@ -508,6 +508,24 @@ def test_majority_circuit_wants_integer_sizes_and_thresholds(args):
     assert is_threshold(circuit, wire, 9)
 
 
+@pytest.mark.parametrize("wire, k", [(7.0, 9), (7, 8.5), ("7", 9), (7, None)])
+def test_is_threshold_and_cone_depth_want_integer_wires_and_thresholds(monkeypatch, wire, k):
+    # Refused before any sweep or gate scan.
+    circuit, _ = majority_circuit(16)
+    monkeypatch.setattr(circuits, "_front_pairs", lambda circuit: pytest.fail("scanned"))
+    monkeypatch.setattr(_bitslice, "_sweep", lambda *args: pytest.fail("swept"))
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        is_threshold(circuit, wire, k)
+    if type(wire) is not int:
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            cone_depth(circuit, wire)
+    monkeypatch.undo()
+    # Numpy ints are read as the ints they hold.
+    assert is_threshold(circuit, np.int64(7), np.int8(9))
+    assert not is_threshold(circuit, np.int16(7), np.uint64(8))
+    assert cone_depth(circuit, np.int64(7)) == cone_depth(circuit, 7) == 9
+
+
 def test_is_threshold_cap():
     wide = _bitslice.MAX_WIDTH + 1
     circuit = MonotoneCircuit(wide, (), tuple(range(2, wide + 2)))
@@ -555,6 +573,12 @@ def test_circuit_reference_validation():
     ):
         with pytest.raises(TypeError):
             MonotoneCircuit(2, gates, outputs)
+    # Numpy ints and bools pass the general check, in range and out of it.
+    MonotoneCircuit(2, (Gate("AND", np.int64(2), True), Gate("OR", np.uint8(4), 3)), (np.int8(5),))
+    with pytest.raises(ValueError, match="gate g0 has bad operand"):
+        MonotoneCircuit(2, (Gate("OR", np.int64(4), 3),), (4,))
+    with pytest.raises(ValueError, match="bad output reference"):
+        MonotoneCircuit(2, (Gate("AND", 2, 3),), (np.int64(5),))
 
 
 def test_evaluate_slices_wants_one_slice_per_input():

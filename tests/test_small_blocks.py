@@ -8,8 +8,8 @@ wires and at most 3 on 5 and 6 wires (6,282 networks) is compared with
 whole-input slices built from the definition of the input order
 (``test_bitslice``), with no block, probe or first layer.
 The circuits of all but the 3-comparator networks on 6 wires (2,907
-networks) are checked on every output and threshold; the others would
-triple the test's time.  Claims a-d of a few 16-wire prefixes, swept in up
+networks) are checked on every output and threshold; the others would add
+about 40% to the test's time.  Claims a-d of a few 16-wire prefixes, swept in up
 to 16,385 blocks, are compared with the column oracle of ``test_analysis``.
 """
 
