@@ -9,31 +9,36 @@ comparator is one AND (the minimum) plus one OR (the maximum) of two slices.
 A network reaches the engine as its width and one sequence of
 ``(low, high)`` wire pairs, those ``Network`` checked and kept on
 construction: ``first_unsorted(width, pairs)`` and ``leq_masks(width,
-pairs)``.  The engine checks only the width.  Only ``_sweep`` reads
-``layouts``; ``analysis`` (claims a-d) and ``circuits.is_threshold`` read
-its blocks.  They count with one pair: ``count`` adds slices up into the bit
-planes of each lane's number of ones, and ``at_least`` compares such
-numbers with a constant.  Every input slice is built by ``_product_inputs``,
-and a block's lanes are the vectors its input slices spell out.
+pairs)``.  The engine checks only the width.  ``_sweep`` cuts and runs
+every sweep; ``analysis`` (claims a-d) and ``circuits.is_threshold`` read
+its blocks too, and count with ``count`` (each lane's number of ones, as
+bit planes) and ``at_least`` (those numbers against a constant).
 
-The two reductions sweep what the network's first layer can output, not
-every input.  The first layer is the comparators whose two wires no earlier
+A sweep covers what the network's first layer can output, not every
+input.  The first layer is the comparators whose two wires no earlier
 comparator touches; they commute to the front.  After such a comparator on
 wires a < b the pair reads 00, 01 or 11, so the full blocks cover
 3**k * 2**(width - 2k) inputs for k first-layer pairs: by the zero-one
 principle the rest of the network need sort only what the first layer
-outputs.
+outputs.  A verdict that depends only on the network's outputs (sorting,
+wire order, claims a-d) fails first on a fixed point of the first layer:
+turning 1, 0 into 0, 1 on a first-layer pair lowers the input and keeps the
+output.  The blocks cover those fixed points in index order of their top
+wires, so the first block that fails holds the least failing input.  A
+circuit's front comparators (``circuits._front_pairs``) stand for a first
+layer: swapping such a pair changes no gate's value, and a threshold
+function is symmetric, so ``is_threshold`` sweeps the same blocks.
 
-``layouts`` alone decides how a sweep is cut.  Where the first layer has
+``_sweep`` alone decides how a sweep is cut.  Where the first layer has
 more than 2**(PROBE_BITS + 1) outputs (so in every sweep of more than one
 block), a probe of inputs 0 .. 2**PROBE_BITS - 1 comes first, in index
 order and through every comparator, so a network that fails early is
-refuted at once.  A smaller single block is swept without it: a
-refutation then sweeps at most twice the probe's lanes, and a pass saves the
-probe whole.  So no network of 13 wires or fewer takes the probe, nor does a
-16-wire network whose first layer pairs every wire (3**8 = 6,561 lanes);
-every network of more than 16 wires does, since even a first layer that
-pairs every wire leaves 3**8 * 2 = 13,122 lanes at 17.
+refuted at once, before the product is built.  A smaller single block is
+swept without it: a refutation then sweeps at most twice the probe's lanes,
+and a pass saves the probe whole.  So no network of 13 wires or fewer takes
+the probe, nor does a 16-wire network whose first layer pairs every wire
+(3**8 = 6,561 lanes); every network of more than 16 wires does, since even
+a first layer that pairs every wire leaves 3**8 * 2 = 13,122 lanes at 17.
 
 Each full block fixes the top t wires, t the fewest that leave at most
 2**BLOCK_BITS lanes, and its lanes are a mixed-radix product over the low
@@ -44,12 +49,10 @@ block in which a pair inside the top wires reads 1, 0 is skipped: the block
 with the pair swapped has the same outputs.  Blocks come in index order of
 their top wires.  An evaluation holds at most width * 2**BLOCK_BITS bits.
 
-``first_unsorted`` stops at the first block with a failing lane.  The least
-failing input is a fixed point of the first layer (turning 1, 0 into 0, 1 on
-a pair lowers the input and keeps the output), so that block holds it.  Lane
+``first_unsorted`` stops at the first block with a failing lane.  Lane
 order is not index order when first-layer pairs interleave, so the failing
 lanes are narrowed through the input slices in wire order, to those where
-the wire reads 0 while any are left.
+the wire reads 0 while any are left (``_least``).
 
 ``leq_masks`` walks the ordered pairs of wires nearest first, on every
 block from the first: each block keeps the pairs that hold on it and skips a
@@ -72,7 +75,7 @@ from typing import Iterable, Iterator, Sequence
 MAX_WIDTH = 26
 
 # The probe: inputs 0 .. 2**PROBE_BITS - 1, swept first where the first
-# layer's outputs are many (``layouts``), so that a network failing early is
+# layer's outputs are many (``_sweep``), so that a network failing early is
 # refuted in microseconds.
 PROBE_BITS = 12
 
@@ -227,24 +230,22 @@ def _product_inputs(links: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return lanes, tuple(rows)
 
 
-def layouts(
-    partner: Sequence[int],
-) -> Iterator[tuple[bool, int, int, tuple[int, ...], Iterable[int]]]:
-    """Parts of a sweep over what the first layer ``partner`` outputs: the
-    probe where it is needed, then the full blocks.  Each part is (is it
-    the probe, the number t of top wires, the lane count, the input slices
-    of the low wires, the top wire values of each block to sweep as an int
-    whose most significant of t bits is wire 0).
-
-    The probe's top wires read 0 and its low wires are PROBE_BITS radix-2
-    digits, which is index order.  The full blocks' top values come in
-    order and skip those where a pair inside the top wires reads 1, 0.
-    """
-    width = len(partner)
+def _sweep(
+    width: int, pairs: Sequence[tuple[int, int]]
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """(input slices, final slices, all-ones slice) of each block: the probe
+    where it is needed, then the full blocks.  Every input slice is built by
+    ``_product_inputs``; a block's lanes are the vectors they spell out."""
+    check_width(width)
+    partner, later = _first_layer(width, pairs)
     k = sum(1 for i, p in enumerate(partner) if p > i)
     lanes = 3**k << (width - 2 * k)
     if lanes > 2 << PROBE_BITS:
-        yield (True, width - PROBE_BITS, *_product_inputs((0,) * PROBE_BITS), (0,))
+        # The top wires read 0 and the low wires are PROBE_BITS radix-2
+        # digits, which is index order; every comparator runs.
+        full = (1 << (1 << PROBE_BITS)) - 1
+        rows = [0] * (width - PROBE_BITS) + list(_product_inputs((0,) * PROBE_BITS)[1])
+        yield rows, _compare(rows[:], pairs, full), full
     # Found only once the probe has passed: a network refuted inside it
     # pays for neither the top wires nor the product.  t is the fewest top
     # wires that leave at most 2**BLOCK_BITS lanes; a wire that turns top
@@ -255,30 +256,18 @@ def layouts(
         lanes = lanes // 3 * 2 if partner[t] > t else lanes >> 1
         t += 1
     links = tuple(p - i if p >= t else 0 for i, p in enumerate(partner[t:], t))
+    lanes, low = _product_inputs(links)
+    full = (1 << lanes) - 1
+    # A pair from a top wire to a low one keeps its comparator, ahead of the
+    # later ones, and a pair inside the top or the low wires is dropped.
+    pairs = [(a, partner[a]) for a in range(t) if partner[a] >= t] + later
     skip = [(t - 1 - a, t - 1 - partner[a]) for a in range(t) if a < partner[a] < t]
-    tops = (top for top in range(1 << t) if not any(top >> a & 1 > top >> b & 1 for a, b in skip))
-    yield (False, t, *_product_inputs(links), tops)
-
-
-def _sweep(
-    width: int, pairs: Sequence[tuple[int, int]]
-) -> Iterator[tuple[list[int], list[int], int]]:
-    """(input slices, final slices, all-ones slice) of each block of the
-    parts of ``layouts``.  A block's lanes are the input vectors its input
-    slices spell out."""
-    check_width(width)
-    partner, later = _first_layer(width, pairs)
-    for probe, t, lanes, low, tops in layouts(partner):
-        full = (1 << lanes) - 1
-        # The probe runs every comparator.  Elsewhere a pair from a top wire
-        # to a low one keeps its comparator, ahead of the later ones, and a
-        # pair inside the top or the low wires is dropped.
-        if not probe:
-            pairs = [(a, partner[a]) for a in range(t) if partner[a] >= t] + later
-        for top in tops:
-            rows = [full if top >> j & 1 else 0 for j in range(t - 1, -1, -1)]
-            rows += low
-            yield rows, _compare(rows[:], pairs, full), full
+    for top in range(1 << t):
+        if any(top >> a & 1 > top >> b & 1 for a, b in skip):
+            continue
+        rows = [full if top >> j & 1 else 0 for j in range(t - 1, -1, -1)]
+        rows += low
+        yield rows, _compare(rows[:], pairs, full), full
 
 
 def _least(inputs: Sequence[int], lanes: int) -> int:

@@ -28,16 +28,10 @@ replaced by its value on 0/1 inputs, so the verdict per input and hence the
 lexicographically least counterexample are the same;
 ``tests/test_analysis.py`` keeps the matrix check as its oracle.
 
-The sweep covers only what the prefix's first layer can output: one block
-of 3**8 = 6,561 lanes for the cube phase, whose first layer pairs all 16
-wires, not 2**16 inputs.  That is enough.  A claim's verdict on an input
-depends only on the prefix's output, since every slice it tests is built
-from outputs.  So the least input failing a claim is a fixed point of the
-first layer: turning 1, 0 into 0, 1 on a first-layer pair lowers the input
-and keeps the output.  The blocks cover those fixed points in index order
-of their top wires, after the probe where there is one, so the first block
-that fails a claim holds that input, and ``_bitslice._least`` narrows the
-block's failing lanes to it, as ``verify`` does.
+The sweep covers only what the prefix's first layer can output (one block
+of 3**8 = 6,561 lanes for the cube phase), and its first failing block
+holds a claim's least failing input; the ``_bitslice`` docstring gives
+the argument.
 
 The sampled mode runs seeded random permutations of 0..15 through the
 prefix, on which the r-th smallest of all outputs is r itself.  It holds

@@ -28,14 +28,8 @@ Every call still returns a new ``MonotoneCircuit`` that checks each gate of
 the table, and no circuit, depth or verdict outlives a call.
 
 Truth tables are slices as in ``_bitslice``.  ``is_threshold`` sweeps only
-what the comparators at the front of the circuit can output: input pairs
-(i, j) whose only readers are one AND and one OR gate of x_i and x_j, and
-which no output names.  Swapping x_i and x_j changes no gate's value, and a
-threshold function is symmetric, so the check need only cover the inputs on
-which each pair reads 00, 01 or 11.  Those are the blocks ``_bitslice``
-sweeps for a network whose first layer is these pairs, so a circuit of a
-network sweeps the network's blocks (that module's docstring states them,
-and where the probe runs), and no value it holds exceeds one block's bits.
+what the comparators at the front of the circuit can output, the blocks of
+the network it comes from; the ``_bitslice`` docstring gives the argument.
 On each block the threshold's slice is one compare with k
 (``_bitslice.at_least``) of the lanes' numbers of ones
 (``_bitslice.count``), the same pair that counts the claims of ``analysis``.
@@ -156,11 +150,13 @@ def cone_depth(circuit: MonotoneCircuit, wire: int) -> int:
 def specialize(circuit: MonotoneCircuit, input_index: int, bit: int) -> MonotoneCircuit:
     """Pin one input to a constant and simplify.
 
-    Constants are propagated exhaustively through ``_fold``, and inputs
-    above ``input_index`` shift down by one.  On circuits of networks,
-    pinned any number of times, no gate is left unreachable: a value sits
-    on one wire until a comparator's AND and OR both consume it.
+    ``input_index`` and ``bit`` are read as integers.  Constants are
+    propagated exhaustively through ``_fold``, and inputs above
+    ``input_index`` shift down by one.  On circuits of networks, pinned any
+    number of times, no gate is left unreachable: a value sits on one wire
+    until a comparator's AND and OR both consume it.
     """
+    input_index, bit = operator.index(input_index), operator.index(bit)
     n = circuit.n_inputs
     if not 0 <= input_index < n:
         raise ValueError(f"no input {input_index}")

@@ -12,6 +12,7 @@ equal.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple, Sequence
 
 from . import _bitslice as _backend
@@ -87,8 +88,10 @@ class Poset(_Record):
 
     ``rows[a]`` is a bitmask with bit b set iff wire a's value is at most
     wire b's value on every binary input.  The relation is reflexive and
-    transitive by construction; construction refuses rows other than one
-    per wire within the width, and a relation that is not antisymmetric.
+    transitive by construction; construction reads the width and each row
+    through ``operator.index``, and refuses rows other than one per wire
+    within the width, and a relation that is not antisymmetric.  ``leq``
+    and ``covers`` read wires so too and refuse one outside 0..width-1.
     """
 
     __slots__ = _fields = ("width", "rows")
@@ -99,7 +102,9 @@ class Poset(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        width, rows = self.width, self.rows
+        width, rows = operator.index(self.width), self.rows
+        if type(rows) is not tuple or any(type(row) is not int for row in rows):
+            rows = tuple(map(operator.index, rows))
         if len(rows) != width:
             raise ValueError(f"{len(rows)} rows for width {width}")
         for a, row in enumerate(rows):
@@ -110,19 +115,29 @@ class Poset(_Record):
                     raise DegenerateOrderError(
                         f"wires {a} and {b} are forced equal on all binary inputs"
                     )
+        _set_field(self, "width", width)
+        _set_field(self, "rows", rows)
+
+    def _wire(self, w) -> int:
+        w = operator.index(w)
+        if not 0 <= w < self.width:
+            raise ValueError(f"wire {w} is outside 0..{self.width - 1}")
+        return w
 
     def leq(self, a: int, b: int) -> bool:
+        width = self.width  # exact-int wires in range pass on these tests alone
+        if not (type(a) is int and type(b) is int and 0 <= a < width and 0 <= b < width):
+            a, b = self._wire(a), self._wire(b)
         return (self.rows[a] >> b) & 1 == 1
 
     def covers(self, elements: Sequence[int] | None = None) -> list[tuple[int, int]]:
         """Cover pairs (transitive reduction) of the order, optionally
         restricted to a subset of wires, each named once, in (a, b) order."""
-        elems = sorted(elements) if elements is not None else range(self.width)
+        elems = sorted(map(self._wire, elements)) if elements is not None else range(self.width)
         keep = 0
         for e in elems:
-            if not 0 <= e < self.width or keep >> e & 1:
-                why = "named twice" if 0 <= e < self.width else f"outside 0..{self.width - 1}"
-                raise ValueError(f"wire {e} is {why}")
+            if keep >> e & 1:
+                raise ValueError(f"wire {e} is named twice")
             keep |= 1 << e
         # up[a]: the kept wires strictly above a.  b covers a unless b is
         # also above some c in up[a].

@@ -2,7 +2,8 @@
 
 import random
 from functools import cache
-from itertools import chain
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -165,25 +166,53 @@ def lane_bits(row, lanes):
     return np.unpackbits(raw, bitorder="little")[:lanes]
 
 
-def swept_blocks(width, pairs):
-    """(input index of each lane, final slices, whether it is the probe) of
-    each block ``_sweep`` yields: every block's lanes are the vectors its
-    input slices spell out, and the probe is the first block where the
-    first part of ``layouts`` is the probe."""
-    probed = next(_bitslice.layouts(_bitslice._first_layer(width, pairs)[0]))[0]
-    out = []
-    for inputs, rows, full in _bitslice._sweep(width, pairs):
-        lanes = full.bit_length()
-        assert full == (1 << lanes) - 1
-        assert len(inputs) == width
-        assert lanes == max(map(int.bit_length, inputs))
-        assert 0 < lanes <= 1 << BLOCK_BITS
-        index = np.zeros(lanes, dtype=np.int64)
-        for row in inputs:
-            index = index << 1 | lane_bits(row, lanes)
-        assert all(row >> lanes == 0 for row in rows)
-        out.append((index, rows, probed and not out))
-    return out
+class Block(NamedTuple):
+    """One block of a sweep as a recorder sees it from outside the engine."""
+
+    index: np.ndarray  # the input index of each lane
+    rows: list  # the final slices
+    top: int  # the top wires: the leading input slices that read 0 or all-ones
+    probe: bool  # the first block, of inputs 0 .. 2**PROBE_BITS - 1 in order
+
+
+def recording(calls):
+    """A stand-in for ``_bitslice._sweep`` that runs it, yields its blocks
+    as they are, and appends one list per call to ``calls``: the ``Block``
+    of each block yielded so far.  Every block's lanes must be the vectors
+    its input slices spell out, the top wires must lead, and the probe is
+    told by its lanes alone: a full block with top wires has more than
+    2**(BLOCK_BITS - 1) lanes, and one without them is the whole sweep."""
+    sweep = _bitslice._sweep
+
+    def recorded(width, pairs):
+        calls.append(blocks := [])
+        for inputs, rows, full in sweep(width, pairs):
+            lanes = full.bit_length()
+            assert full == (1 << lanes) - 1
+            assert len(inputs) == width
+            assert lanes == max(map(int.bit_length, inputs), default=1)
+            assert 0 < lanes <= 1 << _bitslice.BLOCK_BITS
+            index = np.zeros(lanes, dtype=np.int64)
+            for row in inputs:
+                index = index << 1 | lane_bits(row, lanes)
+            assert all(row >> lanes == 0 for row in rows)
+            top = next((i for i, row in enumerate(inputs) if row not in (0, full)), width)
+            assert all(row not in (0, full) for row in inputs[top:])
+            probe = (not blocks and top > 0 and lanes == 1 << _bitslice.PROBE_BITS
+                     and np.array_equal(index, np.arange(lanes)))
+            blocks.append(Block(index, rows, top, probe))
+            yield inputs, rows, full
+
+    return recorded
+
+
+def swept_blocks(width, pairs, most=None):
+    """The ``Block`` of each block ``_sweep`` yields, or of the first
+    ``most`` of them."""
+    calls = []
+    for _ in islice(recording(calls)(width, pairs), most):
+        pass
+    return calls[0]
 
 
 @pytest.mark.parametrize("width", range(PROBE_BITS + 1, BLOCK_BITS + 3))
@@ -204,23 +233,23 @@ def test_sweep_rows_equal_the_int_slices(width):
     for net in nets:
         whole = [lane_bits(row, 1 << width) for row in whole_outputs(net.pairs(), whole_inputs(width))]
         blocks = swept_blocks(width, net.pairs())
-        for index, rows, _ in blocks:
+        for index, rows, *_ in blocks:
             for row, column in zip(rows, whole):
                 assert np.array_equal(lane_bits(row, len(index)), column[index])
         k = len(first_layer(net.pairs()))
         product = 3**k << width - 2 * k
         expect_probe = product > 2 << PROBE_BITS
         probed.add(expect_probe)
-        assert [probe for _, _, probe in blocks] == [expect_probe] + [False] * (
+        assert [block.probe for block in blocks] == [expect_probe] + [False] * (
             len(blocks) - 1
         )
         if expect_probe:
             probe, *blocks = blocks
-            assert np.array_equal(probe[0], np.arange(1 << PROBE_BITS))
+            assert probe.top == width - PROBE_BITS
         else:
-            assert [len(index) for index, _, _ in blocks] == [product]
-        swept = np.concatenate([index for index, _, _ in blocks])
-        assert all(a.max() < b.min() for (a, _, _), (b, _, _) in zip(blocks, blocks[1:]))
+            assert [len(block.index) for block in blocks] == [product]
+        swept = np.concatenate([block.index for block in blocks])
+        assert all(a.index.max() < b.index.min() for a, b in zip(blocks, blocks[1:]))
         assert len(np.unique(swept)) == len(swept)
         v = np.arange(1 << width)
         fixed = np.ones(1 << width, dtype=bool)
@@ -246,7 +275,7 @@ def assert_lanes_match_apply(net, sample=None, seed=0):
     # Every lane of every swept block (or ``sample`` lanes of each) holds
     # Network.apply of the input it stands for.
     rng = random.Random(seed)
-    for index, rows, _ in swept_blocks(net.width, net.pairs()):
+    for index, rows, *_ in swept_blocks(net.width, net.pairs()):
         lanes = range(len(index))
         if sample is not None and sample < len(index):
             lanes = rng.sample(lanes, sample)
@@ -297,7 +326,7 @@ def test_first_layer_pairs_across_the_top_wires(width):
         suffix = whole[:cut] + whole[cut + 1 :] if cut is not None else whole
         net = Network(width, chained(width, layer) + suffix)
         assert first_layer(net.pairs()) == layer
-        *_, (_, top, *_) = _bitslice.layouts(_bitslice._first_layer(width, net.pairs())[0])
+        top = swept_blocks(width, net.pairs())[-1].top
         assert 0 < top <= width - 2
         assert_engine_matches_columns(net)
 
@@ -455,19 +484,25 @@ def paired_network(rng, width, size):
     return Network(width, layer + random_network(rng, width=width, size=size).comparators)
 
 
-def probed_rows(monkeypatch, net):
-    """``leq_masks`` with ``layouts`` patched to put the probe ahead of the
-    block, so that the sweep is no longer one block."""
-    layouts = _bitslice.layouts
-    lanes, low = _bitslice._product_inputs((0,) * PROBE_BITS)
-    probe = (True, net.width - PROBE_BITS, lanes, low, (0,))
+def probed_rows(monkeypatch, net, lanes):
+    """``leq_masks`` of a network swept in one block of ``lanes`` lanes,
+    with ``PROBE_BITS`` shrunk so that the probe comes first, as large as
+    still leaves the block more than twice its lanes: 2,048 ahead of
+    6,561."""
     with monkeypatch.context() as m:
-        m.setattr(_bitslice, "layouts", lambda partner: chain([probe], layouts(partner)))
-        return _bitslice.leq_masks(net.width, net.pairs())
+        m.setattr(_bitslice, "PROBE_BITS", (lanes - 1).bit_length() - 2)
+        calls = []
+        m.setattr(_bitslice, "_sweep", recording(calls))
+        rows = _bitslice.leq_masks(net.width, net.pairs())
+    probe, block = calls[0]
+    assert probe.probe and not block.probe and len(block.index) == lanes
+    return rows
 
 
 def one_block(net):
-    return [probe for _, _, probe in swept_blocks(net.width, net.pairs())] == [False]
+    """The lane count of the sweep of ``net`` when it is one block, else None."""
+    blocks = swept_blocks(net.width, net.pairs())
+    return len(blocks[0].index) if len(blocks) == 1 and not blocks[0].probe else None
 
 
 def test_one_block_rows_equal_the_probed_rows_and_the_columns(monkeypatch):
@@ -485,9 +520,9 @@ def test_one_block_rows_equal_the_probed_rows_and_the_columns(monkeypatch):
     for net in nets:
         rows = _bitslice.leq_masks(net.width, net.pairs())
         assert rows == column_oracle(net)[1], net.comparators
-        if one_block(net):
+        if lanes := one_block(net):
             single += 1
-            assert rows == probed_rows(monkeypatch, net), net.comparators
+            assert rows == probed_rows(monkeypatch, net, lanes), net.comparators
     assert single == 53 + 54 + 38 + 24
 
 
@@ -525,13 +560,11 @@ def test_degenerate_rows_reach_the_poset_on_either_path(monkeypatch):
 def test_the_probe_always_runs_past_16_wires():
     for width in range(1, _bitslice.MAX_WIDTH + 1):
         # The fewest lanes: a first layer that pairs all the wires it can.
-        paired = [i ^ 1 if i ^ 1 < width else -1 for i in range(width)]
-        parts = list(_bitslice.layouts(paired))
-        assert [probe for probe, *_ in parts] == [True] * (width > 16) + [False]
+        paired = [(i, i + 1) for i in range(0, width - 1, 2)]
+        blocks = swept_blocks(width, paired, most=2)
+        assert [block.probe for block in blocks] == [True] * (width > 16) + [False]
         if width > 16:
-            probe, t, lanes, low, tops = parts[0]
-            assert (t, lanes, list(tops)) == (width - PROBE_BITS, 1 << PROBE_BITS, [0])
-            assert low == whole_inputs(PROBE_BITS)
+            assert blocks[0].top == width - PROBE_BITS
 
 
 def test_a_refutation_inside_the_probe_builds_no_product(monkeypatch):

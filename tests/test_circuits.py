@@ -32,6 +32,7 @@ from test_bitslice import (
     chained,
     output_columns,
     slice_bit,
+    swept_blocks,
     whole_inputs,
     whole_outputs,
 )
@@ -309,8 +310,7 @@ def test_is_threshold_behind_first_layers_against_columns(n, layer, t):
         net = Network(n, chained(n, layer) + pairs)
         circuit = network_to_circuit(net)
         assert _front_pairs(circuit) == layer
-        partner, _ = _bitslice._first_layer(n, layer)
-        assert list(_bitslice.layouts(partner))[-1][1] == t
+        assert swept_blocks(n, layer)[-1].top == t
         verdicts = []
         for wire, column in enumerate(output_columns(net)):
             for k in (n - wire - 1, n - wire, n - wire + 1):
@@ -369,6 +369,17 @@ def test_specialize_constant_folding():
     assert pinned_one.outputs == (2, 1)
     pinned_zero = specialize(tiny, 1, 0)
     assert pinned_zero.outputs == (0, 2)
+
+
+def test_specialize_reads_the_input_and_bit_as_integers():
+    tiny = network_to_circuit(Network(2, ((0, 1),)))
+    assert specialize(tiny, np.int64(1), np.int8(1)) == specialize(tiny, 1, True) == specialize(tiny, 1, 1)
+    for index, bit in ((1.0, 0), (1, 1.0), ("1", 0)):
+        with pytest.raises(TypeError):
+            specialize(tiny, index, bit)
+    for index, bit, message in ((2, 0, "no input 2"), (-1, 0, "no input -1"), (0, 2, "0 or 1")):
+        with pytest.raises(ValueError, match=message):
+            specialize(tiny, np.int64(index), np.int64(bit))
 
 
 def specializations():

@@ -250,7 +250,7 @@ SEPARATOR_AFTER_LAST_LAYER_ASCII = """\
 """
 
 
-def test_ascii_layouts_are_pinned():
+def test_ascii_diagrams_are_pinned():
     # Layers that need several columns, and the approximate-phase separator
     # both between layers and after the last one.
     approx = ((0, 1, Phase.APPROX), (2, 3, Phase.APPROX), (0, 2, Phase.APPROX), (1, 3, Phase.APPROX))
@@ -345,6 +345,15 @@ def test_dot_restriction(green):
     # Each wire once: a repeated one would draw its node and edges twice.
     with pytest.raises(ValueError, match="wire 0 is named twice"):
         render_poset_dot(poset, restrict=[0, 0, 1])
+
+
+def test_dot_names_nodes_by_integer_wires():
+    # Wires of numpy or bool type name their nodes as the ints they stand for.
+    poset = infer_poset(batcher_sorter(4))
+    want = render_poset_dot(poset, restrict=[1, 2])
+    assert render_poset_dot(poset, restrict=np.array([1, 2])) == want
+    assert render_poset_dot(poset, restrict=[True, 2]) == want
+    assert "n1 -> n2;" in want
 
 
 def test_dot_rejects_degenerate_relation():

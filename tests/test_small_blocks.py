@@ -1,6 +1,6 @@
 """The slice engine with its probe and blocks shrunk to a few lanes.
 
-``_bitslice.layouts`` reads ``PROBE_BITS`` and ``BLOCK_BITS`` on each call,
+``_bitslice._sweep`` reads ``PROBE_BITS`` and ``BLOCK_BITS`` on each call,
 so with them at 1-2 and 2-4 a network of 4 to 6 wires already takes the
 probe, several top wires and skipped blocks, which the real constants reach
 only past 13 or 16 wires.  Every network of at most 4 comparators on 4

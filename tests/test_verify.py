@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sortnet16 import (
@@ -15,6 +16,7 @@ from sortnet16 import (
     hypercube_phase,
     infer_poset,
     is_threshold,
+    sorter4,
     van_voorhis16,
     verify_sorts_binary,
 )
@@ -269,6 +271,34 @@ def test_covers_wants_each_wire_once_within_the_width():
         with pytest.raises(ValueError, match=message):
             poset.covers(elements)
     assert poset.covers([1, 0]) == poset.covers([0, 1]) == [(0, 1)]
+
+
+def test_poset_reads_wires_and_rows_as_integers():
+    # The width, the rows and the wires of leq and covers are read through
+    # operator.index; a wire outside 0..width-1 is refused, not wrapped
+    # round (-1 read the last row) or shifted by.
+    poset = infer_poset(sorter4())
+    for a, b, message in (
+        (-1, 3, "wire -1 is outside 0..3"),
+        (0, 99, "wire 99 is outside 0..3"),
+        (4, 0, "wire 4 is outside 0..3"),
+        (0, -1, "wire -1 is outside 0..3"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            poset.leq(a, b)
+    with pytest.raises(TypeError):
+        poset.leq(0, 1.0)
+    assert poset.leq(np.int64(0), np.int8(3)) and poset.leq(True, 2) and not poset.leq(3, False)
+    assert poset.covers([np.int64(2), True, 0]) == poset.covers([0, 1, 2]) == [(0, 1), (1, 2)]
+    with pytest.raises(ValueError, match="wire 1 is named twice"):
+        poset.covers([True, 1])
+    numpy_rows = Poset(np.int64(2), (np.int64(1), np.int64(3)))
+    assert numpy_rows == Poset(2, (1, 3))
+    assert type(numpy_rows.width) is int and all(type(row) is int for row in numpy_rows.rows)
+    assert numpy_rows.covers() == [(1, 0)]
+    assert Poset(2, [1, 3]) == poset_from_rows(2, [1, 3])
+    with pytest.raises(TypeError):
+        Poset(2, (1.0, 3))
 
 
 def test_covers_reduction_closure_identity():
