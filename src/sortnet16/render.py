@@ -16,7 +16,6 @@ default rendering reproduces the network exactly.
 
 from __future__ import annotations
 
-import operator
 from typing import TYPE_CHECKING
 
 from .network import Comparator, Network, Phase, asap_schedule
@@ -310,8 +309,8 @@ def _render_svg(net: Network, flip: bool, color: bool, labels: bool) -> str:
 def render_poset_dot(poset: Poset, *, restrict=None) -> str:
     """DOT digraph of the Hasse diagram (cover pairs), nodes labeled with
     1-based line numbers so diagrams read like the classic pictures.  The
-    wires of ``restrict`` are read through ``operator.index``."""
-    elems = sorted(map(operator.index, restrict)) if restrict is not None else range(poset.width)
+    wires of ``restrict`` are read, and checked, by ``Poset.wire``."""
+    elems = sorted(map(poset.wire, restrict)) if restrict is not None else range(poset.width)
     lines = ["digraph poset {", "  rankdir=BT;"]
     for w in elems:
         lines.append(f'  n{w} [label="{w + 1}"];')

@@ -91,7 +91,8 @@ class Poset(_Record):
     transitive by construction; construction reads the width and each row
     through ``operator.index``, and refuses rows other than one per wire
     within the width, and a relation that is not antisymmetric.  ``leq``
-    and ``covers`` read wires so too and refuse one outside 0..width-1.
+    and ``covers`` read wires through ``wire``, which refuses one outside
+    0..width-1.
     """
 
     __slots__ = _fields = ("width", "rows")
@@ -102,9 +103,7 @@ class Poset(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        width, rows = operator.index(self.width), self.rows
-        if type(rows) is not tuple or any(type(row) is not int for row in rows):
-            rows = tuple(map(operator.index, rows))
+        width, rows = operator.index(self.width), tuple(map(operator.index, self.rows))
         if len(rows) != width:
             raise ValueError(f"{len(rows)} rows for width {width}")
         for a, row in enumerate(rows):
@@ -118,7 +117,9 @@ class Poset(_Record):
         _set_field(self, "width", width)
         _set_field(self, "rows", rows)
 
-    def _wire(self, w) -> int:
+    def wire(self, w) -> int:
+        """Wire ``w`` read through ``operator.index``; refuses one outside
+        0..width-1."""
         w = operator.index(w)
         if not 0 <= w < self.width:
             raise ValueError(f"wire {w} is outside 0..{self.width - 1}")
@@ -127,13 +128,13 @@ class Poset(_Record):
     def leq(self, a: int, b: int) -> bool:
         width = self.width  # exact-int wires in range pass on these tests alone
         if not (type(a) is int and type(b) is int and 0 <= a < width and 0 <= b < width):
-            a, b = self._wire(a), self._wire(b)
+            a, b = self.wire(a), self.wire(b)
         return (self.rows[a] >> b) & 1 == 1
 
     def covers(self, elements: Sequence[int] | None = None) -> list[tuple[int, int]]:
         """Cover pairs (transitive reduction) of the order, optionally
         restricted to a subset of wires, each named once, in (a, b) order."""
-        elems = sorted(map(self._wire, elements)) if elements is not None else range(self.width)
+        elems = sorted(map(self.wire, elements)) if elements is not None else range(self.width)
         keep = 0
         for e in elems:
             if keep >> e & 1:

@@ -354,6 +354,8 @@ def test_dot_names_nodes_by_integer_wires():
     assert render_poset_dot(poset, restrict=np.array([1, 2])) == want
     assert render_poset_dot(poset, restrict=[True, 2]) == want
     assert "n1 -> n2;" in want
+    with pytest.raises(ValueError, match="wire 4 is outside 0..3"):
+        render_poset_dot(poset, restrict=[1, 4])
 
 
 def test_dot_rejects_degenerate_relation():
